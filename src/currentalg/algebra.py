@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import scalars
-from .linalg import Matrix, inverse, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
+from .linalg import Matrix, inverse, vec_add, vec_is_zero, vec_scale, vec_sub
 
 LIE = "lie"
 ASSOC_COMM = "assoc-comm"
@@ -40,7 +40,7 @@ class Algebra:
     Instances are immutable by convention; all operations return new values.
     """
 
-    __slots__ = ("name", "kind", "field", "dim", "table", "basis_labels")
+    __slots__ = ("name", "kind", "field", "dim", "table", "tensor", "basis_labels")
 
     def __init__(self, name: str, kind: str, field: str, dim: int,
                  products: Mapping[tuple, Sequence] = (),
@@ -79,6 +79,14 @@ class Algebra:
                 raise AlgebraError(f"inconsistent duplicate entry for product {key}")
             table[key] = val
         self.table = {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
+        # Sparse structure tensor: every ordered pair (i, j) with a nonzero
+        # product maps to the nonzero terms (k, c) of e_i * e_j.
+        self.tensor = {}
+        for (i, j), vec in self.table.items():
+            terms = tuple((k, c) for k, c in enumerate(vec, start=1) if c != 0)
+            self.tensor[(j, i)] = (terms if kind == ASSOC_COMM
+                                   else tuple((k, -c) for k, c in terms))
+            self.tensor[(i, j)] = terms
 
     def _check_index(self, i):
         if not isinstance(i, int) or not 1 <= i <= self.dim:
@@ -89,14 +97,10 @@ class Algebra:
     def basis_product(self, i: int, j: int) -> tuple:
         """e_i * e_j with the stored symmetry class filled back in."""
         self._check_index(i), self._check_index(j)
-        if self.kind == LIE:
-            if i == j:
-                return vec_zero(self.dim)
-            if i < j:
-                return self.table.get((i, j), vec_zero(self.dim))
-            return vec_scale(-1, self.table.get((j, i), vec_zero(self.dim)))
-        key = (min(i, j), max(i, j))
-        return self.table.get(key, vec_zero(self.dim))
+        out = [scalars.zero(self.field)] * self.dim
+        for k, c in self.tensor.get((i, j), ()):
+            out[k - 1] = c
+        return tuple(out)
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
@@ -104,17 +108,16 @@ class Algebra:
             raise AlgebraError("vector length does not match algebra dimension")
         x = scalars.coerce_vector(self.field, x)
         y = scalars.coerce_vector(self.field, y)
-        acc = vec_zero(self.dim)
+        acc = [scalars.zero(self.field)] * self.dim
         for i, xi in enumerate(x, start=1):
             if xi == 0:
                 continue
             for j, yj in enumerate(y, start=1):
                 if yj == 0:
                     continue
-                prod = self.basis_product(i, j)
-                if not vec_is_zero(prod):
-                    acc = vec_add(acc, vec_scale(xi * yj, prod))
-        return acc
+                for k, c in self.tensor.get((i, j), ()):
+                    acc[k - 1] += xi * yj * c
+        return tuple(acc)
 
     def basis_vector(self, i: int) -> tuple:
         self._check_index(i)

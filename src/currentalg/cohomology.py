@@ -8,18 +8,24 @@ Sign convention for the Chevalley coboundary with adjoint coefficients:
 which satisfies d.d = 0 and makes Z^1 exactly the derivation algebra.
 Cochain bases are ordered lexicographically on index tuples with the value
 coordinate innermost, so coboundary matrices have reproducible shapes.
+
+Each operator (Chevalley d^0..d^2, the Leibniz system, Hochschild d^2) is
+assembled row by row from its formula and ``Algebra.tensor``; Hochschild d^1
+is minus the Leibniz system.  The Jacobiator route in ``rigidity`` and the
+decomposable evaluators below stay independent of these rows.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from . import scalars
-from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, require_identities
+from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError
 from .current import current_algebra
 from .linalg import (
+    _ZERO,
     Matrix,
     Subspace,
     _entry,
@@ -28,7 +34,6 @@ from .linalg import (
     vec_add,
     vec_is_zero,
     vec_scale,
-    vec_sub,
     vec_zero,
 )
 from .structure import center, subspace_product
@@ -104,19 +109,6 @@ class ChevalleyCochain:
             if c != 0:
                 acc = vec_add(acc, vec_scale(c, self.value((l, *rest))))
         return acc
-
-    def __add__(self, other: "ChevalleyCochain") -> "ChevalleyCochain":
-        if (self.degree, self.dim) != (other.degree, other.dim):
-            raise AlgebraError("cochain shapes differ")
-        keys = set(self.data) | set(other.data)
-        return ChevalleyCochain(
-            self.degree, self.dim,
-            {k: vec_add(self.value(k), other.value(k)) for k in keys})
-
-    def scale(self, c) -> "ChevalleyCochain":
-        return ChevalleyCochain(
-            self.degree, self.dim,
-            {k: vec_scale(c, v) for k, v in self.data.items()})
 
     def is_zero(self) -> bool:
         return not self.data
@@ -202,32 +194,63 @@ def multiplication_cochain(A: Algebra) -> SymmetricCochain:
 # Chevalley coboundary and dimensions
 # ---------------------------------------------------------------------------
 
+def _dense(entries: Mapping, nrows: int, ncols: int) -> Matrix:
+    """Dense matrix of sparse entries {(row, col): coeff}; a map into the
+    zero space gets one zero row, which keeps its column count visible."""
+    rows = [[_ZERO] * ncols for _ in range(max(nrows, 1 if ncols else 0))]
+    for (r, c), x in entries.items():
+        rows[r][c] = x
+    return Matrix(rows)
+
+
+def _apply(entries: Mapping, nrows: int, vec: Sequence) -> tuple:
+    """Sparse entries times a flat coordinate vector."""
+    out = [_ZERO] * nrows
+    for (r, c), x in entries.items():
+        if vec[c] != 0:
+            out[r] += x * vec[c]
+    return tuple(out)
+
+
+def _chevalley_rows(g: Algebra, k: int) -> tuple:
+    """(entries, nrows, ncols) of d: C^k -> C^(k+1), read off the formula.
+
+    Row (T, t) is coordinate t of (d phi)(e_T) on an increasing tuple T;
+    column (S, s) is coordinate s of phi(e_S).
+    """
+    if g.kind != LIE:
+        raise AlgebraError("the Chevalley coboundary needs a Lie algebra")
+    if k not in (0, 1, 2):
+        raise AlgebraError("coboundary implemented for degrees 0..2 only")
+    n, tensor = g.dim, g.tensor
+    sources, targets = increasing_tuples(n, k), increasing_tuples(n, k + 1)
+    col = {tup: pos * n for pos, tup in enumerate(sources)}
+    entries = defaultdict(int)
+    for r, tup in enumerate(targets):
+        for p in range(k + 1):
+            # (-1)^p [x_p, phi(..., x_p omitted, ...)]
+            rest = col[tup[:p] + tup[p + 1:]]
+            for s in range(n):
+                for t, c in tensor.get((tup[p], s + 1), ()):
+                    entries[r * n + t - 1, rest + s] += (-1) ** p * c
+            # (-1)^(p+q) phi([x_p, x_q], ..., x_p, x_q omitted, ...)
+            for q in range(p + 1, k + 1):
+                for l, c in tensor.get((tup[p], tup[q]), ()):
+                    key, sign = _sort_with_sign(
+                        (l,) + tup[:p] + tup[p + 1:q] + tup[q + 1:])
+                    if sign:
+                        for t in range(n):
+                            entries[r * n + t, col[key] + t] += (-1) ** (p + q) * sign * c
+    return entries, len(targets) * n, len(sources) * n
+
+
 def chevalley_delta(g: Algebra, c: ChevalleyCochain) -> ChevalleyCochain:
     """Adjoint-coefficient coboundary, degrees 0 -> 1 -> 2 -> 3."""
-    if g.kind != LIE:
-        raise AlgebraError("chevalley_delta needs a Lie algebra")
     if c.dim != g.dim:
         raise AlgebraError("cochain dimension does not match the algebra")
-    if c.degree > 2:
-        raise AlgebraError("coboundary implemented for degrees 0..2 only")
-    k = c.degree
-    out = {}
-    for tup in increasing_tuples(g.dim, k + 1):
-        val = vec_zero(g.dim)
-        for pos in range(k + 1):
-            rest = tup[:pos] + tup[pos + 1:]
-            term = g.multiply(g.basis_vector(tup[pos]), c.value(rest))
-            val = vec_add(val, term if pos % 2 == 0 else vec_scale(-1, term))
-        for p1 in range(k + 1):
-            for p2 in range(p1 + 1, k + 1):
-                w = g.basis_product(tup[p1], tup[p2])
-                rest = tuple(x for q, x in enumerate(tup) if q not in (p1, p2))
-                term = c.eval_mixed(w, rest)
-                val = vec_add(val, term if (p1 + p2) % 2 == 0
-                              else vec_scale(-1, term))
-        if not vec_is_zero(val):
-            out[tup] = val
-    return ChevalleyCochain(k + 1, g.dim, out)
+    entries, nrows, _ = _chevalley_rows(g, c.degree)
+    return cochain_from_flat(c.degree + 1, g.dim,
+                             _apply(entries, nrows, cochain_to_flat(c)))
 
 
 def cochain_to_flat(c: ChevalleyCochain) -> tuple:
@@ -249,19 +272,7 @@ def cochain_from_flat(degree: int, dim: int, flat: Sequence) -> ChevalleyCochain
 
 def chevalley_delta_matrix(g: Algebra, k: int) -> Matrix:
     """Matrix of the degree-k coboundary in the ordered tuple bases."""
-    n = g.dim
-    cols = []
-    for tup in increasing_tuples(n, k):
-        for s in range(1, n + 1):
-            basis_cochain = ChevalleyCochain(k, n, {tup: g.basis_vector(s)})
-            cols.append(cochain_to_flat(chevalley_delta(g, basis_cochain)))
-    target_dim = len(increasing_tuples(n, k + 1)) * n
-    if not cols:
-        return Matrix.zeros(target_dim, 0)
-    if target_dim == 0:
-        # zero map into the zero space: keep the column count visible
-        return Matrix.zeros(1, len(cols))
-    return Matrix.from_columns(cols)
+    return _dense(*_chevalley_rows(g, k))
 
 
 @dataclass(frozen=True)
@@ -277,13 +288,10 @@ class CohomologyDims:
 
 def chevalley_dims(g: Algebra, k: int) -> CohomologyDims:
     """dim Z^k, dim B^k, dim H^k for k in {1, 2}, by exact rank."""
-    if g.kind != LIE:
-        raise AlgebraError("chevalley_dims needs a Lie algebra")
     if k not in (1, 2):
         raise AlgebraError("chevalley_dims supports k in {1, 2}")
-    n = g.dim
-    ck_dim = len(increasing_tuples(n, k)) * n
-    z = ck_dim - rank(chevalley_delta_matrix(g, k))
+    d = chevalley_delta_matrix(g, k)
+    z = d.ncols - rank(d)
     b = rank(chevalley_delta_matrix(g, k - 1))
     return CohomologyDims(dim_Z=z, dim_B=b, dim_H=z - b)
 
@@ -300,32 +308,30 @@ def derivations(alg: Algebra) -> list:
     Operators are flattened row-major: unknown (r, c) at (r-1)*n + (c-1).
     """
     n = alg.dim
-    rows = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if alg.kind == LIE and i == j:
-                continue
-            w = alg.basis_product(i, j)
-            for s in range(1, n + 1):
-                row = [scalars.zero(alg.field)] * (n * n)
-                # + f(e_i e_j)_s
-                for c0 in range(1, n + 1):
-                    if w[c0 - 1] != 0:
-                        row[(s - 1) * n + (c0 - 1)] += w[c0 - 1]
-                # - (f(e_i) e_j)_s  and  - (e_i f(e_j))_s
-                for r in range(1, n + 1):
-                    coeff = alg.basis_product(r, j)[s - 1]
-                    if coeff != 0:
-                        row[(r - 1) * n + (i - 1)] -= coeff
-                    coeff = alg.basis_product(i, r)[s - 1]
-                    if coeff != 0:
-                        row[(r - 1) * n + (j - 1)] -= coeff
-                rows.append(row)
-    if not rows:
-        basis = [tuple(v) for v in Matrix.identity(n * n).rows]
-    else:
-        basis = kernel_basis(Matrix(rows))
+    basis = kernel_basis(_dense(*_leibniz_rows(alg)))
     return [Matrix.from_flat(v, n, n) for v in basis]
+
+
+def _leibniz_rows(alg: Algebra) -> tuple:
+    """(entries, nrows, ncols) of f -> f(e_i e_j) - f(e_i) e_j - e_i f(e_j).
+
+    Row (i, j, s) for each reduced pair; the unknown f[r][c] (coordinate r
+    of f(e_c)) sits in column (r-1)*n + (c-1).
+    """
+    n, tensor = alg.dim, alg.tensor
+    pairs = (increasing_tuples(n, 2) if alg.kind == LIE
+             else combinations_with_diag(n))
+    entries = defaultdict(int)
+    for pos, (i, j) in enumerate(pairs):
+        for c0, w in tensor.get((i, j), ()):
+            for s in range(n):
+                entries[pos * n + s, s * n + c0 - 1] += w
+        for r in range(n):
+            for s, c in tensor.get((r + 1, j), ()):
+                entries[pos * n + s - 1, r * n + i - 1] -= c
+            for s, c in tensor.get((i, r + 1), ()):
+                entries[pos * n + s - 1, r * n + j - 1] -= c
+    return entries, len(pairs) * n, n * n
 
 
 def derivation_space(alg: Algebra) -> Subspace:
@@ -348,20 +354,18 @@ def inner_derivations(g: Algebra) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def hochschild_delta1(A: Algebra, f: Matrix) -> SymmetricCochain:
-    """(d f)(a, b) = a f(b) - f(ab) + f(a) b; symmetric since A is commutative."""
+    """(d f)(a, b) = a f(b) - f(ab) + f(a) b; symmetric since A is commutative,
+    and minus the Leibniz system row for row."""
     if A.kind != ASSOC_COMM:
         raise AlgebraError("hochschild_delta1 needs an assoc-comm algebra")
-    data = {}
-    for i in range(1, A.dim + 1):
-        for j in range(i, A.dim + 1):
-            ei, ej = A.basis_vector(i), A.basis_vector(j)
-            val = vec_add(
-                vec_sub(A.multiply(ei, f.apply(ej)),
-                        f.apply(A.basis_product(i, j))),
-                A.multiply(f.apply(ei), ej),
-            )
-            data[(i, j)] = val
-    return SymmetricCochain(A.dim, data)
+    if f.shape != (A.dim, A.dim):
+        raise AlgebraError("operator shape does not match algebra dimension")
+    n = A.dim
+    entries, nrows, _ = _leibniz_rows(A)
+    flat = _apply(entries, nrows, f.flatten())
+    return SymmetricCochain(n, {
+        pair: tuple(-x for x in flat[pos * n:(pos + 1) * n])
+        for pos, pair in enumerate(combinations_with_diag(n))})
 
 
 def hochschild_delta2(A: Algebra, psi: SymmetricCochain) -> dict:
@@ -371,18 +375,41 @@ def hochschild_delta2(A: Algebra, psi: SymmetricCochain) -> dict:
     """
     if A.kind != ASSOC_COMM:
         raise AlgebraError("hochschild_delta2 needs an assoc-comm algebra")
-    out = {}
+    if psi.dim != A.dim:
+        raise AlgebraError("cochain dimension does not match the algebra")
     n = A.dim
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                val = A.multiply(A.basis_vector(i), psi.value(j, k))
-                val = vec_sub(val, psi.eval_mixed(A.basis_product(i, j), k))
-                val = vec_add(val, psi.eval_mixed(A.basis_product(j, k), i))
-                val = vec_sub(val, A.multiply(psi.value(i, j), A.basis_vector(k)))
-                if not vec_is_zero(val):
-                    out[(i, j, k)] = val
-    return out
+    entries, nrows, _ = _hochschild_rows(A)
+    flat = _apply(entries, nrows, symmetric_to_flat(psi))
+    values = (flat[pos * n:(pos + 1) * n] for pos in range(n ** 3))
+    return {t: v for t, v in zip(_all_triples(n), values) if not vec_is_zero(v)}
+
+
+def _hochschild_rows(A: Algebra) -> tuple:
+    """(entries, nrows, ncols) of the Hochschild d: S^2 -> C^3.
+
+    Row (i, j, k, t) is coordinate t of (d psi)(e_i, e_j, e_k), triples in
+    lexicographic order; column (a <= b, s) is coordinate s of psi(e_a, e_b).
+    """
+    n, tensor = A.dim, A.tensor
+    pairs = combinations_with_diag(n)
+    col = {}
+    for pos, (a, b) in enumerate(pairs):
+        col[a, b] = col[b, a] = pos * n
+    entries = defaultdict(int)
+    for r, (i, j, k) in enumerate(_all_triples(n)):
+        for s in range(n):
+            # e_i psi(e_j, e_k) - psi(e_i, e_j) e_k
+            for t, c in tensor.get((i, s + 1), ()):
+                entries[r * n + t - 1, col[j, k] + s] += c
+            for t, c in tensor.get((s + 1, k), ()):
+                entries[r * n + t - 1, col[i, j] + s] -= c
+        # - psi(e_i e_j, e_k) + psi(e_i, e_j e_k)
+        for t in range(n):
+            for l, c in tensor.get((i, j), ()):
+                entries[r * n + t, col[l, k] + t] -= c
+            for l, c in tensor.get((j, k), ()):
+                entries[r * n + t, col[i, l] + t] += c
+    return entries, n ** 4, len(pairs) * n
 
 
 def symmetric_to_flat(c: SymmetricCochain) -> tuple:
@@ -400,31 +427,14 @@ def harrison_h2(A: Algebra) -> CohomologyDims:
     """Harrison H^2: symmetric Hochschild 2-cocycles modulo 1-coboundaries.
 
     Coboundaries of 1-cochains are automatically symmetric over a
-    commutative algebra, so no intersection step is needed.
+    commutative algebra, so no intersection step is needed.  B^2 is the
+    image of d^1, which is minus the Leibniz system and has the same rank.
     """
     if A.kind != ASSOC_COMM:
         raise AlgebraError("harrison_h2 needs an assoc-comm algebra")
-    n = A.dim
-    pairs = combinations_with_diag(n)
-    cocycle_cols = []
-    for (i, j) in pairs:
-        for s in range(1, n + 1):
-            basis_cochain = SymmetricCochain(n, {(i, j): A.basis_vector(s)})
-            defect = hochschild_delta2(A, basis_cochain)
-            col = []
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    for c in range(1, n + 1):
-                        col.extend(defect.get((a, b, c), vec_zero(n)))
-            cocycle_cols.append(tuple(col))
-    z = len(cocycle_cols) - rank(Matrix.from_columns(cocycle_cols))
-    cob_cols = []
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            f = Matrix([[1 if (ri, ci) == (r - 1, c - 1) else 0
-                         for ci in range(n)] for ri in range(n)])
-            cob_cols.append(symmetric_to_flat(hochschild_delta1(A, f)))
-    b = rank(Matrix.from_columns(cob_cols))
+    d2 = _dense(*_hochschild_rows(A))
+    z = d2.ncols - rank(d2)
+    b = rank(_dense(*_leibniz_rows(A)))
     return CohomologyDims(dim_Z=z, dim_B=b, dim_H=z - b)
 
 
@@ -562,8 +572,6 @@ class H1CurrentFormula:
 
 
 def h1_current_formula(g: Algebra, A: Algebra) -> H1CurrentFormula:
-    require_identities(g)
-    require_identities(A)
     flat = current_algebra(g, A)
     lhs = chevalley_dims(flat, 1).dim_H
 

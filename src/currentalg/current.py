@@ -50,33 +50,18 @@ def current_algebra(g: Algebra, A: Algebra, name: str | None = None) -> Algebra:
         raise AlgebraError("factors must share the base field")
     require_identities(g)
     require_identities(A)
-    p, q = g.dim, A.dim
-    dim = p * q
+    q = A.dim
+    dim = g.dim * q
     products = {}
-    for i in range(1, p + 1):
-        for j in range(i, p + 1):
-            if i == j:
-                continue
-            gprod = g.basis_product(i, j)
-            if vec_is_zero(gprod):
-                continue
-            for a in range(1, q + 1):
-                for b in range(1, q + 1):
-                    u, v = flat_index(i, a, q), flat_index(j, b, q)
-                    if u > v:
-                        continue
-                    aprod = A.basis_product(a, b)
-                    if vec_is_zero(aprod):
-                        continue
-                    w = list(vec_zero(dim))
-                    for k, ck in enumerate(gprod, start=1):
-                        if ck == 0:
-                            continue
-                        for c, dc in enumerate(aprod, start=1):
-                            if dc == 0:
-                                continue
-                            w[flat_index(k, c, q) - 1] = ck * dc
-                    products[(u, v)] = tuple(w)
+    for (i, j), gterms in g.tensor.items():
+        if i > j:
+            continue
+        for (a, b), aterms in A.tensor.items():
+            w = list(vec_zero(dim))
+            for k, ck in gterms:
+                for c, dc in aterms:
+                    w[flat_index(k, c, q) - 1] = ck * dc
+            products[(flat_index(i, a, q), flat_index(j, b, q))] = tuple(w)
     return Algebra(name or f"{g.name}(x){A.name}", LIE, g.field, dim, products)
 
 

@@ -35,6 +35,16 @@ def _fail(where: str, msg: str):
     raise AlgebraFileError(f"{where}: {msg}")
 
 
+def _index_row(row, dim: int, loc: str) -> list:
+    """An [i, j, k, coeff] row whose indices are integers (not booleans) in 1..dim."""
+    if not isinstance(row, list) or len(row) != 4:
+        _fail(loc, "each entry must be [i, j, k, coeff]")
+    for label, idx in zip("ijk", row):
+        if type(idx) is not int or not 1 <= idx <= dim:
+            _fail(loc, f"index {label}={idx!r} out of range 1..{dim}")
+    return row
+
+
 def _read_document(source) -> tuple[str, str]:
     if hasattr(source, "read"):
         return source.read(), getattr(source, "name", "<stream>")
@@ -63,7 +73,7 @@ def algebra_from_dict(doc, where: str = "<doc>") -> Algebra:
         _fail(f"{where}.kind", f"must be one of {list(KINDS)}")
     if field not in scalars.FIELDS:
         _fail(f"{where}.field", f"must be one of {list(scalars.FIELDS)}")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # true and false are not integers here
         _fail(f"{where}.dim", "must be a positive integer")
     basis = doc.get("basis")
     if basis is not None:
@@ -77,12 +87,7 @@ def algebra_from_dict(doc, where: str = "<doc>") -> Algebra:
     seen = set()
     for pos, row in enumerate(doc["constants"]):
         loc = f"{where}.constants[{pos}]"
-        if not isinstance(row, list) or len(row) != 4:
-            _fail(loc, "each entry must be [i, j, k, coeff]")
-        i, j, k, coeff = row
-        for label, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 1 <= idx <= dim:
-                _fail(loc, f"index {label}={idx!r} out of range 1..{dim}")
+        i, j, k, coeff = _index_row(row, dim, loc)
         if kind == LIE and i >= j:
             _fail(loc, f"lower-triangular entry ({i},{j}) not permitted for lie")
         if kind == ASSOC_COMM and i > j:
@@ -158,28 +163,27 @@ def cochain_from_dict(doc, where: str = "<doc>") -> ChevalleyCochain:
     field, dim = doc["field"], doc["dim"]
     if field not in scalars.FIELDS:
         _fail(f"{where}.field", f"must be one of {list(scalars.FIELDS)}")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # true and false are not integers here
         _fail(f"{where}.dim", "must be a positive integer")
     if doc.get("degree", 2) != 2:
         _fail(f"{where}.degree", "only degree-2 cochains are supported")
+    if not isinstance(doc["entries"], list):
+        _fail(f"{where}.entries", "must be a list")
     data: dict = {}
+    seen = set()
     for pos, row in enumerate(doc["entries"]):
         loc = f"{where}.entries[{pos}]"
-        if not isinstance(row, list) or len(row) != 4:
-            _fail(loc, "each entry must be [i, j, k, coeff]")
-        i, j, k, coeff = row
-        for label, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 1 <= idx <= dim:
-                _fail(loc, f"index {label}={idx!r} out of range 1..{dim}")
+        i, j, k, coeff = _index_row(row, dim, loc)
         if i >= j:
             _fail(loc, f"entry ({i},{j}) must have i < j (alternating cochain)")
+        if (i, j, k) in seen:
+            _fail(loc, f"duplicate key ({i},{j},{k})")
+        seen.add((i, j, k))
         try:
             value = scalars.scalar_from_json(field, coeff)
         except scalars.ScalarError as exc:
             _fail(loc, str(exc))
         vec = data.setdefault((i, j), [scalars.zero(field)] * dim)
-        if vec[k - 1] != 0:
-            _fail(loc, f"duplicate key ({i},{j},{k})")
         vec[k - 1] = value
     return ChevalleyCochain(2, dim, {k: tuple(v) for k, v in data.items()})
 

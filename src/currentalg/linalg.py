@@ -50,10 +50,6 @@ class Matrix:
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[_ZERO] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
         return cls(list(zip(*cols))) if cols else cls([])
 
@@ -106,9 +102,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-a for a in r] for r in self.rows])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:

@@ -12,6 +12,7 @@ from currentalg.cli import run_command
 from currentalg.io import (
     AlgebraFileError,
     algebra_from_dict,
+    cochain_from_dict,
     emit_algebra,
     parse_algebra_file,
     parse_cochain_file,
@@ -50,10 +51,34 @@ def test_parse_error_diagnostics():
         ({**base, "constants": [[1, 2, 2, "0.5"]]}, "malformed"),
         ({**base, "extra": 1}, "unknown keys"),
         ({**base, "basis": ["a"]}, "basis"),
+        ({**base, "dim": True}, "dim"),
+        ({**base, "constants": [[True, 2, 2, "1"]]}, "out of range"),
     ]
     for doc, needle in cases:
         with pytest.raises(AlgebraFileError, match=needle):
             algebra_from_dict(doc)
+
+
+def test_cochain_parse_error_diagnostics(fixture_dir, tmp_path, capsys):
+    base = {"field": "Q", "dim": 2, "degree": 2, "entries": []}
+    cases = [
+        ({**base, "dim": True}, r"<doc>\.dim: must be a positive integer"),
+        ({**base, "entries": 5}, r"<doc>\.entries: must be a list"),
+        ({**base, "entries": [[True, 2, 1, "1"]]},
+         r"entries\[0\]: index i=True out of range"),
+        ({**base, "entries": [[1, 2, 1, "0"], [1, 2, 1, "3"]]},
+         r"entries\[1\]: duplicate key \(1,2,1\)"),
+        ({**base, "entries": [[2, 1, 1, "1"]]}, "i < j"),
+    ]
+    for doc, needle in cases:
+        with pytest.raises(AlgebraFileError, match=needle):
+            cochain_from_dict(doc)
+        path = tmp_path / "cochain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "deform", str(fixture_dir / "abelian2.json"),
+                              "--cochain", str(path), "--order", "1")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
 
 
 def test_round_trip_corpus(fixture_dir):

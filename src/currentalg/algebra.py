@@ -13,10 +13,11 @@ identity check is a separately testable predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from . import scalars
-from .linalg import Matrix, inverse, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import Matrix, inverse, vec_add, vec_is_zero, vec_scale
 
 LIE = "lie"
 ASSOC_COMM = "assoc-comm"
@@ -104,10 +105,7 @@ class Algebra:
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise AlgebraError("vector length does not match algebra dimension")
-        x = scalars.coerce_vector(self.field, x)
-        y = scalars.coerce_vector(self.field, y)
+        x, y = self._vector(x), self._vector(y)
         acc = [scalars.zero(self.field)] * self.dim
         for i, xi in enumerate(x, start=1):
             if xi == 0:
@@ -119,6 +117,11 @@ class Algebra:
                     acc[k - 1] += xi * yj * c
         return tuple(acc)
 
+    def _vector(self, x: Sequence) -> tuple:
+        if len(x) != self.dim:
+            raise AlgebraError("vector length does not match algebra dimension")
+        return scalars.coerce_vector(self.field, x)
+
     def basis_vector(self, i: int) -> tuple:
         self._check_index(i)
         one = scalars.one(self.field)
@@ -126,10 +129,13 @@ class Algebra:
         return tuple(one if k == i else zero for k in range(1, self.dim + 1))
 
     def left_mult_matrix(self, a: Sequence) -> Matrix:
-        """L_a, columns a * e_j."""
-        return Matrix.from_columns(
-            [self.multiply(a, self.basis_vector(j)) for j in range(1, self.dim + 1)]
-        )
+        """L_a, columns a * e_j: entry (k, j) is sum_i a_i c_ij^k."""
+        a = self._vector(a)
+        rows = [[scalars.zero(self.field)] * self.dim for _ in range(self.dim)]
+        for (i, j), terms in self.tensor.items():
+            for k, c in terms:
+                rows[k - 1][j - 1] += a[i - 1] * c
+        return Matrix(rows)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """ad x = [x, .] for Lie kind (same as L_x; kept for readability)."""
@@ -177,34 +183,27 @@ class IdentityReport:
 
 
 def check_identities(alg: Algebra) -> IdentityReport:
-    """Exact residual check: Jacobi for Lie, associativity for assoc-comm."""
-    n = alg.dim
+    """Exact residual check: Jacobi for Lie, associativity for assoc-comm.
+
+    Both are sums of (e_a e_b) e_c = sum_l c_ab^l c_lc^s e_s over the tensor.
+    """
+    t = alg.tensor
+
+    def triple(a, b, c, sign=1):
+        return [(s, sign * x * y) for l, x in t.get((a, b), ())
+                for s, y in t.get((l, c), ())]
+
+    lie = alg.kind == LIE
+    basis = range(1, alg.dim + 1)
     violations = []
-    if alg.kind == LIE:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    jac = vec_add(
-                        vec_add(
-                            alg.multiply(alg.basis_product(i, j), alg.basis_vector(k)),
-                            alg.multiply(alg.basis_product(j, k), alg.basis_vector(i)),
-                        ),
-                        alg.multiply(alg.basis_product(k, i), alg.basis_vector(j)),
-                    )
-                    violations.extend(
-                        (i, j, k, s) for s, c in enumerate(jac, start=1) if c != 0
-                    )
-    else:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    assoc = vec_sub(
-                        alg.multiply(alg.basis_product(i, j), alg.basis_vector(k)),
-                        alg.multiply(alg.basis_vector(i), alg.basis_product(j, k)),
-                    )
-                    violations.extend(
-                        (i, j, k, s) for s, c in enumerate(assoc, start=1) if c != 0
-                    )
+    for i, j, k in combinations(basis, 3) if lie else product(basis, repeat=3):
+        # Jacobi sum, or the associator with e_i (e_j e_k) = (e_j e_k) e_i
+        terms = triple(i, j, k) + (triple(j, k, i) + triple(k, i, j) if lie
+                                   else triple(j, k, i, -1))
+        acc = {}
+        for s, x in terms:
+            acc[s] = acc.get(s, 0) + x
+        violations.extend((i, j, k, s) for s in sorted(acc) if acc[s] != 0)
     return IdentityReport(kind=alg.kind, passed=not violations,
                           violations=tuple(violations))
 

@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over Q and Q(i).
+"""Exact linear algebra over Q and Q(i) on dense matrices.
 
-Row-reduction is plain Gauss-Jordan on field elements; Fraction keeps every
-entry in lowest terms, so no separate fraction-free pass is needed at the
-matrix sizes this package works with.  Everything returns canonical reduced
-echelon representatives, which makes subspace equality a plain ``==``.
+Every row reduction is one sparse Gauss-Jordan, :func:`rref`; Fraction keeps
+every entry in lowest terms, so no separate fraction-free pass is needed.
+Everything returns canonical reduced echelon representatives, which makes
+subspace equality a plain ``==``.
 
 Vectors are tuples of scalars with 0-based coordinates.  Basis indices in the
 algebra layer are 1-based; the translation happens there, not here.
@@ -184,30 +184,40 @@ def vec_is_zero(u):
     return all(a == 0 for a in u)
 
 
+def _subtract(row: dict, f, pivot_row: dict) -> None:
+    """row -= f * pivot_row on sparse {col: x} rows, dropping the zeros."""
+    for k, x in pivot_row.items():
+        y = row.get(k, _ZERO) - f * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
 def rref(rows) -> tuple[list, list]:
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in m], pivots
+    """Reduced row echelon form.  Returns (nonzero rows, pivot column indices).
+
+    Gauss-Jordan on sparse ``{col: x}`` rows: reduce each row on its leading
+    column, then back-substitute in descending pivot order.
+    """
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    echelon = {}  # pivot column -> row with 1 there
+    for dense in rows:
+        row = {c: x for c, x in enumerate(dense) if x}
+        while row:
+            c = min(row)
+            if c not in echelon:
+                echelon[c] = {k: x / row[c] for k, x in row.items()}
+                break
+            _subtract(row, row[c], echelon[c])
+    pivots = sorted(echelon)
+    for c in reversed(pivots):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in echelon]:
+            _subtract(row, row[k], echelon[k])
+    return ([tuple(echelon[c].get(k, _ZERO) for k in range(ncols)) for c in pivots],
+            pivots)
 
 
 def rank(M: Matrix) -> int:
@@ -262,16 +272,17 @@ class Subspace:
     Canonical form makes equality decidable by direct comparison.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
         vecs = [tuple(_entry(x) for x in v) for v in vectors]
         for v in vecs:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        rows, _ = rref(vecs)
+        rows, pivots = rref(vecs)
         self.ambient = ambient
-        self.basis = tuple(r for r in rows if not vec_is_zero(r))
+        self.basis = tuple(rows)
+        self.pivots = tuple(pivots)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -288,27 +299,24 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def _reduce(self, v):
-        w = list(_entry(x) for x in v)
-        coords = []
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x != 0)
-            c = w[p]
-            coords.append(c)
-            if c != 0:
-                for i in range(len(w)):
-                    if row[i] != 0:
-                        w[i] = w[i] - c * row[i]
-        return w, coords
+    def reduce(self, v) -> tuple[tuple, tuple]:
+        """(coords, residue) with v = coords . basis + residue, residue 0 at the pivots."""
+        w = [_entry(x) for x in v]
+        coords = tuple(w[p] for p in self.pivots)
+        for c, row in zip(coords, self.basis):
+            if c:
+                for i, x in enumerate(row):
+                    if x:
+                        w[i] = w[i] - c * x
+        return coords, tuple(w)
 
     def contains(self, v) -> bool:
-        w, _ = self._reduce(v)
-        return vec_is_zero(w)
+        return vec_is_zero(self.reduce(v)[1])
 
     def coordinates(self, v) -> Optional[tuple]:
         """Coefficients of v in the stored basis, or None if outside."""
-        w, coords = self._reduce(v)
-        return tuple(coords) if vec_is_zero(w) else None
+        coords, residue = self.reduce(v)
+        return coords if vec_is_zero(residue) else None
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -342,10 +350,6 @@ def poly_trim(p: Sequence) -> tuple:
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def poly_is_zero(p) -> bool:
-    return not poly_trim(p)
 
 
 def poly_degree(p) -> int:

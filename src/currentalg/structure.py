@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import combinations
+from math import comb
 from typing import Callable, Optional, Sequence
 
 from . import scalars
@@ -52,16 +53,20 @@ def _require_kind(alg: Algebra, kind: str, op: str) -> None:
 # Center and series
 # ---------------------------------------------------------------------------
 
+def _right_mult_system(alg: Algebra) -> Matrix:
+    """x -> (x e_1, ..., x e_n) stacked: row (j-1) n + k-1, column i holds c_ij^k."""
+    n = alg.dim
+    rows = [[scalars.zero(alg.field)] * n for _ in range(n * n)]
+    for (i, j), terms in alg.tensor.items():
+        for k, c in terms:
+            rows[(j - 1) * n + k - 1][i - 1] = c
+    return Matrix(rows)
+
+
 def center(g: Algebra) -> Subspace:
     """{x : [x, e_j] = 0 for all j}, as the kernel of the stacked maps."""
     _require_kind(g, LIE, "center")
-    rows = []
-    for j in range(1, g.dim + 1):
-        right = Matrix.from_columns(
-            [g.basis_product(i, j) for i in range(1, g.dim + 1)]
-        )
-        rows.extend(right.rows)
-    return Subspace(g.dim, kernel_basis(Matrix(rows)))
+    return Subspace(g.dim, kernel_basis(_right_mult_system(g)))
 
 
 def subspace_product(alg: Algebra, u: Subspace, v: Subspace) -> Subspace:
@@ -127,14 +132,8 @@ def is_nilalgebra(A: Algebra) -> bool:
 def find_unit(A: Algebra) -> Optional[tuple]:
     """The unique u with u*e_j = e_j for all j, or None."""
     _require_kind(A, ASSOC_COMM, "find_unit")
-    rows, rhs = [], []
-    for j in range(1, A.dim + 1):
-        mat = Matrix.from_columns(
-            [A.basis_product(i, j) for i in range(1, A.dim + 1)]
-        )
-        rows.extend(mat.rows)
-        rhs.extend(A.basis_vector(j))
-    return solve(Matrix(rows), rhs)
+    rhs = [x for j in range(1, A.dim + 1) for x in A.basis_vector(j)]
+    return solve(_right_mult_system(A), rhs)
 
 
 def is_idempotent(A: Algebra, e: Sequence) -> bool:
@@ -246,18 +245,13 @@ def restricted_algebra(parent: Algebra, sub: Subspace, name: str) -> _Restrictio
 
 def quotient_algebra(B: Algebra, ideal: Subspace):
     """(Q, proj, lift) for B / ideal, on the complement of the pivot columns."""
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in ideal.basis]
-    free = [c for c in range(B.dim) if c not in pivots]
+    free = [c for c in range(B.dim) if c not in ideal.pivots]
     if not free:
         raise AlgebraError("quotient by the whole algebra is empty")
 
     def proj(vec):
-        w = list(vec)
-        for row, p in zip(ideal.basis, pivots):
-            c = w[p]
-            if c != 0:
-                w = [x - c * y for x, y in zip(w, row)]
-        return tuple(w[f] for f in free)
+        residue = ideal.reduce(vec)[1]
+        return tuple(residue[f] for f in free)
 
     def lift(coords):
         out = [scalars.zero(B.field)] * B.dim
@@ -335,17 +329,14 @@ def _factor_poly(field: str, coeffs):
 
 
 def _candidate_coordinate_vectors(dim: int, field: str):
-    one = scalars.one(field)
-    zero = scalars.zero(field)
-    for i in range(dim):
-        yield tuple(one if j == i else zero for j in range(dim))
-    for radius in count(1):
-        if radius > 12:
-            raise RuntimeError("monogenic generator search exceeded its bound")
-        for tup in product(range(-radius, radius + 1), repeat=dim):
-            if max(abs(x) for x in tup) != radius:
-                continue
-            yield tuple(scalars.coerce(field, x) for x in tup)
+    """The moment curve x(t) = sum_k t^(k-1) b_k for t = 0 .. C(dim,2)(dim-1).
+
+    In an etale algebra x generates iff the dim characters differ at x.  Two
+    distinct characters agree on x(t) at the roots of a nonzero polynomial
+    of degree < dim, so at most C(dim,2)(dim-1) values of t fail.
+    """
+    for t in range(comb(dim, 2) * (dim - 1) + 1):
+        yield tuple(scalars.coerce(field, t ** k) for k in range(dim))
 
 
 def _monogenic_generator(Q_alg: Algebra):
@@ -354,7 +345,7 @@ def _monogenic_generator(Q_alg: Algebra):
         m = min_poly(Q_alg.left_mult_matrix(cand))
         if poly_degree(m) == Q_alg.dim:
             return cand, m
-    raise AssertionError("unreachable")
+    raise AssertionError("an etale algebra has a generator on the moment curve")
 
 
 def _eval_poly_with_unit(alg: Algebra, poly, x: tuple, unit: tuple):
@@ -567,8 +558,7 @@ def all_nilpotent_space(ops: Sequence[Matrix]) -> bool:
         k = w.dim
         if k == n:
             return True
-        pivots = [next(i for i, x in enumerate(row) if x != 0) for row in w.basis]
-        free = [c for c in range(n) if c not in pivots]
+        free = [c for c in range(n) if c not in w.pivots]
         cols = [list(row) for row in w.basis]
         cols += [[1 if i == f else 0 for i in range(n)] for f in free]
         t = Matrix.from_columns(cols)

@@ -1,4 +1,4 @@
-"""Shared fixtures: catalog algebras and seeded random generators."""
+"""Shared fixtures: catalog algebras, seeded random generators and oracles."""
 
 from __future__ import annotations
 
@@ -7,10 +7,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import currentalg as ca
+from currentalg.io import parse_algebra_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Same examples on every run: no random seed, no replay database, no timing.
+settings.register_profile("currentalg", derandomize=True, database=None, deadline=None)
+settings.load_profile("currentalg")
 
 
 @pytest.fixture(scope="session")
@@ -116,3 +122,83 @@ def random_assoc_comm_algebras(rng: random.Random, dim: int, want: int,
         if ca.check_identities(alg).passed:
             found.append(alg)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles
+# ---------------------------------------------------------------------------
+
+def dense_rref(rows) -> tuple[list, list]:
+    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in m], pivots
+
+
+def table_product(alg, i, j):
+    """e_i * e_j read from the stored symmetry-reduced table only."""
+    zero = (Fraction(0),) * alg.dim
+    if alg.kind == ca.LIE and i == j:
+        return zero
+    if alg.kind == ca.LIE and i > j:
+        return tuple(-x for x in alg.table.get((j, i), zero))
+    return alg.table.get((min(i, j), max(i, j)), zero)
+
+
+def table_mult(alg, x, y):
+    out = [Fraction(0)] * alg.dim
+    for i, xi in enumerate(x, 1):
+        for j, yj in enumerate(y, 1):
+            if xi != 0 and yj != 0:
+                for k, c in enumerate(table_product(alg, i, j)):
+                    out[k] += xi * yj * c
+    return tuple(out)
+
+
+def unimodular_twist(n, seed):
+    rng = random.Random(seed)
+    lower = ca.Matrix([[1 if i == j else rng.choice((-1, 1)) if i == j + 1 else 0
+                        for j in range(n)] for i in range(n)])
+    upper = ca.Matrix([[1 if i == j else rng.choice((-1, 1)) if j == i + 1 else 0
+                        for j in range(n)] for i in range(n)])
+    return lower @ upper
+
+
+def fixture_algebras():
+    return [parse_algebra_file(p) for p in sorted(FIXTURES.glob("*.json"))
+            if not p.name.startswith("cochain")]
+
+
+def with_variants(algebras):
+    """Each algebra, a unimodular change of basis of it and, over Q, its complexification."""
+    out = []
+    for pos, alg in enumerate(algebras):
+        out += [alg, ca.change_basis(alg, unimodular_twist(alg.dim, pos))]
+        if alg.field == ca.Q:
+            out.append(ca.complexify(alg))
+    return out
+
+
+def oracle_corpus(kind):
+    base = fixture_algebras() + catalog_lie_algebras() + catalog_assoc_algebras()
+    base.append(ca.current_algebra(ca.r2(), ca.m1(2)))
+    return with_variants([a for a in base if a.kind == kind])

@@ -49,16 +49,20 @@ from currentalg import (
     rigidity_certificate,
     truncated_deformation_check,
 )
+from currentalg.cohomology import _dense, _hochschild_rows, _leibniz_rows
 from currentalg.io import emit_algebra, parse_algebra_file
+from currentalg.structure import _right_mult_system
 
 from conftest import (
     FIXTURES,
     catalog_assoc_algebras,
     catalog_lie_algebras,
+    fixture_algebras,
     rand_chevalley,
     rand_chevalley2,
     rand_matrix,
     rand_symmetric,
+    with_variants,
 )
 
 F = Fraction
@@ -141,10 +145,22 @@ def test_criterion_03_products_rigid_with_oracle():
         ok = ok and (z_oracle, b_oracle) == (h2.dim_Z, h2.dim_B)
         ok = ok and z_oracle - b_oracle == 0
         alg = direct_sum(alg, ca.r2())
+    # every operator the package assembles, on the fixture corpus: canonical,
+    # twisted and over Q(i); rank (sparse elimination) against the oracle
+    operators = 0
+    for alg in with_variants(fixture_algebras()):
+        mats = [_dense(*_leibniz_rows(alg)), _right_mult_system(alg)]
+        if alg.kind == ca.LIE:
+            mats += [chevalley_delta_matrix(alg, k) for k in (0, 1, 2)]
+        else:
+            mats.append(_dense(*_hochschild_rows(alg)))
+        for m in mats:
+            ok = ok and ca.rank(m) == bareiss_rank(m)
+            operators += 1
     elapsed = time.time() - t0
     ok = ok and elapsed < 30.0
-    _verdict(3, f"H2(r2^k) = 0 for k=1,2,3 vs fraction-free oracle "
-                f"({elapsed:.1f}s < 30s)", ok)
+    _verdict(3, f"H2(r2^k) = 0 for k=1,2,3 vs fraction-free oracle, and rank of "
+                f"{operators} fixture operators ({elapsed:.1f}s < 30s)", ok)
 
 
 def test_criterion_04_derivation_dimensions():

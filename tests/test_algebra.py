@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +16,14 @@ from currentalg import (
     direct_sum,
 )
 
-from conftest import catalog_assoc_algebras, catalog_lie_algebras, rand_invertible
+from conftest import (
+    catalog_assoc_algebras,
+    catalog_lie_algebras,
+    oracle_corpus,
+    rand_invertible,
+    table_mult,
+    table_product,
+)
 
 F = Fraction
 
@@ -60,6 +68,48 @@ def test_check_identities_corrupt_witness():
     report = check_identities(bad)
     assert not report.passed
     assert report.violations == ((1, 2, 3, 2),)
+
+
+def _identity_violations_oracle(alg):
+    """Residual loops through products of basis vectors, on the stored table only."""
+    n = alg.dim
+    e = [None] + [tuple(F(int(k == i)) for k in range(1, n + 1)) for i in range(1, n + 1)]
+    violations = []
+    if alg.kind == ca.LIE:
+        for i, j, k in combinations(range(1, n + 1), 3):
+            terms = [table_mult(alg, table_product(alg, a, b), e[c])
+                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+            jac = [x + y + z for x, y, z in zip(*terms)]
+            violations.extend((i, j, k, s) for s, c in enumerate(jac, 1) if c != 0)
+    else:
+        for i, j, k in product(range(1, n + 1), repeat=3):
+            assoc = [x - y for x, y in zip(
+                table_mult(alg, table_product(alg, i, j), e[k]),
+                table_mult(alg, e[i], table_product(alg, j, k)))]
+            violations.extend((i, j, k, s) for s, c in enumerate(assoc, 1) if c != 0)
+    return tuple(violations)
+
+
+def test_check_identities_matches_table_oracle():
+    corrupt = 0
+    for alg in oracle_corpus(ca.LIE) + oracle_corpus(ca.ASSOC_COMM):
+        want = _identity_violations_oracle(alg)
+        report = check_identities(alg)
+        assert report.violations == want, alg
+        assert report.passed == (not want)
+        corrupt += bool(want)
+    assert corrupt == 6  # m1_2_corrupt, r2_corrupt3: canonical, twisted, over Q(i)
+
+
+def test_left_mult_matrix_matches_table_oracle():
+    rng = random.Random(3)
+    for alg in oracle_corpus(ca.LIE) + oracle_corpus(ca.ASSOC_COMM):
+        a = tuple(F(rng.randint(-2, 2)) for _ in range(alg.dim))
+        cols = [table_mult(alg, a, tuple(F(int(k == j)) for k in range(alg.dim)))
+                for j in range(alg.dim)]
+        assert alg.left_mult_matrix(a) == Matrix.from_columns(cols), alg
+    with pytest.raises(AlgebraError):
+        ca.r2().left_mult_matrix((1, 0, 0))
 
 
 def test_construction_rules():

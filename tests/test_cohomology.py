@@ -27,16 +27,17 @@ from currentalg import (
     multiplication_cochain,
 )
 from currentalg.cohomology import cochain_from_flat, cochain_to_flat
-from currentalg.io import parse_algebra_file
 
 from conftest import (
-    FIXTURES,
     catalog_assoc_algebras,
     catalog_lie_algebras,
+    oracle_corpus,
     rand_chevalley,
     rand_chevalley2,
     rand_matrix,
     rand_symmetric,
+    table_mult,
+    table_product,
 )
 
 F = Fraction
@@ -321,24 +322,6 @@ def test_cochain_flat_round_trip():
 # the formulas and the stored table only (no tensor, multiply, basis_product)
 # ---------------------------------------------------------------------------
 
-def _oracle_product(alg, i, j):
-    zero = (F(0),) * alg.dim
-    if alg.kind == ca.LIE and i == j:
-        return zero
-    if alg.kind == ca.LIE and i > j:
-        return tuple(-x for x in alg.table.get((j, i), zero))
-    return alg.table.get((min(i, j), max(i, j)), zero)
-
-
-def _oracle_mult(alg, x, y):
-    out = [F(0)] * alg.dim
-    for (i, xi), (j, yj) in product(enumerate(x, 1), enumerate(y, 1)):
-        if xi != 0 and yj != 0:
-            for k, c in enumerate(_oracle_product(alg, i, j)):
-                out[k] += xi * yj * c
-    return tuple(out)
-
-
 def _unit(n, s, c=1):
     return tuple(F(c) if k == s else F(0) for k in range(1, n + 1))
 
@@ -359,41 +342,19 @@ def _oracle_chevalley_columns(g, k):
                 val = [F(0)] * n
                 for p in range(k + 1):  # (-1)^p [x_p, phi(..., x_p omitted, ...)]
                     sign = phi(T[:p] + T[p + 1:])
-                    for t, c in enumerate(_oracle_product(g, T[p], s) if sign else ()):
+                    for t, c in enumerate(table_product(g, T[p], s) if sign else ()):
                         val[t] += (-1) ** p * sign * c
                 for p, q in combinations(range(k + 1), 2):
                     rest = tuple(x for m, x in enumerate(T) if m not in (p, q))
-                    for l, w in enumerate(_oracle_product(g, T[p], T[q]), 1):
+                    for l, w in enumerate(table_product(g, T[p], T[q]), 1):
                         val[s - 1] += (-1) ** (p + q) * w * phi((l,) + rest)
                 col.extend(val)
             cols.append(tuple(col))
     return cols
 
 
-def _unimodular_twist(n, seed):
-    rng = random.Random(seed)
-    lower = Matrix([[1 if i == j else rng.choice((-1, 1)) if i == j + 1 else 0
-                     for j in range(n)] for i in range(n)])
-    upper = Matrix([[1 if i == j else rng.choice((-1, 1)) if j == i + 1 else 0
-                     for j in range(n)] for i in range(n)])
-    return lower @ upper
-
-
-def _oracle_corpus(kind):
-    base = [parse_algebra_file(p) for p in sorted(FIXTURES.glob("*.json"))
-            if not p.name.startswith("cochain")]
-    base += catalog_lie_algebras() + catalog_assoc_algebras()
-    base.append(ca.current_algebra(ca.r2(), ca.m1(2)))
-    out = []
-    for pos, alg in enumerate(a for a in base if a.kind == kind):
-        out += [alg, ca.change_basis(alg, _unimodular_twist(alg.dim, pos))]
-        if alg.field == ca.Q:
-            out.append(ca.complexify(alg))
-    return out
-
-
 def test_chevalley_delta_matrix_matches_formula_oracle():
-    for g in _oracle_corpus(ca.LIE):
+    for g in oracle_corpus(ca.LIE):
         for k in (0, 1, 2):
             cols = _oracle_chevalley_columns(g, k)
             rows = len(list(combinations(range(g.dim), k + 1))) * g.dim
@@ -406,7 +367,7 @@ def test_chevalley_delta_matrix_matches_formula_oracle():
 
 
 def test_hochschild_deltas_match_formula_oracle():
-    for A in _oracle_corpus(ca.ASSOC_COMM):
+    for A in oracle_corpus(ca.ASSOC_COMM):
         n = A.dim
         zero = (F(0),) * n
         for r, c in product(range(n), repeat=2):
@@ -415,9 +376,9 @@ def test_hochschild_deltas_match_formula_oracle():
             for i, j in combinations_with_replacement(range(1, n + 1), 2):
                 ei, ej = _unit(n, i), _unit(n, j)
                 expected = [x - y + z for x, y, z in zip(
-                    _oracle_mult(A, ei, f.apply(ej)),
-                    f.apply(_oracle_product(A, i, j)),
-                    _oracle_mult(A, f.apply(ei), ej))]
+                    table_mult(A, ei, f.apply(ej)),
+                    f.apply(table_product(A, i, j)),
+                    table_mult(A, f.apply(ei), ej))]
                 assert d1.value(i, j) == tuple(expected), (A, r, c, i, j)
         pairs = combinations_with_replacement(range(1, n + 1), 2)
         for (a, b), s in product(pairs, range(1, n + 1)):
@@ -429,10 +390,10 @@ def test_hochschild_deltas_match_formula_oracle():
             for i, j, k in product(range(1, n + 1), repeat=3):
                 # e_i psi(e_j, e_k) - psi(e_i e_j, e_k) + psi(e_i, e_j e_k) - psi(e_i, e_j) e_k
                 expected = [psi(j, k) * x - psi(i, j) * y for x, y in zip(
-                    _oracle_product(A, i, s), _oracle_product(A, s, k))]
+                    table_product(A, i, s), table_product(A, s, k))]
                 expected[s - 1] += (
-                    sum(w * psi(i, l) for l, w in enumerate(_oracle_product(A, j, k), 1))
-                    - sum(w * psi(l, k) for l, w in enumerate(_oracle_product(A, i, j), 1)))
+                    sum(w * psi(i, l) for l, w in enumerate(table_product(A, j, k), 1))
+                    - sum(w * psi(l, k) for l, w in enumerate(table_product(A, i, j), 1)))
                 assert d2.get((i, j, k), zero) == tuple(expected), (A, a, b, s)
 
 
@@ -440,6 +401,6 @@ def test_infinitesimal_check_routes_agree_on_corpus():
     # infinitesimal_check raises if d(phi) and the Jacobiator coefficient
     # disagree; run it on seeded random 2-cochains over the oracle corpus.
     rng = random.Random(41)
-    for g in _oracle_corpus(ca.LIE):
+    for g in oracle_corpus(ca.LIE):
         for _ in range(3):
             ca.infinitesimal_check(g, rand_chevalley2(rng, g.dim))

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import currentalg as ca
 from currentalg import (
     GaussianRational,
     Matrix,
@@ -15,9 +17,17 @@ from currentalg import (
     rank,
     solve,
 )
-from currentalg.linalg import poly_degree, poly_ext_gcd, poly_gcd, poly_mul, poly_str
+from currentalg.linalg import (
+    poly_degree,
+    poly_ext_gcd,
+    poly_gcd,
+    poly_mul,
+    poly_str,
+    rref,
+)
+from currentalg.structure import quotient_algebra
 
-from conftest import rand_matrix
+from conftest import dense_rref, rand_matrix
 
 F = Fraction
 
@@ -124,3 +134,105 @@ def test_matrix_power():
     m = Matrix([[1, 1], [0, 1]])
     assert m ** 0 == Matrix.identity(2)
     assert m ** 3 == Matrix([[1, 3], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernel against the dense Gauss-Jordan oracle (conftest.dense_rref)
+# ---------------------------------------------------------------------------
+
+_RATIONAL = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+_ENTRIES = {
+    ca.Q: st.one_of(st.just(F(0)), _RATIONAL),
+    # Q(i) matrices mix both scalar types, as L_e - id does over Q(i)
+    ca.QI: st.one_of(st.just(GaussianRational(0)), _RATIONAL,
+                     st.builds(GaussianRational, _RATIONAL, _RATIONAL)),
+}
+
+
+@st.composite
+def _matrices(draw, field):
+    """(ncols, rows), at most 8 x 8, with zero columns, zero and repeated rows."""
+    entry = _ENTRIES[field]
+    ncols = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    dead = draw(st.sets(st.integers(0, 7)))
+    rows = [[F(0) if c in dead else x for c, x in enumerate(r)] for r in rows]
+    extra = draw(st.lists(st.integers(-1, len(rows) - 1), max_size=8 - len(rows)))
+    rows += [[F(0)] * ncols if i < 0 else list(rows[i]) for i in extra]
+    return ncols, [tuple(r) for r in draw(st.permutations(rows))]
+
+
+@st.composite
+def _vectors(draw, field, rows, ncols):
+    """A random vector, or a combination of the rows, possibly perturbed."""
+    entry = _ENTRIES[field]
+    v = [F(0)] * ncols
+    for r in rows:
+        c = draw(entry)
+        v = [a + c * b for a, b in zip(v, r)]
+    if not rows or draw(st.booleans()):
+        v = [a + draw(entry) for a in v]
+    return tuple(v)
+
+
+def _oracle_solve(cols, v):
+    """Some x with sum x_r cols[r] = v, by the dense oracle, or None."""
+    if not cols:
+        return () if all(x == 0 for x in v) else None
+    aug = [[col[i] for col in cols] + [v[i]] for i in range(len(v))]
+    rows, pivots = dense_rref(aug)
+    if len(cols) in pivots:
+        return None
+    x = [F(0)] * len(cols)
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][len(cols)]
+    return tuple(x)
+
+
+_FIELDS = pytest.mark.parametrize("field", [ca.Q, ca.QI])
+
+
+@_FIELDS
+@given(data=st.data())
+def test_rref_matches_dense_oracle(field, data):
+    _, rows = data.draw(_matrices(field))
+    want_rows, want_pivots = dense_rref(rows)
+    want_rows = [r for r in want_rows if any(x != 0 for x in r)]
+    assert rref(rows) == (want_rows, want_pivots)
+
+
+def test_rref_edge_shapes():
+    assert rref([]) == ([], [])
+    assert rref([(), ()]) == ([], [])
+    assert rref([(F(0), F(0))] * 3) == ([], [])
+    assert rref([(F(0), F(2), F(4))] * 2) == ([(F(0), F(1), F(2))], [1])
+
+
+@_FIELDS
+@given(data=st.data())
+def test_subspace_reduction_matches_solve_oracle(field, data):
+    ncols, rows = data.draw(_matrices(field))
+    sub = Subspace(ncols, rows)
+    v = data.draw(_vectors(field, rows, ncols))
+    inside = _oracle_solve(rows, v) is not None
+    assert sub.contains(v) == inside
+    assert sub.coordinates(v) == (_oracle_solve(sub.basis, v) if inside else None)
+    assert sub.pivots == tuple(dense_rref(rows)[1])
+
+
+@_FIELDS
+@given(data=st.data())
+def test_quotient_projection_matches_solve_oracle(field, data):
+    ncols, rows = data.draw(_matrices(field))
+    basis, pivots = dense_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    assume(free)
+    ideal = Subspace(ncols, rows)
+    _, proj, lift = quotient_algebra(ca.null_algebra(ncols) if field == ca.Q
+                                     else ca.complexify(ca.null_algebra(ncols)), ideal)
+    v = data.draw(_vectors(field, rows, ncols))
+    # v = (element of the ideal) + (vector on the free columns), uniquely
+    units = [tuple(F(int(i == f)) for i in range(ncols)) for f in free]
+    x = _oracle_solve(basis[:len(pivots)] + units, v)
+    assert proj(v) == x[len(pivots):]
+    assert proj(lift(x[len(pivots):])) == x[len(pivots):]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -24,7 +25,16 @@ from currentalg import (
     some_nonzero_idempotent,
 )
 
-from conftest import catalog_assoc_algebras, random_assoc_comm_algebras
+from currentalg.structure import _candidate_coordinate_vectors
+
+from conftest import (
+    catalog_assoc_algebras,
+    dense_rref,
+    oracle_corpus,
+    random_assoc_comm_algebras,
+    table_mult,
+    table_product,
+)
 
 F = Fraction
 
@@ -71,6 +81,28 @@ def test_is_nilalgebra_examples():
     # truncated-polynomial style: u^2 = u^3 = 0, u*v = 0
     t = ca.Algebra("t", ca.ASSOC_COMM, ca.Q, 2, {(1, 1): (0, 1)})
     assert is_nilalgebra(t)
+
+
+def _right_mult_oracle(alg):
+    """Rows (j, k) of x -> (x e_j)_k from the stored table, rank by the dense oracle."""
+    n = alg.dim
+    return [[table_product(alg, i, j)[k] for i in range(1, n + 1)]
+            for j in range(1, n + 1) for k in range(n)]
+
+
+def test_center_and_unit_match_table_oracle():
+    for g in oracle_corpus(ca.LIE):
+        units = Matrix.identity(g.dim).rows
+        z = center(g)
+        assert z.dim == g.dim - len(dense_rref(_right_mult_oracle(g))[1]), g
+        assert all(not any(table_mult(g, x, e)) for x in z.basis for e in units), g
+    for A in oracle_corpus(ca.ASSOC_COMM):
+        units = Matrix.identity(A.dim).rows
+        rhs = [x for e in units for x in e]
+        aug = [row + [b] for row, b in zip(_right_mult_oracle(A), rhs)]
+        u = find_unit(A)
+        assert (u is None) == (A.dim in dense_rref(aug)[1]), A
+        assert u is None or all(table_mult(A, u, e) == e for e in units), A
 
 
 def test_find_unit_examples():
@@ -281,3 +313,24 @@ def test_characteristically_nilpotent_examples():
     diag = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     assert is_derivation(h, diag)  # the witness: a non-nilpotent derivation
     assert not is_characteristically_nilpotent(h)
+
+
+def test_generator_candidates_are_bounded():
+    for d in range(1, 7):
+        points = list(_candidate_coordinate_vectors(d, ca.Q))
+        assert len(points) == comb(d, 2) * (d - 1) + 1
+        assert points[-1] == tuple(F(len(points) - 1) ** k for k in range(d))
+    assert all(isinstance(x, GaussianRational)
+               for p in _candidate_coordinate_vectors(3, ca.QI) for x in p)
+
+
+def test_find_idempotents_unit_first_basis():
+    # M1^6 with the unit as basis vector 1: no basis vector generates the
+    # semisimple quotient, which used to send the search through a 25^6 box.
+    n = 6
+    f = Matrix([[1 if j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+    f_inv = ca.inverse(f)
+    want = {f_inv.apply(e) for e in find_idempotents(ca.m1(n))}
+    got = find_idempotents(ca.change_basis(ca.m1(n), f))
+    assert len(got) == len(want) == 2 ** n - 1
+    assert set(got) == want

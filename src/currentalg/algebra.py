@@ -32,6 +32,38 @@ class IdentityError(AlgebraError):
     """An operation required the defining identities and they fail."""
 
 
+def _tensor(table: Mapping, kind: str) -> dict:
+    """Sparse structure tensor of a symmetry-reduced table: every ordered pair
+    (i, j) with a nonzero product maps to the nonzero terms (k, c) of e_i * e_j.
+
+    Also reads the ``data`` of a degree-2 cochain, stored on i < j like a
+    Lie table.
+    """
+    tensor = {}
+    for (i, j), vec in table.items():
+        terms = tuple((k, c) for k, c in enumerate(vec, start=1) if c != 0)
+        tensor[(j, i)] = (terms if kind == ASSOC_COMM
+                          else tuple((k, -c) for k, c in terms))
+        tensor[(i, j)] = terms
+    return tensor
+
+
+def _products(lo: Mapping, hi: Mapping, a: int, b: int, c: int, acc: dict,
+              sign: int = 1) -> None:
+    """acc[s] += sign * sum_l lo_ab^l hi_lc^s: the product (e_a e_b) e_c with
+    the inner product read from tensor ``lo`` and the outer from ``hi``."""
+    for l, x in lo.get((a, b), ()):
+        for s, y in hi.get((l, c), ()):
+            acc[s] = acc.get(s, 0) + sign * x * y
+
+
+def _jacobi(lo: Mapping, hi: Mapping, i: int, j: int, k: int, acc: dict) -> None:
+    """Cyclic sum of :func:`_products` over (i, j, k), (j, k, i), (k, i, j)."""
+    _products(lo, hi, i, j, k, acc)
+    _products(lo, hi, j, k, i, acc)
+    _products(lo, hi, k, i, j, acc)
+
+
 class Algebra:
     """An algebra over Q or Q(i) given by its structure constant table.
 
@@ -80,14 +112,7 @@ class Algebra:
                 raise AlgebraError(f"inconsistent duplicate entry for product {key}")
             table[key] = val
         self.table = {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
-        # Sparse structure tensor: every ordered pair (i, j) with a nonzero
-        # product maps to the nonzero terms (k, c) of e_i * e_j.
-        self.tensor = {}
-        for (i, j), vec in self.table.items():
-            terms = tuple((k, c) for k, c in enumerate(vec, start=1) if c != 0)
-            self.tensor[(j, i)] = (terms if kind == ASSOC_COMM
-                                   else tuple((k, -c) for k, c in terms))
-            self.tensor[(i, j)] = terms
+        self.tensor = _tensor(self.table, kind)
 
     def _check_index(self, i):
         if not isinstance(i, int) or not 1 <= i <= self.dim:
@@ -188,21 +213,16 @@ def check_identities(alg: Algebra) -> IdentityReport:
     Both are sums of (e_a e_b) e_c = sum_l c_ab^l c_lc^s e_s over the tensor.
     """
     t = alg.tensor
-
-    def triple(a, b, c, sign=1):
-        return [(s, sign * x * y) for l, x in t.get((a, b), ())
-                for s, y in t.get((l, c), ())]
-
     lie = alg.kind == LIE
     basis = range(1, alg.dim + 1)
     violations = []
     for i, j, k in combinations(basis, 3) if lie else product(basis, repeat=3):
-        # Jacobi sum, or the associator with e_i (e_j e_k) = (e_j e_k) e_i
-        terms = triple(i, j, k) + (triple(j, k, i) + triple(k, i, j) if lie
-                                   else triple(j, k, i, -1))
         acc = {}
-        for s, x in terms:
-            acc[s] = acc.get(s, 0) + x
+        if lie:
+            _jacobi(t, t, i, j, k, acc)
+        else:  # the associator, with e_i (e_j e_k) = (e_j e_k) e_i
+            _products(t, t, i, j, k, acc)
+            _products(t, t, j, k, i, acc, -1)
         violations.extend((i, j, k, s) for s in sorted(acc) if acc[s] != 0)
     return IdentityReport(kind=alg.kind, passed=not violations,
                           violations=tuple(violations))

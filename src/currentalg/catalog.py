@@ -288,7 +288,7 @@ class Fingerprint:
 
 def fingerprint(alg: Algebra) -> Fingerprint:
     """All invariants the other modules compute, in one deterministic record."""
-    from .cohomology import chevalley_dims, derivation_space, harrison_h2
+    from .cohomology import _chevalley_dims, derivation_space, harrison_h2
     from .structure import (
         center,
         find_idempotents,
@@ -300,6 +300,7 @@ def fingerprint(alg: Algebra) -> Fingerprint:
     require_identities(alg)
     if alg.kind == LIE:
         rep = series(alg)
+        h1, h2 = _chevalley_dims(alg, 0, 2)
         return Fingerprint(
             dim=alg.dim,
             kind=alg.kind,
@@ -307,15 +308,17 @@ def fingerprint(alg: Algebra) -> Fingerprint:
             is_solvable=rep.is_solvable,
             is_nilpotent=rep.is_nilpotent,
             der_dim=derivation_space(alg).dim,
-            h1_dim=chevalley_dims(alg, 1).dim_H,
-            h2_dim=chevalley_dims(alg, 2).dim_H,
+            h1_dim=h1.dim_H,
+            h2_dim=h2.dim_H,
         )
+    # Der is the kernel of the Leibniz system, whose rank is B^2 of Harrison.
+    h2 = harrison_h2(alg)
     return Fingerprint(
         dim=alg.dim,
         kind=alg.kind,
         is_nilpotent=is_nilalgebra(alg),
-        der_dim=derivation_space(alg).dim,
-        h2_dim=harrison_h2(alg).dim_H,
+        der_dim=alg.dim ** 2 - h2.dim_B,
+        h2_dim=h2.dim_H,
         unit_exists=find_unit(alg) is not None,
         idempotent_count=len(find_idempotents(alg)),
     )

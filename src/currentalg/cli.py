@@ -108,6 +108,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once per process; parsing leaves the parser unchanged.
+_PARSER = _build_parser()
+
+
 def _dims_dict(dims) -> dict:
     return {"dim_Z": dims.dim_Z, "dim_B": dims.dim_B, "dim_H": dims.dim_H}
 
@@ -342,9 +346,8 @@ _COMMANDS = {
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         code, report = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

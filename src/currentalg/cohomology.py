@@ -290,10 +290,16 @@ def chevalley_dims(g: Algebra, k: int) -> CohomologyDims:
     """dim Z^k, dim B^k, dim H^k for k in {1, 2}, by exact rank."""
     if k not in (1, 2):
         raise AlgebraError("chevalley_dims supports k in {1, 2}")
-    d = chevalley_delta_matrix(g, k)
-    z = d.ncols - rank(d)
-    b = rank(chevalley_delta_matrix(g, k - 1))
-    return CohomologyDims(dim_Z=z, dim_B=b, dim_H=z - b)
+    return _chevalley_dims(g, k - 1, k)[0]
+
+
+def _chevalley_dims(g: Algebra, low: int, high: int) -> list:
+    """Dimensions for k = low + 1 .. high, each of d^low .. d^high assembled
+    and ranked once."""
+    ds = [chevalley_delta_matrix(g, k) for k in range(low, high + 1)]
+    ranks = [rank(d) for d in ds]
+    return [CohomologyDims(dim_Z=d.ncols - r, dim_B=b, dim_H=d.ncols - r - b)
+            for d, r, b in zip(ds[1:], ranks[1:], ranks)]
 
 
 # ---------------------------------------------------------------------------

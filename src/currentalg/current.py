@@ -13,6 +13,7 @@ the evident permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .algebra import (
     LIE,
@@ -23,7 +24,6 @@ from .algebra import (
     require_identities,
 )
 from .linalg import Matrix, vec_add, vec_is_zero, vec_zero
-from .scalars import zero as scalar_zero
 
 
 def flat_index(i: int, a: int, q: int) -> int:
@@ -92,55 +92,30 @@ def jacobi_pq_residuals(g: Algebra, A: Algebra) -> list[PQResidual]:
                 + C_jk^l C_li^s D_bc^r D_ra^t
                 + C_ki^l C_lj^s D_ca^r D_rb^t
 
-    directly from the two constant tables (no flat algebra is built), and
-    returns the nonzero entries.  Inputs need not pass their own identities;
+    as four nested loops over the two structure tensors per cyclic rotation
+    (no flat algebra is built), and returns the nonzero entries in the order
+    of (u, v, w) and then (s, t).  Inputs need not pass their own identities;
     the list is empty exactly when the current algebra satisfies Jacobi.
     """
     if g.field != A.field:
         raise AlgebraError("factors must share the base field")
-    p, q = g.dim, A.dim
-    zero = scalar_zero(g.field)
-
-    def C(i, j):
-        return g.basis_product(i, j)
-
-    def D(a, b):
-        return A.basis_product(a, b)
-
+    C, D, q = g.tensor, A.tensor, A.dim
     residuals = []
-    dim = p * q
-    for u in range(1, dim + 1):
-        i, a = unflat_index(u, q)
-        for v in range(u + 1, dim + 1):
-            j, b = unflat_index(v, q)
-            for w in range(v + 1, dim + 1):
-                k, c = unflat_index(w, q)
-                for s in range(1, p + 1):
-                    for t in range(1, q + 1):
-                        acc = zero
-                        for l in range(1, p + 1):
-                            cl1 = C(i, j)[l - 1]
-                            cl2 = C(j, k)[l - 1]
-                            cl3 = C(k, i)[l - 1]
-                            s1 = cl1 * C(l, k)[s - 1] if cl1 != 0 else zero
-                            s2 = cl2 * C(l, i)[s - 1] if cl2 != 0 else zero
-                            s3 = cl3 * C(l, j)[s - 1] if cl3 != 0 else zero
-                            if s1 == 0 and s2 == 0 and s3 == 0:
-                                continue
-                            for r in range(1, q + 1):
-                                d1 = D(a, b)[r - 1]
-                                d2 = D(b, c)[r - 1]
-                                d3 = D(c, a)[r - 1]
-                                if s1 != 0 and d1 != 0:
-                                    acc = acc + s1 * d1 * D(r, c)[t - 1]
-                                if s2 != 0 and d2 != 0:
-                                    acc = acc + s2 * d2 * D(r, a)[t - 1]
-                                if s3 != 0 and d3 != 0:
-                                    acc = acc + s3 * d3 * D(r, b)[t - 1]
-                        if acc != 0:
-                            residuals.append(PQResidual(
-                                g_triple=(i, j, k), a_triple=(a, b, c),
-                                target=(s, t), value=acc))
+    for u, v, w in combinations(range(1, g.dim * q + 1), 3):
+        (i, a), (j, b), (k, c) = (unflat_index(x, q) for x in (u, v, w))
+        acc = {}
+        for (i1, j1, k1), (a1, b1, c1) in (((i, j, k), (a, b, c)),
+                                           ((j, k, i), (b, c, a)),
+                                           ((k, i, j), (c, a, b))):
+            for l, x in C.get((i1, j1), ()):
+                for s, y in C.get((l, k1), ()):
+                    for r, z in D.get((a1, b1), ()):
+                        for t, e in D.get((r, c1), ()):
+                            acc[s, t] = acc.get((s, t), 0) + x * y * z * e
+        residuals.extend(
+            PQResidual(g_triple=(i, j, k), a_triple=(a, b, c), target=st,
+                       value=acc[st])
+            for st in sorted(acc) if acc[st] != 0)
     return residuals
 
 
@@ -164,33 +139,19 @@ def is_tensor_derivation(g: Algebra, A: Algebra, f1: Matrix, f2: Matrix) -> bool
     def outer(xs, ys):
         return tuple(x * y for x in xs for y in ys)
 
-    verbatim = True
-    for i in range(1, p + 1):
-        ei = g.basis_vector(i)
-        f1ei = f1.apply(ei)
-        for j in range(1, p + 1):
-            ej = g.basis_vector(j)
-            for a in range(1, q + 1):
-                ea = A.basis_vector(a)
-                f2ea = f2.apply(ea)
-                for b in range(1, q + 1):
-                    eb = A.basis_vector(b)
-                    term = vec_add(
-                        outer(g.multiply(f1ei, ej), A.multiply(f2ea, eb)),
-                        outer(g.multiply(ei, f1.apply(ej)),
-                              A.multiply(f2.apply(eb), ea)),
-                    )
-                    last = outer(f1.apply(g.basis_product(i, j)),
-                                 f2.apply(A.basis_product(a, b)))
-                    if not vec_is_zero(tuple(x - y for x, y in zip(term, last))):
-                        verbatim = False
-                        break
-                if not verbatim:
-                    break
-            if not verbatim:
-                break
-        if not verbatim:
-            break
+    def holds(i, j, a, b):
+        ei, ej = g.basis_vector(i), g.basis_vector(j)
+        ea, eb = A.basis_vector(a), A.basis_vector(b)
+        term = vec_add(
+            outer(g.multiply(f1.apply(ei), ej), A.multiply(f2.apply(ea), eb)),
+            outer(g.multiply(ei, f1.apply(ej)), A.multiply(f2.apply(eb), ea)),
+        )
+        last = outer(f1.apply(g.basis_product(i, j)),
+                     f2.apply(A.basis_product(a, b)))
+        return vec_is_zero(tuple(x - y for x, y in zip(term, last)))
+
+    gs, As = range(1, p + 1), range(1, q + 1)
+    verbatim = all(holds(*t) for t in product(gs, gs, As, As))
 
     flat = is_derivation(current_algebra(g, A), f1.kron(f2))
     if flat != verbatim:

@@ -323,12 +323,6 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         return Subspace(self.ambient, self.basis + other.basis)
 
-    def constraint_matrix(self) -> Matrix:
-        """Matrix N with kernel exactly this subspace (rows span the annihilator)."""
-        if not self.basis:
-            return Matrix.identity(self.ambient)
-        return Matrix(kernel_basis(Matrix(self.basis)))
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

@@ -3,11 +3,20 @@
 The only rigidity verdicts are ``RigidByH2Zero`` and ``Inconclusive``:
 H^2 = 0 is sufficient for rigidity but not necessary, so a nonzero H^2
 never certifies non-rigidity.
+
+Deformation checks expand the Jacobiator of mu + t phi_1 + t^2 phi_2 + ...
+in powers of t.  Its t^m coefficient on (e_i, e_j, e_k) is the sum over
+m_1 + m_2 = m of the cyclic sums of (e_a e_b) e_c with the inner bracket
+from T_m1 and the outer from T_m2 (T_0 = mu, T_m = phi_m), summed from
+sparse structure tensors by the same term rule as ``check_identities``.
+The t^1 coefficient is minus the coboundary of phi_1; ``infinitesimal_check``
+compares it with ``chevalley_delta``, whose rows are assembled separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .algebra import (
@@ -15,6 +24,8 @@ from .algebra import (
     LIE,
     Algebra,
     AlgebraError,
+    _jacobi,
+    _tensor,
     require_identities,
 )
 from .cohomology import (
@@ -25,7 +36,6 @@ from .cohomology import (
     derivation_space,
     harrison_h2,
 )
-from .linalg import vec_add, vec_is_zero, vec_zero
 
 RIGID_BY_H2_ZERO = "RigidByH2Zero"
 INCONCLUSIVE = "Inconclusive"
@@ -70,18 +80,6 @@ def rigid_in_Lpq(g: Algebra, A: Algebra) -> LpqCertificate:
     return LpqCertificate(verdict=verdict, h2_lie=h2_lie, h2_harrison=h2_har)
 
 
-def _jacobiator_t1(g: Algebra, phi: ChevalleyCochain, i: int, j: int, k: int):
-    """Order-t coefficient of the Jacobi sum of mu + t*phi on (e_i,e_j,e_k)."""
-    total = None
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        term = vec_add(
-            g.multiply(phi.value((a, b)), g.basis_vector(c)),
-            phi.eval_mixed(g.basis_product(a, b), (c,)),
-        )
-        total = term if total is None else vec_add(total, term)
-    return total
-
-
 def infinitesimal_check(g: Algebra, phi: ChevalleyCochain) -> bool:
     """Is phi a 2-cocycle?  Two routes must agree:
 
@@ -94,20 +92,17 @@ def infinitesimal_check(g: Algebra, phi: ChevalleyCochain) -> bool:
     if phi.degree != 2 or phi.dim != g.dim:
         raise AlgebraError("phi must be a degree-2 cochain on g")
     d = chevalley_delta(g, phi)
-    for (i, j, k) in _triples(g.dim):
-        t1 = _jacobiator_t1(g, phi, i, j, k)
-        if not vec_is_zero(vec_add(t1, d.value((i, j, k)))):
+    mu, t = g.tensor, _tensor(phi.data, LIE)
+    for i, j, k in combinations(range(1, g.dim + 1), 3):
+        t1 = {}
+        _jacobi(mu, t, i, j, k, t1)
+        _jacobi(t, mu, i, j, k, t1)
+        if any(t1.get(s, 0) + x != 0
+               for s, x in enumerate(d.value((i, j, k)), start=1)):
             raise AssertionError(
                 "coboundary and Jacobiator coefficient disagree; "
                 "sign convention bug")
     return d.is_zero()
-
-
-def _triples(n: int):
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                yield (i, j, k)
 
 
 @dataclass(frozen=True)
@@ -141,48 +136,17 @@ def truncated_deformation_check(d: TruncatedDeformation) -> DeformationReport:
     the first violating (order, basis triple) otherwise.  Order 0 is the
     Jacobi identity of the base bracket itself.
     """
-    g = d.base
-    n, N = g.dim, d.order
-
-    def bracket_poly(i: int, j: int) -> list:
-        coeffs = [g.basis_product(i, j)]
-        for m, phi in enumerate(d.cochains, start=1):
-            if m > N:
-                break
-            coeffs.append(phi.value((i, j)))
-        while len(coeffs) < N + 1:
-            coeffs.append(vec_zero(n))
-        return coeffs[:N + 1]
-
-    def bracket_poly_mixed(u: list, k: int) -> list:
-        # u is a polynomial vector; bracket with basis e_k, truncated.
-        out = [list(vec_zero(n)) for _ in range(N + 1)]
-        for m, vec in enumerate(u):
-            for l, c in enumerate(vec, start=1):
-                if c == 0:
-                    continue
-                inner = bracket_poly(l, k)
-                for m2, w in enumerate(inner):
-                    if m + m2 > N:
-                        break
-                    for s in range(n):
-                        if w[s] != 0:
-                            out[m + m2][s] += c * w[s]
-        return [tuple(row) for row in out]
-
-    worst = None
-    for (i, j, k) in _triples(n):
-        total = [list(vec_zero(n)) for _ in range(N + 1)]
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            term = bracket_poly_mixed(bracket_poly(a, b), c)
-            for m in range(N + 1):
-                for s in range(n):
-                    total[m][s] += term[m][s]
-        for m in range(N + 1):
-            if not vec_is_zero(tuple(total[m])):
-                if worst is None or (m, (i, j, k)) < worst:
-                    worst = (m, (i, j, k))
-                break
-    if worst is None:
-        return DeformationReport(ok_up_to=N, first_obstruction=None)
-    return DeformationReport(ok_up_to=worst[0] - 1, first_obstruction=worst)
+    N = d.order
+    terms = [d.base.tensor] + [_tensor(phi.data, LIE) for phi in d.cochains[:N]]
+    terms += [{}] * (N + 1 - len(terms))
+    # Order-major scan: the first nonzero coefficient is the least
+    # (order, triple) pair, the first obstruction.
+    for m in range(N + 1):
+        for ijk in combinations(range(1, d.base.dim + 1), 3):
+            acc = {}
+            for m1 in range(m + 1):
+                _jacobi(terms[m1], terms[m - m1], *ijk, acc)
+            if any(x != 0 for x in acc.values()):
+                return DeformationReport(ok_up_to=m - 1,
+                                         first_obstruction=(m, ijk))
+    return DeformationReport(ok_up_to=N, first_obstruction=None)

@@ -477,19 +477,11 @@ def orthogonal_decomposition(A: Algebra) -> PierceDecomposition:
         for p in _primitive_idempotents_unital(A, a11, e):
             lp = A.left_mult_matrix(p)
             fixed = Subspace(A.dim, kernel_basis(lp - Matrix.identity(A.dim)))
-            comps.append(_intersect(fixed, a11))
+            comps.append(fixed)  # inside a11: p in a11 and px = x give ex = (ep)x = x
             idems.append(p)
         work = a00
     return PierceDecomposition(components=tuple(comps), idempotents=tuple(idems),
                                nil_residual=nil)
-
-
-def _intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Subspace intersection via the stacked constraint matrices."""
-    rows = list(u.constraint_matrix().rows) + list(v.constraint_matrix().rows)
-    if not rows:  # both subspaces are the whole space
-        return Subspace.full(u.ambient)
-    return Subspace(u.ambient, kernel_basis(Matrix(rows)))
 
 
 def find_idempotents(A: Algebra, candidates: Sequence = ()) -> list:

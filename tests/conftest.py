@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,16 @@ import currentalg as ca
 from currentalg.io import parse_algebra_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def pytest_configure(config):
+    # Demos and CLI runs are child processes; they import the package from
+    # src/ like this process does (``pythonpath`` in pyproject.toml).
+    src = str(FIXTURES.parent / "src")
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if src not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([src] + paths)
+
 
 # Same examples on every run: no random seed, no replay database, no timing.
 settings.register_profile("currentalg", derandomize=True, database=None, deadline=None)
@@ -202,3 +213,109 @@ def oracle_corpus(kind):
     base = fixture_algebras() + catalog_lie_algebras() + catalog_assoc_algebras()
     base.append(ca.current_algebra(ca.r2(), ca.m1(2)))
     return with_variants([a for a in base if a.kind == kind])
+
+
+def _triples(n: int):
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                yield (i, j, k)
+
+
+def deformation_oracle(d):
+    """(ok_up_to, first_obstruction) of a TruncatedDeformation, from dense
+    bracket polynomials per triple, the base read through ``table_product``."""
+    g = d.base
+    n, N = g.dim, d.order
+    zero = (Fraction(0),) * n
+
+    def bracket_poly(i: int, j: int) -> list:
+        coeffs = [table_product(g, i, j)]
+        for m, phi in enumerate(d.cochains, start=1):
+            if m > N:
+                break
+            coeffs.append(phi.value((i, j)))
+        while len(coeffs) < N + 1:
+            coeffs.append(zero)
+        return coeffs[:N + 1]
+
+    def bracket_poly_mixed(u: list, k: int) -> list:
+        # u is a polynomial vector; bracket with basis e_k, truncated.
+        out = [list(zero) for _ in range(N + 1)]
+        for m, vec in enumerate(u):
+            for l, c in enumerate(vec, start=1):
+                if c == 0:
+                    continue
+                inner = bracket_poly(l, k)
+                for m2, w in enumerate(inner):
+                    if m + m2 > N:
+                        break
+                    for s in range(n):
+                        if w[s] != 0:
+                            out[m + m2][s] += c * w[s]
+        return [tuple(row) for row in out]
+
+    worst = None
+    for (i, j, k) in _triples(n):
+        total = [list(zero) for _ in range(N + 1)]
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            term = bracket_poly_mixed(bracket_poly(a, b), c)
+            for m in range(N + 1):
+                for s in range(n):
+                    total[m][s] += term[m][s]
+        for m in range(N + 1):
+            if any(x != 0 for x in total[m]):
+                if worst is None or (m, (i, j, k)) < worst:
+                    worst = (m, (i, j, k))
+                break
+    if worst is None:
+        return N, None
+    return worst[0] - 1, worst
+
+
+def pq_residuals_oracle(g, A) -> list:
+    """(g_triple, a_triple, target, value) of every nonzero product-form
+    Jacobi residual, in flat-triple then target order, by the seven-deep loop
+    over both factor tables read through ``table_product``."""
+    p, q = g.dim, A.dim
+    zero = Fraction(0)
+
+    def C(i, j):
+        return table_product(g, i, j)
+
+    def D(a, b):
+        return table_product(A, a, b)
+
+    residuals = []
+    dim = p * q
+    for u in range(1, dim + 1):
+        i, a = ca.unflat_index(u, q)
+        for v in range(u + 1, dim + 1):
+            j, b = ca.unflat_index(v, q)
+            for w in range(v + 1, dim + 1):
+                k, c = ca.unflat_index(w, q)
+                for s in range(1, p + 1):
+                    for t in range(1, q + 1):
+                        acc = zero
+                        for l in range(1, p + 1):
+                            cl1 = C(i, j)[l - 1]
+                            cl2 = C(j, k)[l - 1]
+                            cl3 = C(k, i)[l - 1]
+                            s1 = cl1 * C(l, k)[s - 1] if cl1 != 0 else zero
+                            s2 = cl2 * C(l, i)[s - 1] if cl2 != 0 else zero
+                            s3 = cl3 * C(l, j)[s - 1] if cl3 != 0 else zero
+                            if s1 == 0 and s2 == 0 and s3 == 0:
+                                continue
+                            for r in range(1, q + 1):
+                                d1 = D(a, b)[r - 1]
+                                d2 = D(b, c)[r - 1]
+                                d3 = D(c, a)[r - 1]
+                                if s1 != 0 and d1 != 0:
+                                    acc = acc + s1 * d1 * D(r, c)[t - 1]
+                                if s2 != 0 and d2 != 0:
+                                    acc = acc + s2 * d2 * D(r, a)[t - 1]
+                                if s3 != 0 and d3 != 0:
+                                    acc = acc + s3 * d3 * D(r, b)[t - 1]
+                        if acc != 0:
+                            residuals.append(((i, j, k), (a, b, c), (s, t), acc))
+    return residuals

@@ -12,9 +12,12 @@ from currentalg import (
     UnknownAlgebraError,
     change_basis,
     check_identities,
+    chevalley_dims,
     complexify,
+    derivation_space,
     direct_sum,
     fingerprint,
+    harrison_h2,
     make,
     operator_analysis,
     permutation_matrix,
@@ -22,6 +25,8 @@ from currentalg import (
     toplus_current_permutation,
     torus_generators,
 )
+
+from conftest import oracle_corpus
 
 F = Fraction
 
@@ -178,6 +183,21 @@ def test_fingerprint_over_qi():
     assert fp.der_dim == 0 and fp.h2_dim == 0
     # over Q the same table is connected: only the unit
     assert fingerprint(ca.real_rigid(2, 1)).idempotent_count == 1
+
+
+def test_fingerprint_matches_separate_invariants():
+    # fingerprint ranks each operator once; the public calls rank them again.
+    for kind in (ca.LIE, ca.ASSOC_COMM):
+        for alg in oracle_corpus(kind):
+            if alg.dim > 6 or not check_identities(alg).passed:
+                continue
+            fp = fingerprint(alg)
+            assert fp.der_dim == derivation_space(alg).dim
+            if kind == ca.LIE:
+                assert (fp.h1_dim, fp.h2_dim) == (chevalley_dims(alg, 1).dim_H,
+                                                  chevalley_dims(alg, 2).dim_H)
+            else:
+                assert fp.h2_dim == harrison_h2(alg).dim_H
 
 
 def test_fingerprint_requires_identities():

@@ -17,7 +17,15 @@ from currentalg import (
     unflat_index,
 )
 
-from conftest import rand_matrix
+from currentalg.io import parse_algebra_file
+
+from conftest import (
+    FIXTURES,
+    catalog_assoc_algebras,
+    catalog_lie_algebras,
+    pq_residuals_oracle,
+    rand_matrix,
+)
 
 
 def test_flat_index_round_trip():
@@ -83,6 +91,35 @@ def test_pq_residuals_match_flat_violations():
     expected = set(check_identities(flat_bad).violations)
     got = {(*r.flat_triple(1), r.flat_target(1)) for r in residuals}
     assert got == expected
+
+
+def _corrupted(g, rng):
+    """g with one seeded structure constant moved by +-1."""
+    table = {k: list(v) for k, v in g.table.items()}
+    pairs = [(i, j) for i in range(1, g.dim + 1) for j in range(i + 1, g.dim + 1)]
+    vec = table.setdefault(rng.choice(pairs), [0] * g.dim)
+    vec[rng.randrange(g.dim)] += rng.choice((-1, 1))
+    return ca.Algebra(f"{g.name}-corrupt", ca.LIE, g.field, g.dim, table)
+
+
+def test_pq_residuals_match_product_form_oracle():
+    # Full lists (triples, targets, values, order) against the seven-deep
+    # loop over the stored tables, on catalog pairs and corrupted factors.
+    rng = random.Random(67)
+    gs = [g for g in catalog_lie_algebras() if g.dim <= 3]
+    gs += [parse_algebra_file(FIXTURES / "r2_corrupt3.json")]
+    gs += [_corrupted(g, rng) for g in gs if g.dim == 3 for _ in range(2)]
+    As = [A for A in catalog_assoc_algebras() if A.dim <= 2]
+    As += [parse_algebra_file(FIXTURES / "m1_2_corrupt.json")]
+    pairs = [(g, A) for g in gs for A in As if g.dim * A.dim <= 6]
+    pairs += [(ca.complexify(g), ca.complexify(A)) for g, A in pairs[::4]]
+    nonempty = 0
+    for g, A in pairs:
+        got = [(r.g_triple, r.a_triple, r.target, r.value)
+               for r in jacobi_pq_residuals(g, A)]
+        assert got == pq_residuals_oracle(g, A)
+        nonempty += bool(got)
+    assert nonempty >= 30, nonempty
 
 
 def test_pq_residuals_abelian_empty():

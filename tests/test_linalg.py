@@ -83,9 +83,6 @@ def test_subspace_coordinates_and_constraints():
     s = Subspace(3, [(1, 0, 1), (0, 1, 2)])
     assert s.coordinates((2, 3, 8)) == (F(2), F(3))
     assert s.coordinates((0, 0, 1)) is None
-    n = s.constraint_matrix()
-    assert all(not any(n.apply(v)) for v in s.basis)
-    assert Subspace(3, kernel_basis(n)) == s
 
 
 def test_matrix_kron_layout():

@@ -19,7 +19,12 @@ from currentalg import (
     truncated_deformation_check,
 )
 
-from conftest import rand_chevalley2, rand_invertible
+from conftest import (
+    deformation_oracle,
+    oracle_corpus,
+    rand_chevalley2,
+    rand_invertible,
+)
 
 F = Fraction
 
@@ -142,3 +147,42 @@ def test_multi_term_deformation():
     report = truncated_deformation_check(TruncatedDeformation(
         base=ca.abelian(2), cochains=(phi1, phi2), order=3))
     assert report.ok_up_to == 3  # dim 2: Jacobi is automatic at every order
+
+
+def _seeded_cochains(rng, g):
+    """One to three degree-2 cochains: dense random, single-entry, the
+    bracket of g itself or zero; scaled by 1 + i half the time over Q(i)."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.4:
+            phi = rand_chevalley2(rng, g.dim)
+        elif kind < 0.7:
+            phi = ChevalleyCochain(2, g.dim, dict(list(
+                rand_chevalley2(rng, g.dim).data.items())[:1]))
+        elif kind < 0.9:
+            phi = bracket_cochain(g)
+        else:
+            phi = ChevalleyCochain.zero(2, g.dim)
+        if g.field == ca.QI and rng.random() < 0.5:
+            w = ca.GaussianRational(1, 1)
+            phi = ChevalleyCochain(2, g.dim, {
+                k: tuple(w * x for x in v) for k, v in phi.data.items()})
+        out.append(phi)
+    return tuple(out)
+
+
+def test_truncated_deformation_matches_oracle():
+    # The Lie corpus (fixtures incl. the Jacobi-failing r2_corrupt3.json,
+    # catalog, r2 (x) M1^2; canonical, twisted, Q(i)) plus heisenberg(5),
+    # against dense bracket polynomials evaluated triple by triple.
+    rng = random.Random(61)
+    seen = set()
+    for g in oracle_corpus(ca.LIE) + [ca.heisenberg(5)]:
+        for _ in range(4):
+            d = TruncatedDeformation(base=g, cochains=_seeded_cochains(rng, g),
+                                     order=rng.randint(1, 4))
+            report = truncated_deformation_check(d)
+            assert (report.ok_up_to, report.first_obstruction) == deformation_oracle(d)
+            seen.add(report.ok_up_to)
+    assert seen == {-1, 0, 1, 2, 3, 4}

@@ -1,9 +1,12 @@
-"""Exact linear algebra over Q and Q(i) on dense matrices.
+"""Exact linear algebra over Q and Q(i).
 
-Every row reduction is one sparse Gauss-Jordan, :func:`rref`; Fraction keeps
-every entry in lowest terms, so no separate fraction-free pass is needed.
-Everything returns canonical reduced echelon representatives, which makes
-subspace equality a plain ``==``.
+Every row reduction is one fraction-free sparse Gauss-Jordan, :func:`rref`.
+Each row enters as a primitive integral ``{col: x}`` row (ints over Q; over
+Q(i), Gaussian integers held as int pairs), is reduced on its leading column
+by integral row operations and divided by its content, so no ``Fraction`` or
+``GaussianRational`` is built while eliminating; :func:`rank` runs only the
+forward phase.  Everything returns canonical reduced echelon representatives,
+which makes subspace equality a plain ``==``.
 
 Vectors are tuples of scalars with 0-based coordinates.  Basis indices in the
 algebra layer are 1-based; the translation happens there, not here.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .scalars import GaussianRational, Scalar, ScalarError
@@ -184,44 +188,143 @@ def vec_is_zero(u):
     return all(a == 0 for a in u)
 
 
-def _subtract(row: dict, f, pivot_row: dict) -> None:
-    """row -= f * pivot_row on sparse {col: x} rows, dropping the zeros."""
-    for k, x in pivot_row.items():
-        y = row.get(k, _ZERO) - f * x
-        if y:
-            row[k] = y
+class _GaussInt:
+    """a + bi with int a, b: an entry of an integral row over Q(i) in :func:`rref`."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __mul__(self, o):
+        return _GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __sub__(self, o):
+        return _GaussInt(self.re - o.re, self.im - o.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+def _primitive(row: dict) -> dict:
+    """row divided by the gcd of its integer parts."""
+    if isinstance(next(iter(row.values())), _GaussInt):
+        g = gcd(*(p for x in row.values() for p in (x.re, x.im)))
+        if g == 1:
+            return row
+        return {k: _GaussInt(x.re // g, x.im // g) for k, x in row.items()}
+    g = gcd(*row.values())
+    return row if g == 1 else {k: x // g for k, x in row.items()}
+
+
+def _integral(rows) -> tuple[list, bool]:
+    """The nonzero rows as primitive sparse ``{col: x}`` rows, each scaled by
+    the lcm of its denominators, and whether any entry is Gaussian.  x is a
+    :class:`_GaussInt` in every row when some entry has an imaginary part,
+    else an int."""
+    sparse = [r for r in ({c: x for c, x in enumerate(dense) if x} for dense in rows) if r]
+    gaussian = [x for r in sparse for x in r.values() if isinstance(x, GaussianRational)]
+    pairs = any(x.im for x in gaussian)
+    out = []
+    for row in sparse:
+        if pairs:
+            parts = {c: (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
+                     for c, x in row.items()}
+            m = lcm(*(p.denominator for pair in parts.values() for p in pair))
+            row = {c: _GaussInt(re.numerator * (m // re.denominator),
+                                im.numerator * (m // im.denominator))
+                   for c, (re, im) in parts.items()}
+        else:
+            if gaussian:
+                row = {c: x.re if isinstance(x, GaussianRational) else x
+                       for c, x in row.items()}
+            m = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (m // x.denominator) for c, x in row.items()}
+        out.append(_primitive(row))
+    return out, bool(gaussian)
+
+
+def _exact_quotient(b, a):
+    """b / a when it is integral (in Z, or in Z[i] for int pairs), else None."""
+    if isinstance(a, int):
+        return None if b % a else b // a
+    n = a.re * a.re + a.im * a.im
+    p = b * _GaussInt(a.re, -a.im)
+    return None if p.re % n or p.im % n else _GaussInt(p.re // n, p.im // n)
+
+
+def _eliminate(row: dict, c: int, pivot: dict) -> dict:
+    """row - f*pivot when f = row[c] / pivot[c] is integral, else a*row - b*pivot
+    divided by its content, with a = pivot[c] and b = row[c] (over Z first
+    divided by their gcd); either way column c drops out."""
+    a, b = pivot[c], row[c]
+    zero = a - a
+    f = _exact_quotient(b, a)
+    if f is None:
+        if isinstance(a, int):
+            g = gcd(a, b)
+            a, b = a // g, b // g
+        row, f = {k: a * x for k, x in row.items()}, b
+    for k, y in pivot.items():
+        z = row.get(k, zero) - f * y
+        if z:
+            row[k] = z
         else:
             del row[k]
+    return _primitive(row) if row else row
+
+
+def _echelon(rows: list) -> dict:
+    """Forward phase on integral rows: pivot column -> the row leading there."""
+    echelon = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            if c not in echelon:
+                echelon[c] = row
+                break
+            row = _eliminate(row, c, echelon[c])
+    return echelon
 
 
 def rref(rows) -> tuple[list, list]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot column indices).
 
-    Gauss-Jordan on sparse ``{col: x}`` rows: reduce each row on its leading
-    column, then back-substitute in descending pivot order.
+    Fraction-free Gauss-Jordan on sparse integral rows (see :func:`_integral`):
+    reduce each row on its leading column against the pivot rows found so
+    far, back-substitute in descending pivot order, and divide each row by its
+    pivot entry only when it is written out.  Entries are GaussianRational
+    when any input entry is, else Fraction.
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
-    echelon = {}  # pivot column -> row with 1 there
-    for dense in rows:
-        row = {c: x for c, x in enumerate(dense) if x}
-        while row:
-            c = min(row)
-            if c not in echelon:
-                echelon[c] = {k: x / row[c] for k, x in row.items()}
-                break
-            _subtract(row, row[c], echelon[c])
+    integral, gaussian = _integral(rows)
+    echelon = _echelon(integral)
     pivots = sorted(echelon)
     for c in reversed(pivots):
         row = echelon[c]
         for k in [k for k in row if k != c and k in echelon]:
-            _subtract(row, row[k], echelon[k])
-    return ([tuple(echelon[c].get(k, _ZERO) for k in range(ncols)) for c in pivots],
-            pivots)
+            row = _eliminate(row, k, echelon[k])
+        echelon[c] = row
+    out = []
+    for c in pivots:
+        row, lead = echelon[c], echelon[c][c]
+        if isinstance(lead, _GaussInt):
+            n, conj = lead.re * lead.re + lead.im * lead.im, _GaussInt(lead.re, -lead.im)
+            row = {k: GaussianRational(Fraction(p.re, n), Fraction(p.im, n))
+                   for k, p in ((k, x * conj) for k, x in row.items())}
+        elif gaussian:
+            row = {k: GaussianRational(Fraction(x, lead)) for k, x in row.items()}
+        else:
+            row = {k: Fraction(x, lead) for k, x in row.items()}
+        out.append(tuple(row.get(k, _ZERO) for k in range(ncols)))
+    return out, pivots
 
 
 def rank(M: Matrix) -> int:
-    return len(rref(M.rows)[1])
+    """Number of pivots, from the forward phase of :func:`rref` alone."""
+    return len(_echelon(_integral(M.rows)[0]))
 
 
 def kernel_basis(M: Matrix) -> list[tuple]:

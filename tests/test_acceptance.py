@@ -62,6 +62,7 @@ from conftest import (
     rand_chevalley2,
     rand_matrix,
     rand_symmetric,
+    unimodular_twist,
     with_variants,
 )
 
@@ -146,7 +147,8 @@ def test_criterion_03_products_rigid_with_oracle():
         ok = ok and z_oracle - b_oracle == 0
         alg = direct_sum(alg, ca.r2())
     # every operator the package assembles, on the fixture corpus: canonical,
-    # twisted and over Q(i); rank (sparse elimination) against the oracle
+    # twisted and over Q(i); rank (fraction-free sparse elimination) against
+    # the oracle
     operators = 0
     for alg in with_variants(fixture_algebras()):
         mats = [_dense(*_leibniz_rows(alg)), _right_mult_system(alg)]
@@ -157,10 +159,20 @@ def test_criterion_03_products_rigid_with_oracle():
         for m in mats:
             ok = ok and ca.rank(m) == bareiss_rank(m)
             operators += 1
+    # the heaviest coboundaries of the benchmark sweep, in a twisted basis
+    for g, A in ((ca.heisenberg(3), ca.m1(2)), (ca.sl2(), ca.m1(2)),
+                 (ca.r2(), ca.real_rigid(2, 1))):
+        flat = ca.current_algebra(g, A)
+        flat = change_basis(flat, unimodular_twist(flat.dim, 7))
+        for k in (1, 2):
+            m = chevalley_delta_matrix(flat, k)
+            ok = ok and ca.rank(m) == bareiss_rank(m)
+            operators += 1
     elapsed = time.time() - t0
     ok = ok and elapsed < 30.0
     _verdict(3, f"H2(r2^k) = 0 for k=1,2,3 vs fraction-free oracle, and rank of "
-                f"{operators} fixture operators ({elapsed:.1f}s < 30s)", ok)
+                f"{operators} fixture and current-algebra operators "
+                f"({elapsed:.1f}s < 30s)", ok)
 
 
 def test_criterion_04_derivation_dimensions():

@@ -137,21 +137,36 @@ def test_matrix_power():
 # The sparse kernel against the dense Gauss-Jordan oracle (conftest.dense_rref)
 # ---------------------------------------------------------------------------
 
-_RATIONAL = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+# Numerators up to 10^12 and large prime denominators exercise the lcm
+# scaling, the content division and negative pivots of the integral rows.
+_RATIONAL = st.builds(
+    F,
+    st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12)),
+    st.one_of(st.integers(1, 3), st.sampled_from((65537, 15485863, 999999937))),
+)
 _ENTRIES = {
     ca.Q: st.one_of(st.just(F(0)), _RATIONAL),
     # Q(i) matrices mix both scalar types, as L_e - id does over Q(i)
     ca.QI: st.one_of(st.just(GaussianRational(0)), _RATIONAL,
                      st.builds(GaussianRational, _RATIONAL, _RATIONAL)),
 }
+# Entries of one row: over Q(i), wholly rational rows (as Fraction, or as the
+# real GaussianRational that complexify gives) sit next to rows that have
+# imaginary parts.
+_ROW_ENTRIES = {
+    ca.Q: (_ENTRIES[ca.Q],),
+    ca.QI: (_ENTRIES[ca.Q], _ENTRIES[ca.QI],
+            st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, _RATIONAL))),
+}
 
 
 @st.composite
 def _matrices(draw, field):
     """(ncols, rows), at most 8 x 8, with zero columns, zero and repeated rows."""
-    entry = _ENTRIES[field]
     ncols = draw(st.integers(0, 8))
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    row = st.sampled_from(_ROW_ENTRIES[field]).flatmap(
+        lambda entry: st.lists(entry, min_size=ncols, max_size=ncols))
+    rows = draw(st.lists(row, max_size=8))
     dead = draw(st.sets(st.integers(0, 7)))
     rows = [[F(0) if c in dead else x for c, x in enumerate(r)] for r in rows]
     extra = draw(st.lists(st.integers(-1, len(rows) - 1), max_size=8 - len(rows)))
@@ -196,6 +211,7 @@ def test_rref_matches_dense_oracle(field, data):
     want_rows, want_pivots = dense_rref(rows)
     want_rows = [r for r in want_rows if any(x != 0 for x in r)]
     assert rref(rows) == (want_rows, want_pivots)
+    assert rank(Matrix(rows)) == len(want_pivots)
 
 
 def test_rref_edge_shapes():

@@ -49,11 +49,9 @@ from .cohomology import (
     H1CurrentFormula,
     SymmetricCochain,
     bracket_cochain,
-    bullet,
     chevalley_delta,
     chevalley_delta_matrix,
     chevalley_dims,
-    delta_on_decomposable,
     derivation_space,
     derivations,
     h1_current_formula,
@@ -75,6 +73,7 @@ from .linalg import (
     Matrix,
     OperatorReport,
     SingularMatrixError,
+    SparseMatrix,
     Subspace,
     inverse,
     kernel_basis,

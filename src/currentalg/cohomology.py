@@ -27,6 +27,7 @@ from .current import current_algebra
 from .linalg import (
     _ZERO,
     Matrix,
+    SparseMatrix,
     Subspace,
     _entry,
     kernel_basis,
@@ -194,26 +195,8 @@ def multiplication_cochain(A: Algebra) -> SymmetricCochain:
 # Chevalley coboundary and dimensions
 # ---------------------------------------------------------------------------
 
-def _dense(entries: Mapping, nrows: int, ncols: int) -> Matrix:
-    """Dense matrix of sparse entries {(row, col): coeff}; a map into the
-    zero space gets one zero row, which keeps its column count visible."""
-    rows = [[_ZERO] * ncols for _ in range(max(nrows, 1 if ncols else 0))]
-    for (r, c), x in entries.items():
-        rows[r][c] = x
-    return Matrix(rows)
-
-
-def _apply(entries: Mapping, nrows: int, vec: Sequence) -> tuple:
-    """Sparse entries times a flat coordinate vector."""
-    out = [_ZERO] * nrows
-    for (r, c), x in entries.items():
-        if vec[c] != 0:
-            out[r] += x * vec[c]
-    return tuple(out)
-
-
-def _chevalley_rows(g: Algebra, k: int) -> tuple:
-    """(entries, nrows, ncols) of d: C^k -> C^(k+1), read off the formula.
+def _chevalley_rows(g: Algebra, k: int) -> SparseMatrix:
+    """The operator d: C^k -> C^(k+1), read off the formula.
 
     Row (T, t) is coordinate t of (d phi)(e_T) on an increasing tuple T;
     column (S, s) is coordinate s of phi(e_S).
@@ -241,16 +224,15 @@ def _chevalley_rows(g: Algebra, k: int) -> tuple:
                     if sign:
                         for t in range(n):
                             entries[r * n + t, col[key] + t] += (-1) ** (p + q) * sign * c
-    return entries, len(targets) * n, len(sources) * n
+    return SparseMatrix.from_entries(entries, len(targets) * n, len(sources) * n)
 
 
 def chevalley_delta(g: Algebra, c: ChevalleyCochain) -> ChevalleyCochain:
     """Adjoint-coefficient coboundary, degrees 0 -> 1 -> 2 -> 3."""
     if c.dim != g.dim:
         raise AlgebraError("cochain dimension does not match the algebra")
-    entries, nrows, _ = _chevalley_rows(g, c.degree)
     return cochain_from_flat(c.degree + 1, g.dim,
-                             _apply(entries, nrows, cochain_to_flat(c)))
+                             _chevalley_rows(g, c.degree).apply(cochain_to_flat(c)))
 
 
 def cochain_to_flat(c: ChevalleyCochain) -> tuple:
@@ -271,8 +253,12 @@ def cochain_from_flat(degree: int, dim: int, flat: Sequence) -> ChevalleyCochain
 
 
 def chevalley_delta_matrix(g: Algebra, k: int) -> Matrix:
-    """Matrix of the degree-k coboundary in the ordered tuple bases."""
-    return _dense(*_chevalley_rows(g, k))
+    """Matrix of the degree-k coboundary in the ordered tuple bases, read off
+    its sparse rows; a map into the zero space is one zero row, since a
+    Matrix without rows has no column count."""
+    d = _chevalley_rows(g, k)
+    return Matrix([[row.get(c, _ZERO) for c in range(d.ncols)]
+                   for row in d.rows or ([{}] if d.ncols else [])])
 
 
 @dataclass(frozen=True)
@@ -296,7 +282,7 @@ def chevalley_dims(g: Algebra, k: int) -> CohomologyDims:
 def _chevalley_dims(g: Algebra, low: int, high: int) -> list:
     """Dimensions for k = low + 1 .. high, each of d^low .. d^high assembled
     and ranked once."""
-    ds = [chevalley_delta_matrix(g, k) for k in range(low, high + 1)]
+    ds = [_chevalley_rows(g, k) for k in range(low, high + 1)]
     ranks = [rank(d) for d in ds]
     return [CohomologyDims(dim_Z=d.ncols - r, dim_B=b, dim_H=d.ncols - r - b)
             for d, r, b in zip(ds[1:], ranks[1:], ranks)]
@@ -314,12 +300,12 @@ def derivations(alg: Algebra) -> list:
     Operators are flattened row-major: unknown (r, c) at (r-1)*n + (c-1).
     """
     n = alg.dim
-    basis = kernel_basis(_dense(*_leibniz_rows(alg)))
+    basis = kernel_basis(_leibniz_rows(alg))
     return [Matrix.from_flat(v, n, n) for v in basis]
 
 
-def _leibniz_rows(alg: Algebra) -> tuple:
-    """(entries, nrows, ncols) of f -> f(e_i e_j) - f(e_i) e_j - e_i f(e_j).
+def _leibniz_rows(alg: Algebra) -> SparseMatrix:
+    """The operator f -> f(e_i e_j) - f(e_i) e_j - e_i f(e_j).
 
     Row (i, j, s) for each reduced pair; the unknown f[r][c] (coordinate r
     of f(e_c)) sits in column (r-1)*n + (c-1).
@@ -337,7 +323,7 @@ def _leibniz_rows(alg: Algebra) -> tuple:
                 entries[pos * n + s - 1, r * n + i - 1] -= c
             for s, c in tensor.get((i, r + 1), ()):
                 entries[pos * n + s - 1, r * n + j - 1] -= c
-    return entries, len(pairs) * n, n * n
+    return SparseMatrix.from_entries(entries, len(pairs) * n, n * n)
 
 
 def derivation_space(alg: Algebra) -> Subspace:
@@ -367,8 +353,7 @@ def hochschild_delta1(A: Algebra, f: Matrix) -> SymmetricCochain:
     if f.shape != (A.dim, A.dim):
         raise AlgebraError("operator shape does not match algebra dimension")
     n = A.dim
-    entries, nrows, _ = _leibniz_rows(A)
-    flat = _apply(entries, nrows, f.flatten())
+    flat = _leibniz_rows(A).apply(f.flatten())
     return SymmetricCochain(n, {
         pair: tuple(-x for x in flat[pos * n:(pos + 1) * n])
         for pos, pair in enumerate(combinations_with_diag(n))})
@@ -384,14 +369,13 @@ def hochschild_delta2(A: Algebra, psi: SymmetricCochain) -> dict:
     if psi.dim != A.dim:
         raise AlgebraError("cochain dimension does not match the algebra")
     n = A.dim
-    entries, nrows, _ = _hochschild_rows(A)
-    flat = _apply(entries, nrows, symmetric_to_flat(psi))
+    flat = _hochschild_rows(A).apply(symmetric_to_flat(psi))
     values = (flat[pos * n:(pos + 1) * n] for pos in range(n ** 3))
     return {t: v for t, v in zip(_all_triples(n), values) if not vec_is_zero(v)}
 
 
-def _hochschild_rows(A: Algebra) -> tuple:
-    """(entries, nrows, ncols) of the Hochschild d: S^2 -> C^3.
+def _hochschild_rows(A: Algebra) -> SparseMatrix:
+    """The Hochschild operator d: S^2 -> C^3.
 
     Row (i, j, k, t) is coordinate t of (d psi)(e_i, e_j, e_k), triples in
     lexicographic order; column (a <= b, s) is coordinate s of psi(e_a, e_b).
@@ -415,7 +399,7 @@ def _hochschild_rows(A: Algebra) -> tuple:
                 entries[r * n + t, col[l, k] + t] -= c
             for l, c in tensor.get((j, k), ()):
                 entries[r * n + t, col[i, l] + t] += c
-    return entries, n ** 4, len(pairs) * n
+    return SparseMatrix.from_entries(entries, n ** 4, len(pairs) * n)
 
 
 def symmetric_to_flat(c: SymmetricCochain) -> tuple:
@@ -438,9 +422,9 @@ def harrison_h2(A: Algebra) -> CohomologyDims:
     """
     if A.kind != ASSOC_COMM:
         raise AlgebraError("harrison_h2 needs an assoc-comm algebra")
-    d2 = _dense(*_hochschild_rows(A))
+    d2 = _hochschild_rows(A)
     z = d2.ncols - rank(d2)
-    b = rank(_dense(*_leibniz_rows(A)))
+    b = rank(_leibniz_rows(A))
     return CohomologyDims(dim_Z=z, dim_B=b, dim_H=z - b)
 
 
@@ -514,12 +498,6 @@ def _all_triples(n: int) -> list:
             for k in range(1, n + 1)]
 
 
-def delta_on_decomposable(g: Algebra, A: Algebra, psi1: ChevalleyCochain,
-                          phi2: SymmetricCochain, phi3: SymmetricCochain,
-                          psi4: SymmetricCochain) -> DecomposableDelta:
-    return DecomposableDelta(g, A, psi1, phi2, phi3, psi4)
-
-
 class BulletProduct:
     """mu2 * psi4 as the cyclic trilinear map sum mu2(psi4(a1,a2), a3)."""
 
@@ -544,10 +522,6 @@ class BulletProduct:
     def is_zero_on_basis(self) -> bool:
         return all(vec_is_zero(self.evaluate(*t))
                    for t in _all_triples(self.A.dim))
-
-
-def bullet(A: Algebra, psi4: SymmetricCochain) -> BulletProduct:
-    return BulletProduct(A, psi4)
 
 
 # ---------------------------------------------------------------------------

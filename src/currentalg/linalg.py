@@ -1,12 +1,13 @@
 """Exact linear algebra over Q and Q(i).
 
-Every row reduction is one fraction-free sparse Gauss-Jordan, :func:`rref`.
-Each row enters as a primitive integral ``{col: x}`` row (ints over Q; over
-Q(i), Gaussian integers held as int pairs), is reduced on its leading column
-by integral row operations and divided by its content, so no ``Fraction`` or
-``GaussianRational`` is built while eliminating; :func:`rank` runs only the
-forward phase.  Everything returns canonical reduced echelon representatives,
-which makes subspace equality a plain ``==``.
+Every row reduction is one fraction-free Gauss-Jordan, :func:`_rref`, on the
+``{col: x}`` rows of a :class:`SparseMatrix`.  Each row is scaled to a
+primitive integral row (ints over Q; over Q(i), Gaussian integers held as int
+pairs), reduced on its leading column by integral row operations and divided
+by its content, so no ``Fraction`` or ``GaussianRational`` is built while
+eliminating; :func:`rank` runs only the forward phase.  Everything returns
+canonical reduced echelon representatives, which makes subspace equality a
+plain ``==``.
 
 Vectors are tuples of scalars with 0-based coordinates.  Basis indices in the
 algebra layer are 1-based; the translation happens there, not here.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .scalars import GaussianRational, Scalar, ScalarError
 
@@ -110,15 +111,13 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = other.columns()
-        return Matrix(
-            [[_dot(row, col) for col in cols] for row in self.rows]
-        )
+        op = SparseMatrix(self.rows, self.ncols)
+        return Matrix.from_columns([op.apply(col) for col in other.columns()])
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(_dot(row, vec) for row in self.rows)
+        return SparseMatrix(self.rows, self.ncols).apply(vec)
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows))) if self.rows else Matrix([])
@@ -164,12 +163,34 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _dot(u, v):
-    acc = _ZERO
-    for a, b in zip(u, v):
-        if a != 0 and b != 0:
-            acc = acc + a * b
-    return acc
+class SparseMatrix:
+    """Immutable sparse matrix: ``{col: x}`` rows without zero entries, and the
+    column count, so a map into the zero space keeps its width.  Rows are such
+    dicts or dense sequences; a dense row becomes sparse here and nowhere else."""
+
+    __slots__ = ("rows", "nrows", "ncols")
+
+    def __init__(self, rows: Iterable, ncols: int):
+        self.rows = tuple(r if isinstance(r, dict) else {c: x for c, x in enumerate(r) if x}
+                          for r in rows)
+        self.nrows, self.ncols = len(self.rows), ncols
+
+    @classmethod
+    def from_entries(cls, entries: Mapping, nrows: int, ncols: int) -> "SparseMatrix":
+        """Summed entries {(row, col): x}, those that cancelled to zero dropped."""
+        rows = [{} for _ in range(nrows)]
+        for (r, c), x in entries.items():
+            if x:
+                rows[r][c] = x
+        return cls(rows, ncols)
+
+    def apply(self, vec: Sequence) -> tuple:
+        out = [_ZERO] * self.nrows
+        for r, row in enumerate(self.rows):
+            for c, x in row.items():
+                if vec[c] != 0:
+                    out[r] += x * vec[c]
+        return tuple(out)
 
 
 def vec_add(u, v):
@@ -219,11 +240,11 @@ def _primitive(row: dict) -> dict:
 
 
 def _integral(rows) -> tuple[list, bool]:
-    """The nonzero rows as primitive sparse ``{col: x}`` rows, each scaled by
-    the lcm of its denominators, and whether any entry is Gaussian.  x is a
+    """The nonempty sparse rows as primitive rows, each scaled by the lcm of
+    its denominators, and whether any entry is Gaussian.  x is a
     :class:`_GaussInt` in every row when some entry has an imaginary part,
     else an int."""
-    sparse = [r for r in ({c: x for c, x in enumerate(dense) if x} for dense in rows) if r]
+    sparse = [r for r in rows if r]
     gaussian = [x for r in sparse for x in r.values() if isinstance(x, GaussianRational)]
     pairs = any(x.im for x in gaussian)
     out = []
@@ -288,17 +309,15 @@ def _echelon(rows: list) -> dict:
     return echelon
 
 
-def rref(rows) -> tuple[list, list]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column indices).
+def _rref(rows) -> tuple[list, list]:
+    """Reduced echelon form of sparse rows: (nonzero ``{col: x}`` rows, pivots).
 
-    Fraction-free Gauss-Jordan on sparse integral rows (see :func:`_integral`):
+    Fraction-free Gauss-Jordan on the integral rows of :func:`_integral`:
     reduce each row on its leading column against the pivot rows found so
     far, back-substitute in descending pivot order, and divide each row by its
     pivot entry only when it is written out.  Entries are GaussianRational
     when any input entry is, else Fraction.
     """
-    rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
     integral, gaussian = _integral(rows)
     echelon = _echelon(integral)
     pivots = sorted(echelon)
@@ -318,42 +337,50 @@ def rref(rows) -> tuple[list, list]:
             row = {k: GaussianRational(Fraction(x, lead)) for k, x in row.items()}
         else:
             row = {k: Fraction(x, lead) for k, x in row.items()}
-        out.append(tuple(row.get(k, _ZERO) for k in range(ncols)))
+        out.append(row)
     return out, pivots
 
 
-def rank(M: Matrix) -> int:
-    """Number of pivots, from the forward phase of :func:`rref` alone."""
-    return len(_echelon(_integral(M.rows)[0]))
+def rref(rows) -> tuple[list, list]:
+    """Reduced row echelon form of dense rows.  Returns (nonzero rows, pivot
+    column indices); see :func:`_rref`."""
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    out, pivots = _rref(SparseMatrix(rows, ncols).rows)
+    return [tuple(row.get(k, _ZERO) for k in range(ncols)) for row in out], pivots
 
 
-def kernel_basis(M: Matrix) -> list[tuple]:
+def rank(M) -> int:
+    """Rank of a Matrix or SparseMatrix, from the forward phase alone."""
+    return len(_echelon(_integral(SparseMatrix(M.rows, M.ncols).rows)[0]))
+
+
+def kernel_basis(M) -> list[tuple]:
     """Canonical basis of {x : Mx = 0}, one vector per free column."""
-    rows, pivots = rref(M.rows)
-    n = M.ncols
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = _rref(SparseMatrix(M.rows, M.ncols).rows)
+    n, pivot_set = M.ncols, set(pivots)
     basis = []
-    for f in free:
+    for f in (c for c in range(n) if c not in pivot_set):
         v = [_ZERO] * n
         v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+        for row, p in zip(rows, pivots):
+            v[p] = -row.get(f, _ZERO)
         basis.append(tuple(v))
     return basis
 
 
-def solve(M: Matrix, b: Sequence) -> Optional[tuple]:
+def solve(M, b: Sequence) -> Optional[tuple]:
     """One particular solution of Mx = b (free variables 0), or None."""
     if len(b) != M.nrows:
         raise ValueError("right-hand side length does not match row count")
-    aug = [list(row) + [bb] for row, bb in zip(M.rows, (_entry(x) for x in b))]
-    rows, pivots = rref(aug)
     n = M.ncols
+    rows, pivots = _rref([{**row, n: x} if x else row for row, x
+                          in zip(SparseMatrix(M.rows, n).rows, map(_entry, b))])
     if n in pivots:
         return None  # pivot in the augmented column: inconsistent
     x = [_ZERO] * n
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][n]
+    for row, p in zip(rows, pivots):
+        x[p] = row.get(n, _ZERO)
     return tuple(x)
 
 
@@ -361,12 +388,11 @@ def inverse(M: Matrix) -> Matrix:
     n = M.nrows
     if n != M.ncols:
         raise SingularMatrixError("only square matrices are invertible")
-    aug = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
-           for i, row in enumerate(M.rows)]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
+    rows, pivots = _rref([{**row, n + i: _ONE}
+                          for i, row in enumerate(SparseMatrix(M.rows, n).rows)])
+    if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix([row[n:] for row in rows[:n]])
+    return Matrix([[row.get(n + j, _ZERO) for j in range(n)] for row in rows])
 
 
 class Subspace:

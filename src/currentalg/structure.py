@@ -27,6 +27,7 @@ from . import scalars
 from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError
 from .linalg import (
     Matrix,
+    SparseMatrix,
     Subspace,
     inverse,
     kernel_basis,
@@ -53,14 +54,14 @@ def _require_kind(alg: Algebra, kind: str, op: str) -> None:
 # Center and series
 # ---------------------------------------------------------------------------
 
-def _right_mult_system(alg: Algebra) -> Matrix:
+def _right_mult_system(alg: Algebra) -> SparseMatrix:
     """x -> (x e_1, ..., x e_n) stacked: row (j-1) n + k-1, column i holds c_ij^k."""
     n = alg.dim
-    rows = [[scalars.zero(alg.field)] * n for _ in range(n * n)]
+    rows = [{} for _ in range(n * n)]
     for (i, j), terms in alg.tensor.items():
         for k, c in terms:
             rows[(j - 1) * n + k - 1][i - 1] = c
-    return Matrix(rows)
+    return SparseMatrix(rows, n)
 
 
 def center(g: Algebra) -> Subspace:

@@ -165,6 +165,43 @@ def dense_rref(rows) -> tuple[list, list]:
     return [tuple(row) for row in m], pivots
 
 
+def dense_view(op) -> ca.Matrix:
+    """The dense Matrix of a sparse operator's ``{col: x}`` rows."""
+    return ca.Matrix([[row.get(c, Fraction(0)) for c in range(op.ncols)] for row in op.rows])
+
+
+P61 = 2 ** 61 - 1
+
+
+def rank_mod_p(rows, p: int = P61) -> int:
+    """Rank mod p of sparse ``{col: x}`` rows with rational entries.
+
+    Scaling a row by a unit mod p changes no rank, and a minor that vanishes
+    over Q vanishes mod p, so rank mod p <= rank over Q."""
+    pivots = {}  # column -> row with a 1 there, reduced mod p
+    for row in rows:
+        r = {}
+        for c, x in row.items():  # pow raises when p divides the denominator
+            x = Fraction(x)
+            v = x.numerator * pow(x.denominator, -1, p) % p
+            if v:
+                r[c] = v
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[c]
+            for k, v in pivots[c].items():
+                w = (r.get(k, 0) - f * v) % p
+                if w:
+                    r[k] = w
+                else:
+                    r.pop(k, None)
+    return len(pivots)
+
+
 def table_product(alg, i, j):
     """e_i * e_j read from the stored symmetry-reduced table only."""
     zero = (Fraction(0),) * alg.dim

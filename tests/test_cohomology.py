@@ -7,16 +7,16 @@ import pytest
 import currentalg as ca
 from currentalg import (
     AlgebraError,
+    BulletProduct,
     ChevalleyCochain,
+    DecomposableDelta,
     Matrix,
     Subspace,
     SymmetricCochain,
     bracket_cochain,
-    bullet,
     chevalley_delta,
     chevalley_delta_matrix,
     chevalley_dims,
-    delta_on_decomposable,
     derivation_space,
     derivations,
     h1_current_formula,
@@ -180,7 +180,7 @@ def test_harrison_examples():
 
 def test_delta_decomposable_bracket_times_mult_vanishes():
     g, A = ca.r2(), ca.m1(1)
-    ev = delta_on_decomposable(
+    ev = DecomposableDelta(
         g, A, bracket_cochain(g), multiplication_cochain(A),
         SymmetricCochain.zero(g.dim), SymmetricCochain.zero(A.dim))
     assert ev.is_zero_on_basis()
@@ -190,7 +190,7 @@ def test_delta_decomposable_abelian_vanishes():
     rng = random.Random(19)
     g, A = ca.abelian(2), ca.m1(2)
     for _ in range(5):
-        ev = delta_on_decomposable(
+        ev = DecomposableDelta(
             g, A, rand_chevalley(rng, 2, 2), rand_symmetric(rng, 2),
             rand_symmetric(rng, 2), rand_symmetric(rng, 2))
         assert ev.is_zero_on_basis()
@@ -208,9 +208,9 @@ def test_delta_decomposable_unit_specialization_detects_cocycles():
     z2_flat = ca.kernel_basis(chevalley_delta_matrix(g, 2))
     for v in z2_flat:
         psi1 = cochain_from_flat(2, 2, v)
-        ev = delta_on_decomposable(g, A, psi1, mu2,
-                                   SymmetricCochain.zero(2),
-                                   SymmetricCochain.zero(2))
+        ev = DecomposableDelta(g, A, psi1, mu2,
+                               SymmetricCochain.zero(2),
+                               SymmetricCochain.zero(2))
         assert ev.is_zero_on_basis()
         assert chevalley_delta(g, psi1).is_zero()
 
@@ -219,9 +219,9 @@ def test_delta_decomposable_unit_specialization_detects_cocycles():
     known_bad = ChevalleyCochain(2, 3, {(1, 3): (1, 0, 0)})
     outcomes = set()
     for psi1 in [rand_chevalley(rng, 3, 2) for _ in range(12)] + [known_bad]:
-        ev = delta_on_decomposable(h, A1, psi1, mu2,
-                                   SymmetricCochain.zero(3),
-                                   SymmetricCochain.zero(1))
+        ev = DecomposableDelta(h, A1, psi1, mu2,
+                               SymmetricCochain.zero(3),
+                               SymmetricCochain.zero(1))
         is_cocycle = chevalley_delta(h, psi1).is_zero()
         assert ev.is_zero_on_basis() == is_cocycle
         outcomes.add(is_cocycle)
@@ -230,12 +230,12 @@ def test_delta_decomposable_unit_specialization_detects_cocycles():
 
 def test_bullet_examples():
     A1 = ca.m1(1)
-    b = bullet(A1, multiplication_cochain(A1))
+    b = BulletProduct(A1, multiplication_cochain(A1))
     assert b.evaluate(1, 1, 1) == (F(3),)
-    assert bullet(A1, SymmetricCochain.zero(1)).is_zero_on_basis()
+    assert BulletProduct(A1, SymmetricCochain.zero(1)).is_zero_on_basis()
     A2 = ca.m1(2)
     psi4 = SymmetricCochain(2, {(1, 1): (0, 1)})
-    assert bullet(A2, psi4).evaluate(1, 1, 1) == (F(0), F(0))
+    assert BulletProduct(A2, psi4).evaluate(1, 1, 1) == (F(0), F(0))
 
 
 def test_bullet_reduction_identity():
@@ -247,8 +247,8 @@ def test_bullet_reduction_identity():
         phi2 = rand_symmetric(rng, 2)
         phi3 = rand_symmetric(rng, 2)
         psi4 = rand_symmetric(rng, 2)
-        ev = delta_on_decomposable(g, A, psi1, phi2, phi3, psi4)
-        bmap = bullet(A, psi4)
+        ev = DecomposableDelta(g, A, psi1, phi2, phi3, psi4)
+        bmap = BulletProduct(A, psi4)
         for x in range(1, 3):
             ex = g.basis_vector(x)
             left_factor = g.multiply(phi3.value(x, x), ex)

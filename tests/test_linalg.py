@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from currentalg import (
     GaussianRational,
     Matrix,
     SingularMatrixError,
+    SparseMatrix,
     Subspace,
     inverse,
     kernel_basis,
@@ -187,6 +189,33 @@ def _vectors(draw, field, rows, ncols):
     return tuple(v)
 
 
+@st.composite
+def _assembled(draw, field, rows, ncols):
+    """rows as a SparseMatrix summed term by term, as the assemblers build
+    operators: each entry x arrives as x - y and y for a drawn y, so zero
+    entries with y != 0 cancel to zero during assembly."""
+    entries = defaultdict(int)
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            y = draw(_ENTRIES[field])
+            entries[r, c] += x - y
+            entries[r, c] += y
+    return SparseMatrix.from_entries(entries, len(rows), ncols)
+
+
+def _oracle_kernel(rows, ncols):
+    """Kernel basis read off the dense oracle, one vector per free column."""
+    reduced, pivots = dense_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
 def _oracle_solve(cols, v):
     """Some x with sum x_r cols[r] = v, by the dense oracle, or None."""
     if not cols:
@@ -207,11 +236,18 @@ _FIELDS = pytest.mark.parametrize("field", [ca.Q, ca.QI])
 @_FIELDS
 @given(data=st.data())
 def test_rref_matches_dense_oracle(field, data):
-    _, rows = data.draw(_matrices(field))
+    ncols, rows = data.draw(_matrices(field))
     want_rows, want_pivots = dense_rref(rows)
     want_rows = [r for r in want_rows if any(x != 0 for x in r)]
     assert rref(rows) == (want_rows, want_pivots)
     assert rank(Matrix(rows)) == len(want_pivots)
+    # the same rows as an assembled sparse operator, and the map into the zero space
+    for op, dense in ((data.draw(_assembled(field, rows, ncols)), rows),
+                      (SparseMatrix([], ncols), [])):
+        assert (op.nrows, op.ncols) == (len(dense), ncols)
+        assert all(x != 0 for row in op.rows for x in row.values())
+        assert rank(op) == len(dense_rref(dense)[1])
+        assert kernel_basis(op) == _oracle_kernel(dense, ncols)
 
 
 def test_rref_edge_shapes():

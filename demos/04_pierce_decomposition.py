@@ -2,7 +2,8 @@
 
 Idempotent discovery is exact: a Bezout identity yields some nonzero
 idempotent whenever the algebra is not nil, and the complete primitive
-system is assembled through the nilradical and Hensel lifting.
+system comes from one split of A by its nilradical, lifted back by Hensel
+lifting.
 """
 
 import currentalg as ca
@@ -22,13 +23,13 @@ for e in ca.find_idempotents(A):
 split = ca.pierce(A, (1, 0, 0))
 print(f"\npierce at e1: dim A11 = {split.a11.dim}, dim A00 = {split.a00.dim}")
 
-# Recursive splitting into connected unital components.
+# One split into connected unital components, one per primitive idempotent.
 dec = ca.orthogonal_decomposition(A)
 print(f"components: {len(dec.components)}, "
       f"idempotent system: {[show(e) for e in dec.idempotents]}")
 
-# A nil summand has no idempotent; the recursion reports it instead of
-# inventing one.
+# A nil summand has no idempotent; the decomposition reports it as the nil
+# residual instead of inventing one.
 B = ca.direct_sum(ca.m1(1), ca.null_algebra(1))
 dec = ca.orthogonal_decomposition(B)
 print(f"\n{B.name}: {len(dec.components)} unital component, "

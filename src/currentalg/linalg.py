@@ -586,22 +586,35 @@ def poly_str(p, var: str = "t") -> str:
 
 
 def min_poly(M: Matrix) -> tuple:
-    """Monic minimal polynomial, ascending coefficients, via Krylov on powers."""
+    """Monic minimal polynomial, ascending coefficients, via Krylov on vectors.
+
+    It is the lcm of the minimal polynomials of M on e_1, ..., e_n.  With mu
+    the lcm so far and w = mu(M) e_j, lcm(mu, mu_{e_j}) = mu * mu_w, so each
+    step runs one Krylov sequence w, Mw, ... until it becomes dependent.
+    """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("minimal polynomial needs a square matrix")
-    if n == 0:
-        return (_ONE,)
-    powers = [Matrix.identity(n)]
-    flats = [powers[0].flatten()]
-    for k in range(1, n + 1):
-        powers.append(powers[-1] @ M)
-        target = powers[-1].flatten()
-        coeffs = solve(Matrix.from_columns(flats), target)
-        if coeffs is not None:
-            return poly_trim([-c for c in coeffs] + [_ONE])
-        flats.append(target)
-    raise AssertionError("minimal polynomial must have degree <= n")
+    op = SparseMatrix(M.rows, n)
+    mu = (_ONE,)
+    for j in range(n):
+        if len(mu) > n:
+            break
+        e = tuple(_ONE if i == j else _ZERO for i in range(n))
+        w = vec_zero(n)
+        for c in reversed(mu):
+            w = vec_add(op.apply(w), vec_scale(c, e))
+        if vec_is_zero(w):
+            continue
+        krylov = [w]
+        while True:
+            nxt = op.apply(krylov[-1])
+            coeffs = solve(Matrix.from_columns(krylov), nxt)
+            if coeffs is not None:
+                break
+            krylov.append(nxt)
+        mu = poly_mul(mu, [-c for c in coeffs] + [_ONE])
+    return mu
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,21 @@ The idempotent machinery is fully exact and complete at desk scale:
   (t^s, u) into an idempotent polynomial in a.
 
 * ``find_idempotents`` enumerates *all* idempotents as subset sums of the
-  primitive orthogonal system.  Primitives are found per unital component:
-  nilradical via the trace form (valid over char 0), monogenic generator of
-  the semisimple quotient, univariate factorization over the base field
-  (sympy), CRT idempotents, and Hensel lifting back through the nilradical.
+  primitive orthogonal system, found in one split of A / rad A: the
+  nilradical is the radical of the trace form (valid over char 0, unital
+  or not), the quotient is etale and unital, one monogenic generator of it
+  has a squarefree minimal polynomial, whose factorization over the base
+  field gives CRT idempotents that Hensel lifting carries back into A.
+  Over Q the factors come from sympy; over Q(i) they come from a
+  factorization over Q of a norm (Trager's method).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, count
 from math import comb
 from typing import Callable, Optional, Sequence
 
@@ -32,9 +36,13 @@ from .linalg import (
     inverse,
     kernel_basis,
     min_poly,
+    poly_add,
     poly_degree,
+    poly_derivative,
     poly_divmod,
     poly_ext_gcd,
+    poly_gcd,
+    poly_monic,
     poly_mul,
     poly_trim,
     solve,
@@ -203,46 +211,8 @@ def some_nonzero_idempotent(A: Algebra) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Subalgebra views and quotients
+# Trace radical and quotient
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Restriction:
-    alg: Algebra
-    sub: Subspace
-
-    def to_ambient(self, coords: Sequence) -> tuple:
-        acc = [scalars.zero(self.alg.field)] * self.sub.ambient
-        for c, row in zip(coords, self.sub.basis):
-            if c != 0:
-                acc = [x + c * y for x, y in zip(acc, row)]
-        return tuple(acc)
-
-    def from_ambient(self, vec: Sequence) -> tuple:
-        coords = self.sub.coordinates(vec)
-        if coords is None:
-            raise AlgebraError("vector lies outside the subalgebra")
-        return coords
-
-
-def restricted_algebra(parent: Algebra, sub: Subspace, name: str) -> _Restriction:
-    """The multiplication of ``parent`` restricted to a product-closed subspace."""
-    if sub.dim == 0:
-        raise AlgebraError("cannot restrict to the zero subspace")
-    m = sub.dim
-    products = {}
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            if parent.kind == LIE and i == j:
-                continue
-            w = parent.multiply(sub.basis[i - 1], sub.basis[j - 1])
-            coords = sub.coordinates(w)
-            if coords is None:
-                raise AlgebraError("subspace is not closed under the product")
-            products[(i, j)] = coords
-    alg = Algebra(name, parent.kind, parent.field, m, products)
-    return _Restriction(alg=alg, sub=sub)
-
 
 def quotient_algebra(B: Algebra, ideal: Subspace):
     """(Q, proj, lift) for B / ideal, on the complement of the pivot columns."""
@@ -274,20 +244,30 @@ def quotient_algebra(B: Algebra, ideal: Subspace):
     return q, proj, lift
 
 
-def _trace_radical(B: Algebra) -> Subspace:
-    """Radical of the trace form T(x,y) = tr L_{xy}.
+def _trace_form(A: Algebra) -> list:
+    """Gram rows of T(x, y) = tr L_{xy}, read off the structure tensor:
+    tau_k = tr L_{e_k} = sum_j c_kj^j once, then T(e_i, e_j) = sum_k c_ij^k tau_k."""
+    zero = scalars.zero(A.field)
+    tau = [zero] * (A.dim + 1)
+    for (k, j), terms in A.tensor.items():
+        for s, c in terms:
+            if s == j:
+                tau[k] += c
+    return [[sum((c * tau[k] for k, c in A.tensor.get((i, j), ())), zero)
+             for j in range(1, A.dim + 1)] for i in range(1, A.dim + 1)]
 
-    Equals the nilradical for unital commutative algebras in characteristic
-    zero; only called on unital components.
+
+def _trace_radical(A: Algebra) -> Subspace:
+    """Radical of the trace form T: the nilradical of A.
+
+    In characteristic 0 this holds for every finite-dimensional commutative
+    associative A, unital or not.  If x is nilpotent, so is each xy, hence
+    L_{xy} is nilpotent and T(x, y) = 0.  If x is in the radical, then
+    tr L_x^k = T(x, x^(k-1)) = 0 for all k >= 2: the squares of the
+    eigenvalues of L_x have every power sum 0, so by Newton's identities
+    they are all 0, L_x is nilpotent and x^(m+1) = L_x^m x = 0.
     """
-    gram = [
-        [
-            B.left_mult_matrix(B.basis_product(i, j)).trace()
-            for j in range(1, B.dim + 1)
-        ]
-        for i in range(1, B.dim + 1)
-    ]
-    return Subspace(B.dim, kernel_basis(Matrix(gram)))
+    return Subspace(A.dim, kernel_basis(SparseMatrix(_trace_form(A), A.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,68 +275,81 @@ def _trace_radical(B: Algebra) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def _factor_poly(field: str, coeffs):
-    """Irreducible monic factors (ascending coeffs) with multiplicities."""
+    """Irreducible monic factors (ascending coeffs) with multiplicities.
+
+    Over Q this is sympy's factorization.  Over Q(i) it is Trager's norm
+    method, which needs only a factorization over Q: for the squarefree
+    part f take the least s >= 0 with N(t) = f(t - s i) * conj(f)(t + s i)
+    squarefree in Q[t]; each irreducible factor h of N gives the irreducible
+    factor gcd(f(t - s i), h)(t + s i) of f.  Multiplicities come from
+    trial division of the input.
+    """
+    if field == scalars.QI:
+        return _factor_gaussian(coeffs)
     import sympy
 
     t = sympy.Symbol("t")
-
-    def to_sympy(c):
-        c = scalars.coerce(field, c)
-        if field == scalars.Q:
-            return sympy.Rational(c.numerator, c.denominator)
-        return (sympy.Rational(c.re.numerator, c.re.denominator)
-                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
-
-    def from_sympy(expr):
-        re_, im_ = sympy.re(expr), sympy.im(expr)
-        re_f = Fraction(int(re_.p), int(re_.q))
-        im_f = Fraction(int(im_.p), int(im_.q))
-        if field == scalars.Q:
-            if im_f != 0:
-                raise AssertionError("unexpected imaginary part over Q")
-            return re_f
-        return scalars.GaussianRational(re_f, im_f)
-
-    domain = "QQ" if field == scalars.Q else "QQ_I"
-    poly = sympy.Poly([to_sympy(c) for c in reversed(list(coeffs))], t,
-                      domain=domain)
-    _, factors = poly.factor_list()
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(poly_trim(coeffs))], t, domain="QQ")
     out = []
-    for fac, mult in factors:
-        asc = [from_sympy(c) for c in reversed(fac.all_coeffs())]
-        lead = asc[-1]
-        out.append((tuple(c / lead for c in asc), mult))
+    for fac, mult in poly.factor_list()[1]:
+        asc = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
+        out.append((tuple(c / asc[-1] for c in asc), mult))
+    return out
+
+
+def _poly_shift(p, c):
+    """p(t + c), by Horner's rule: out <- out * (t + c) + a."""
+    out = []
+    for a in reversed(poly_trim(p)):
+        out = [x + c * y for x, y in zip([a] + out, out + [0])] if c else [a] + out
+    return tuple(out)
+
+
+def _factor_gaussian(coeffs):
+    f = poly_monic(scalars.coerce_vector(scalars.QI, coeffs))
+    sqf = poly_divmod(f, poly_gcd(f, poly_derivative(f)))[0]
+    for s in count():
+        shift = scalars.GaussianRational(0, s)
+        g = scalars.coerce_vector(scalars.QI, _poly_shift(sqf, -shift))
+        re, im = [c.re for c in g], [c.im for c in g]
+        norm = poly_add(poly_mul(re, re), poly_mul(im, im))  # g * conj(g)
+        if poly_degree(poly_gcd(norm, poly_derivative(norm))) == 0:
+            break
+    out = []
+    for h, _ in _factor_poly(scalars.Q, norm):
+        fac = scalars.coerce_vector(scalars.QI, _poly_shift(poly_gcd(g, h), shift))
+        mult = 1
+        if len(sqf) < len(f):  # repeated factors: count them by trial division
+            mult, rest = 0, f
+            while not (div := poly_divmod(rest, fac))[1]:
+                mult, rest = mult + 1, div[0]
+        out.append((fac, mult))
     return out
 
 
 def _candidate_coordinate_vectors(dim: int, field: str):
-    """The moment curve x(t) = sum_k t^(k-1) b_k for t = 0 .. C(dim,2)(dim-1).
+    """The moment curve x(t) = sum_k t^(k-1) b_k for t = 2 .. C(dim,2)(dim-1) + 2.
 
     In an etale algebra x generates iff the dim characters differ at x.  Two
     distinct characters agree on x(t) at the roots of a nonzero polynomial
-    of degree < dim, so at most C(dim,2)(dim-1) values of t fail.
+    of degree < dim, so at most C(dim,2)(dim-1) values of t fail.  The curve
+    starts at t = 2: x(0) = b_1 and x(1) = sum b_k are the unit or a basis
+    idempotent in the canonical and unit-first bases, which never generate.
     """
-    for t in range(comb(dim, 2) * (dim - 1) + 1):
+    for t in range(2, comb(dim, 2) * (dim - 1) + 3):
         yield tuple(scalars.coerce(field, t ** k) for k in range(dim))
 
 
 def _monogenic_generator(Q_alg: Algebra):
-    """An element whose minimal polynomial has full degree (etale input)."""
+    """(L_theta, m) for an element theta whose minimal polynomial m has full
+    degree (etale input)."""
     for cand in _candidate_coordinate_vectors(Q_alg.dim, Q_alg.field):
-        m = min_poly(Q_alg.left_mult_matrix(cand))
+        op = Q_alg.left_mult_matrix(cand)
+        m = min_poly(op)
         if poly_degree(m) == Q_alg.dim:
-            return cand, m
+            return op, m
     raise AssertionError("an etale algebra has a generator on the moment curve")
-
-
-def _eval_poly_with_unit(alg: Algebra, poly, x: tuple, unit: tuple):
-    """Horner evaluation of an arbitrary polynomial at x in a unital algebra."""
-    acc = vec_scale(scalars.zero(alg.field), unit)
-    for c in reversed(poly_trim(poly)):
-        acc = alg.multiply(acc, x)
-        if c != 0:
-            acc = vec_add(acc, vec_scale(c, unit))
-    return acc
 
 
 def _hensel_idempotent(B: Algebra, x: tuple) -> tuple:
@@ -370,37 +363,39 @@ def _hensel_idempotent(B: Algebra, x: tuple) -> tuple:
     raise AssertionError("idempotent lifting did not converge")
 
 
-def _primitive_idempotents_unital(parent: Algebra, comp: Subspace,
-                                  unit: tuple) -> list:
-    """Primitive idempotents of a unital component, as ambient vectors."""
-    view = restricted_algebra(parent, comp, f"{parent.name}|comp")
-    B = view.alg
-    unit_c = view.from_ambient(unit)
-    nilrad = _trace_radical(B)
+def _primitive_idempotents(A: Algebra) -> list:
+    """The primitive idempotents of A from one split of A / rad T; [] iff A is nil.
+
+    Q = A / rad T is etale and unital, so a generator theta of Q has a
+    squarefree minimal polynomial m.  Each irreducible factor f of m gives
+    the CRT idempotent e(theta) of Q, e = 1 mod f and 0 mod m / f, and
+    Hensel's rule lifts it through the nilradical into A.  An idempotent of
+    A is fixed by its image in Q, and the idempotents of Q are the sums of
+    the e(theta), so the lifts are exactly the primitive idempotents of A.
+    """
+    nilrad = _trace_radical(A)
+    if nilrad.dim == A.dim:
+        return []
     if nilrad.dim == 0:
-        quotient, proj, lift = B, (lambda v: v), (lambda v: v)
+        quotient, lift = A, (lambda v: v)
     else:
-        quotient, proj, lift = quotient_algebra(B, nilrad)
-    if quotient.dim == 1:
-        return [unit]
-    unit_q = proj(unit_c)
-    theta, m = _monogenic_generator(quotient)
-    factors = _factor_poly(B.field, m)
+        quotient, _proj, lift = quotient_algebra(A, nilrad)
+    op, m = _monogenic_generator(quotient)
+    powers = [find_unit(quotient)]  # theta^k = L_theta^k 1
+    for _ in range(quotient.dim - 1):
+        powers.append(op.apply(powers[-1]))
+    factors = _factor_poly(A.field, m)
     if any(mult != 1 for _, mult in factors):
         raise AssertionError("semisimple quotient has a non-squarefree minimal polynomial")
-    if len(factors) == 1:
-        return [unit]
     prims = []
     for fac, _ in factors:
-        cofactor, rem = poly_divmod(m, fac)
-        assert not rem
-        gcd, _s, t_coeff = poly_ext_gcd(fac, cofactor)
+        cofactor = poly_divmod(m, fac)[0]
+        gcd, _s, inv = poly_ext_gcd(fac, poly_divmod(cofactor, fac)[1])  # 1 / cofactor mod fac
         if poly_degree(gcd) != 0:
             raise AssertionError("factors of a squarefree polynomial must be coprime")
-        eps = poly_divmod(poly_mul(t_coeff, cofactor), m)[1]
-        ebar = _eval_poly_with_unit(quotient, eps, theta, unit_q)
-        e = _hensel_idempotent(B, lift(ebar))
-        prims.append(view.to_ambient(e))
+        eps = poly_mul(inv, cofactor)  # 1 mod fac, 0 mod cofactor, degree < deg m
+        ebar = reduce(vec_add, (vec_scale(c, x) for c, x in zip(eps, powers)))
+        prims.append(_hensel_idempotent(A, lift(ebar)))
     return prims
 
 
@@ -442,9 +437,9 @@ class PierceDecomposition:
     """Unital connected components plus the nil residual.
 
     ``idempotents[i]`` is the unit of ``components[i]``; the system is
-    pairwise orthogonal and sums to a unit of the span of the components.
-    The recursion halts on a nil residual instead of inventing an idempotent
-    for it.
+    pairwise orthogonal and sums to a unit u of the span of the components.
+    The nil residual ker L_u lies in the nilradical; it is reported rather
+    than given an invented idempotent.
     """
 
     components: tuple
@@ -453,35 +448,17 @@ class PierceDecomposition:
 
 
 def orthogonal_decomposition(A: Algebra) -> PierceDecomposition:
-    """Recursive Pierce splitting into connected unital components."""
+    """Components pA = ker(L_p - 1), one per primitive idempotent p, and the
+    nil residual ker L_u with u the sum of the p."""
     _require_kind(A, ASSOC_COMM, "orthogonal_decomposition")
-    if is_nilalgebra(A):
+    prims = _primitive_idempotents(A)
+    if not prims:
         raise AlgebraError("a nilalgebra has no nonzero idempotent to split at")
-    comps: list = []
-    idems: list = []
-    work = Subspace.full(A.dim)
-    while True:
-        if work.dim == 0:
-            nil = Subspace.zero(A.dim)
-            break
-        view = restricted_algebra(A, work, f"{A.name}|work")
-        e_c = some_nonzero_idempotent(view.alg)
-        if e_c is None:
-            nil = work
-            break
-        e = view.to_ambient(e_c)
-        le = view.alg.left_mult_matrix(e_c)
-        eye = Matrix.identity(view.alg.dim)
-        a11 = Subspace(A.dim, [view.to_ambient(v)
-                               for v in kernel_basis(le - eye)])
-        a00 = Subspace(A.dim, [view.to_ambient(v) for v in kernel_basis(le)])
-        for p in _primitive_idempotents_unital(A, a11, e):
-            lp = A.left_mult_matrix(p)
-            fixed = Subspace(A.dim, kernel_basis(lp - Matrix.identity(A.dim)))
-            comps.append(fixed)  # inside a11: p in a11 and px = x give ex = (ep)x = x
-            idems.append(p)
-        work = a00
-    return PierceDecomposition(components=tuple(comps), idempotents=tuple(idems),
+    eye = Matrix.identity(A.dim)
+    comps = tuple(Subspace(A.dim, kernel_basis(A.left_mult_matrix(p) - eye))
+                  for p in prims)
+    nil = Subspace(A.dim, kernel_basis(A.left_mult_matrix(reduce(vec_add, prims))))
+    return PierceDecomposition(components=comps, idempotents=tuple(prims),
                                nil_residual=nil)
 
 
@@ -491,7 +468,8 @@ def find_idempotents(A: Algebra, candidates: Sequence = ()) -> list:
     Every idempotent of a finite-dimensional commutative algebra is the sum
     of a subset of the primitive orthogonal idempotents, so the enumeration
     is exhaustive.  User-supplied candidates are verified by multiplication
-    and must already appear in the computed set.
+    and must already appear in the computed set; one that does not is a
+    completeness bug and raises ``AssertionError``.
     """
     _require_kind(A, ASSOC_COMM, "find_idempotents")
     checked = []
@@ -500,22 +478,14 @@ def find_idempotents(A: Algebra, candidates: Sequence = ()) -> list:
         if vec_is_zero(cand) or not is_idempotent(A, cand):
             raise AlgebraError(f"candidate {cand} is not a nonzero idempotent")
         checked.append(cand)
-    if is_nilalgebra(A):
-        found: list = []
-    else:
-        prims = orthogonal_decomposition(A).idempotents
-        if len(prims) > 12:
-            raise AlgebraError("too many primitive idempotents to enumerate")
-        found = []
-        for r in range(1, len(prims) + 1):
-            for subset in combinations(prims, r):
-                acc = subset[0]
-                for x in subset[1:]:
-                    acc = vec_add(acc, x)
-                found.append(acc)
+    prims = _primitive_idempotents(A)
+    if len(prims) > 12:
+        raise AlgebraError("too many primitive idempotents to enumerate")
+    found = [reduce(vec_add, subset) for r in range(1, len(prims) + 1)
+             for subset in combinations(prims, r)]
     for cand in checked:
         if cand not in found:
-            found.append(cand)  # defensive; the lattice should already contain it
+            raise AssertionError(f"idempotent {cand} is missing from the primitive lattice")
     for e in found:
         if not is_idempotent(A, e):
             raise AssertionError("find_idempotents produced a non-idempotent")

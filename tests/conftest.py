@@ -12,6 +12,8 @@ from hypothesis import settings
 
 import currentalg as ca
 from currentalg.io import parse_algebra_file
+from currentalg.linalg import (poly_degree, poly_divmod, poly_ext_gcd, poly_mul, poly_trim,
+                               vec_add, vec_scale)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -356,3 +358,170 @@ def pq_residuals_oracle(g, A) -> list:
                         if acc != 0:
                             residuals.append(((i, j, k), (a, b, c), (s, t), acc))
     return residuals
+
+
+def min_poly_oracle(M) -> tuple:
+    """Monic minimal polynomial by Krylov on the matrix powers I, M, M^2, ..."""
+    n = M.nrows
+    if n == 0:
+        return (Fraction(1),)
+    powers = [ca.Matrix.identity(n)]
+    flats = [powers[0].flatten()]
+    for _ in range(n):
+        powers.append(powers[-1] @ M)
+        target = powers[-1].flatten()
+        coeffs = ca.solve(ca.Matrix.from_columns(flats), target)
+        if coeffs is not None:
+            return poly_trim([-c for c in coeffs] + [Fraction(1)])
+        flats.append(target)
+    raise AssertionError("minimal polynomial must have degree <= n")
+
+
+# ---------------------------------------------------------------------------
+# The idempotent search before it became one split of A / rad A
+# ---------------------------------------------------------------------------
+
+def trace_gram_oracle(A) -> list:
+    """Gram rows of T(e_i, e_j) = tr L_{e_i e_j}, one left multiplication each."""
+    return [[A.left_mult_matrix(A.basis_product(i, j)).trace()
+             for j in range(1, A.dim + 1)] for i in range(1, A.dim + 1)]
+
+
+def qi_factor_oracle(coeffs):
+    """Irreducible monic factors over Q(i) (ascending coeffs) with
+    multiplicities, by sympy's algebraic-field factorization."""
+    import sympy
+
+    field = ca.QI
+    t = sympy.Symbol("t")
+
+    def to_sympy(c):
+        c = ca.scalars.coerce(field, c)
+        return (sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+
+    def from_sympy(expr):
+        re_, im_ = sympy.re(expr), sympy.im(expr)
+        re_f = Fraction(int(re_.p), int(re_.q))
+        im_f = Fraction(int(im_.p), int(im_.q))
+        return ca.GaussianRational(re_f, im_f)
+
+    poly = sympy.Poly([to_sympy(c) for c in reversed(list(coeffs))], t,
+                      domain="QQ_I")
+    _, factors = poly.factor_list()
+    out = []
+    for fac, mult in factors:
+        asc = [from_sympy(c) for c in reversed(fac.all_coeffs())]
+        lead = asc[-1]
+        out.append((tuple(c / lead for c in asc), mult))
+    return out
+
+
+class _Restriction:
+    def __init__(self, alg, sub):
+        self.alg, self.sub = alg, sub
+
+    def to_ambient(self, coords) -> tuple:
+        acc = [ca.scalars.zero(self.alg.field)] * self.sub.ambient
+        for c, row in zip(coords, self.sub.basis):
+            if c != 0:
+                acc = [x + c * y for x, y in zip(acc, row)]
+        return tuple(acc)
+
+    def from_ambient(self, vec) -> tuple:
+        coords = self.sub.coordinates(vec)
+        if coords is None:
+            raise ca.AlgebraError("vector lies outside the subalgebra")
+        return coords
+
+
+def restricted_algebra(parent, sub, name: str) -> _Restriction:
+    """The multiplication of ``parent`` restricted to a product-closed subspace."""
+    if sub.dim == 0:
+        raise ca.AlgebraError("cannot restrict to the zero subspace")
+    m = sub.dim
+    products = {}
+    for i in range(1, m + 1):
+        for j in range(i, m + 1):
+            w = parent.multiply(sub.basis[i - 1], sub.basis[j - 1])
+            coords = sub.coordinates(w)
+            if coords is None:
+                raise ca.AlgebraError("subspace is not closed under the product")
+            products[(i, j)] = coords
+    alg = ca.Algebra(name, parent.kind, parent.field, m, products)
+    return _Restriction(alg, sub)
+
+
+def _eval_poly_with_unit(alg, poly, x, unit):
+    acc = vec_scale(ca.scalars.zero(alg.field), unit)
+    for c in reversed(poly_trim(poly)):
+        acc = alg.multiply(acc, x)
+        if c != 0:
+            acc = vec_add(acc, vec_scale(c, unit))
+    return acc
+
+
+def _primitive_idempotents_unital(parent, comp, unit) -> list:
+    """Primitive idempotents of a unital component, as ambient vectors."""
+    from currentalg.structure import (_candidate_coordinate_vectors, _factor_poly,
+                                      _hensel_idempotent, quotient_algebra)
+
+    view = restricted_algebra(parent, comp, f"{parent.name}|comp")
+    B = view.alg
+    unit_c = view.from_ambient(unit)
+    nilrad = ca.Subspace(B.dim, ca.kernel_basis(ca.Matrix(trace_gram_oracle(B))))
+    if nilrad.dim == 0:
+        quotient, proj, lift = B, (lambda v: v), (lambda v: v)
+    else:
+        quotient, proj, lift = quotient_algebra(B, nilrad)
+    if quotient.dim == 1:
+        return [unit]
+    unit_q = proj(unit_c)
+    theta, m = next((c, p) for c in _candidate_coordinate_vectors(quotient.dim, B.field)
+                    for p in [ca.min_poly(quotient.left_mult_matrix(c))]
+                    if poly_degree(p) == quotient.dim)
+    factors = (qi_factor_oracle(m) if B.field == ca.QI else _factor_poly(B.field, m))
+    assert all(mult == 1 for _, mult in factors)
+    if len(factors) == 1:
+        return [unit]
+    prims = []
+    for fac, _ in factors:
+        cofactor, rem = poly_divmod(m, fac)
+        assert not rem
+        gcd, _s, t_coeff = poly_ext_gcd(fac, cofactor)
+        assert poly_degree(gcd) == 0
+        eps = poly_divmod(poly_mul(t_coeff, cofactor), m)[1]
+        ebar = _eval_poly_with_unit(quotient, eps, theta, unit_q)
+        e = _hensel_idempotent(B, lift(ebar))
+        prims.append(view.to_ambient(e))
+    return prims
+
+
+def recursive_decomposition_oracle(A):
+    """(idempotents, components, nil residual) by the recursive Pierce peel:
+    split off the unital part at some nonzero idempotent, find its primitive
+    idempotents through its own trace radical, and repeat on the rest."""
+    if ca.is_nilalgebra(A):
+        raise ca.AlgebraError("a nilalgebra has no nonzero idempotent to split at")
+    comps, idems = [], []
+    work = ca.Subspace.full(A.dim)
+    while True:
+        if work.dim == 0:
+            nil = ca.Subspace.zero(A.dim)
+            break
+        view = restricted_algebra(A, work, f"{A.name}|work")
+        e_c = ca.some_nonzero_idempotent(view.alg)
+        if e_c is None:
+            nil = work
+            break
+        e = view.to_ambient(e_c)
+        le = view.alg.left_mult_matrix(e_c)
+        eye = ca.Matrix.identity(view.alg.dim)
+        a11 = ca.Subspace(A.dim, [view.to_ambient(v) for v in ca.kernel_basis(le - eye)])
+        a00 = ca.Subspace(A.dim, [view.to_ambient(v) for v in ca.kernel_basis(le)])
+        for p in _primitive_idempotents_unital(A, a11, e):
+            lp = A.left_mult_matrix(p)
+            comps.append(ca.Subspace(A.dim, ca.kernel_basis(lp - ca.Matrix.identity(A.dim))))
+            idems.append(p)
+        work = a00
+    return idems, comps, nil

@@ -29,7 +29,7 @@ from currentalg.linalg import (
 )
 from currentalg.structure import quotient_algebra
 
-from conftest import dense_rref, rand_matrix
+from conftest import dense_rref, min_poly_oracle, rand_matrix
 
 F = Fraction
 
@@ -116,6 +116,41 @@ def test_min_poly_gaussian_entries():
     i = GaussianRational(0, 1)
     m = Matrix([[i]])
     assert min_poly(m) == (GaussianRational(0, -1), Fraction(1))  # t - i
+
+
+_SMALL = {
+    ca.Q: st.builds(F, st.integers(-3, 3), st.integers(1, 2)),
+    ca.QI: st.one_of(st.builds(F, st.integers(-3, 3), st.integers(1, 2)),
+                     st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))),
+}
+
+
+@st.composite
+def _square_operators(draw, field):
+    """n x n for n <= 5: free entries, or P B P^-1 with B upper bidiagonal on
+    one or two repeated eigenvalues and P unimodular, so that the minimal
+    polynomial is often a proper divisor of the characteristic polynomial."""
+    n = draw(st.integers(0, 5))
+    entry = _SMALL[field]
+    if n == 0 or draw(st.booleans()):
+        return Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    eigen = draw(st.lists(entry, min_size=1, max_size=2))
+    b = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = draw(st.sampled_from(eigen))
+        if i + 1 < n:
+            b[i][i + 1] = F(draw(st.integers(0, 1)))
+    shear = [[F(int(i == j)) if i <= j else F(draw(st.integers(-1, 1)))
+              for j in range(n)] for i in range(n)]
+    p = Matrix(shear) @ Matrix(shear).transpose()
+    return p @ Matrix(b) @ inverse(p)
+
+
+@pytest.mark.parametrize("field", [ca.Q, ca.QI])
+@given(data=st.data())
+def test_min_poly_matches_power_krylov_oracle(field, data):
+    m = data.draw(_square_operators(field))
+    assert min_poly(m) == min_poly_oracle(m)
 
 
 def test_poly_helpers():

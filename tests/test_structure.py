@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import currentalg as ca
 from currentalg import (
@@ -25,15 +28,26 @@ from currentalg import (
     some_nonzero_idempotent,
 )
 
-from currentalg.structure import _candidate_coordinate_vectors
+from currentalg import structure
+from currentalg.linalg import poly_monic, poly_mul
+from currentalg.structure import (
+    _candidate_coordinate_vectors,
+    _factor_poly,
+    _trace_form,
+    _trace_radical,
+)
 
 from conftest import (
     catalog_assoc_algebras,
     dense_rref,
     oracle_corpus,
+    qi_factor_oracle,
     random_assoc_comm_algebras,
+    recursive_decomposition_oracle,
     table_mult,
     table_product,
+    trace_gram_oracle,
+    unimodular_twist,
 )
 
 F = Fraction
@@ -319,7 +333,7 @@ def test_generator_candidates_are_bounded():
     for d in range(1, 7):
         points = list(_candidate_coordinate_vectors(d, ca.Q))
         assert len(points) == comb(d, 2) * (d - 1) + 1
-        assert points[-1] == tuple(F(len(points) - 1) ** k for k in range(d))
+        assert points == [tuple(F(t) ** k for k in range(d)) for t in range(2, len(points) + 2)]
     assert all(isinstance(x, GaussianRational)
                for p in _candidate_coordinate_vectors(3, ca.QI) for x in p)
 
@@ -334,3 +348,164 @@ def test_find_idempotents_unit_first_basis():
     got = find_idempotents(ca.change_basis(ca.m1(n), f))
     assert len(got) == len(want) == 2 ** n - 1
     assert set(got) == want
+
+
+# ---------------------------------------------------------------------------
+# One split of A / rad A against the recursive Pierce peel
+# ---------------------------------------------------------------------------
+
+def _m1_null(q, m):
+    return direct_sum(ca.m1(q), ca.null_algebra(m)) if m else ca.m1(q)
+
+
+def _unit_first(n, q):
+    """Columns: the unit of M1^q inside M1^q + null_m, then e_2 .. e_n."""
+    return Matrix([[int(i < q) if j == 0 else int(i == j) for j in range(n)]
+                   for i in range(n)])
+
+
+def _m1_null_bases():
+    """M1^q + null_m (q <= 4, m <= 2) in a random and in a unit-first basis."""
+    out = []
+    for q in range(1, 5):
+        for m in range(3):
+            a = _m1_null(q, m)
+            out += [(m, ca.change_basis(a, unimodular_twist(a.dim, 10 * q + m))),
+                    (m, ca.change_basis(a, _unit_first(a.dim, q)))]
+    return out
+
+
+def _assoc_corpus():
+    return [a for a in oracle_corpus(ca.ASSOC_COMM) if ca.check_identities(a).passed]
+
+
+def test_orthogonal_decomposition_matches_recursive_oracle():
+    algs = _assoc_corpus() + [a for _, a in _m1_null_bases()]
+    algs += [ca.real_rigid(4, 2), complexify(ca.real_rigid(4, 2)), _quartic_double_split()]
+    split = 0
+    for a in algs:
+        if is_nilalgebra(a):
+            for route in (orthogonal_decomposition, recursive_decomposition_oracle):
+                with pytest.raises(AlgebraError):
+                    route(a)
+            continue
+        idems, comps, nil = recursive_decomposition_oracle(a)
+        dec = orthogonal_decomposition(a)
+        assert len(dec.idempotents) == len(idems) == len(dec.components), a
+        assert set(dec.idempotents) == set(idems), a
+        assert set(dec.components) == set(comps), a
+        assert dec.nil_residual == nil, a
+        split += 1
+    assert split >= 40
+
+
+def test_trace_form_matches_left_mult_oracle():
+    for a in _assoc_corpus() + [a for _, a in _m1_null_bases()]:
+        assert _trace_form(a) == trace_gram_oracle(a), a
+
+
+def test_trace_radical_is_full_exactly_for_nilalgebras():
+    rng = random.Random(41)  # the algebras of test_some_nonzero_idempotent_agrees_with_nil_test
+    algs = _assoc_corpus() + catalog_assoc_algebras()
+    algs += random_assoc_comm_algebras(rng, 2, 12) + random_assoc_comm_algebras(rng, 3, 8)
+    nil = 0
+    for a in algs:
+        assert (_trace_radical(a).dim == a.dim) == is_nilalgebra(a), a
+        nil += is_nilalgebra(a)
+    assert nil >= 5
+    # non-unital: the radical of M1^q + null_m is exactly the null summand
+    for m, a in _m1_null_bases():
+        assert _trace_radical(a).dim == m, a
+
+
+_NON_SQUARES = (2, 3, 5, -6, GaussianRational(0, 1), GaussianRational(0, 3),
+                GaussianRational(1, 2), GaussianRational(2, -1))
+_GAUSS = st.builds(lambda a, b, c, d: GaussianRational(F(a, b), F(c, d)),
+                   st.integers(-3, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def _qi_factor(draw):
+    """t - a, or (t - a)^2 - d r^2 with d not a square in Q(i)."""
+    a = draw(_GAUSS)
+    if draw(st.booleans()):
+        return (-a, GaussianRational(1))
+    d = draw(st.sampled_from(_NON_SQUARES)) * F(draw(st.integers(1, 3)), draw(st.integers(1, 2))) ** 2
+    return (a * a - d, -2 * a, GaussianRational(1))
+
+
+@st.composite
+def _qi_products(draw):
+    """Products of 1-4 factors drawn from a pool of at most three, so repeats are common."""
+    pool = draw(st.lists(_qi_factor(), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+    return reduce(poly_mul, [pool[i] for i in picks])
+
+
+_M14 = (135, -222, 104, -18, 1)  # the unit-first minimal polynomial of M1(4)
+_QI_FIXED = ((2, -2, 1), (1, 0, 1), (1, 0, 0, 0, 1), _M14, poly_mul(_M14, (-17, 1)))
+
+
+def _assert_qi_factors_match(poly):
+    got = _factor_poly(ca.QI, poly)
+    assert Counter(got) == Counter(qi_factor_oracle(poly)), poly
+    product = reduce(poly_mul, [fac for fac, mult in got for _ in range(mult)])
+    assert product == poly_monic(ca.scalars.coerce_vector(ca.QI, poly)), poly
+
+
+def test_factor_poly_qi_fixed_cases():
+    # the M1(5) unit-first generator search really meets the quintic
+    n = 5
+    f = Matrix([[1 if j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+    assert structure._monogenic_generator(ca.change_basis(ca.m1(n), f))[1] == _QI_FIXED[-1]
+    for poly in _QI_FIXED:
+        _assert_qi_factors_match(poly)
+
+
+@settings(max_examples=20)
+@given(_qi_products())
+def test_factor_poly_qi_matches_oracle(poly):
+    _assert_qi_factors_match(poly)
+
+
+def _basis_family():
+    """M1^q, realRigid(n, s) and M1^q + null_m, over Q and over Q(i)."""
+    base = [ca.m1(q) for q in range(1, 5)]
+    base += [ca.real_rigid(n, s) for n in range(2, 5) for s in range(1, n // 2 + 1)]
+    base += [_m1_null(q, m) for q in range(1, 4) for m in (1, 2)]
+    return base + [complexify(a) for a in base]
+
+
+_BASIS_FAMILY = _basis_family()
+
+
+@st.composite
+def _unimodular(draw, n):
+    """L U with L unit lower and U unit upper triangular, entries in -2..2."""
+    def unit_triangular(lower):
+        return Matrix([[1 if i == j else draw(st.integers(-2, 2)) if (i > j) == lower else 0
+                        for j in range(n)] for i in range(n)])
+    return unit_triangular(True) @ unit_triangular(False)
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_idempotents_invariant_under_change_of_basis(data):
+    a = data.draw(st.sampled_from(_BASIS_FAMILY))
+    f = data.draw(_unimodular(a.dim))
+    b = ca.change_basis(a, f)
+    want = find_idempotents(a)
+    got = [f.apply(e) for e in find_idempotents(b)]
+    assert len(got) == len(want) and set(got) == set(want)
+    dec_a, dec_b = orthogonal_decomposition(a), orthogonal_decomposition(b)
+    assert sorted(c.dim for c in dec_b.components) == sorted(c.dim for c in dec_a.components)
+    assert dec_b.nil_residual.dim == dec_a.nil_residual.dim
+
+
+def test_find_idempotents_rejects_a_candidate_missing_from_the_lattice(monkeypatch):
+    a = ca.m1(3)
+    full = structure._primitive_idempotents(a)
+    monkeypatch.setattr(structure, "_primitive_idempotents", lambda alg: full[1:])
+    assert len(find_idempotents(a)) == 3  # the truncated lattice alone is not caught
+    with pytest.raises(AssertionError):
+        find_idempotents(a, candidates=[full[0]])

@@ -1,9 +1,9 @@
 """Idempotents and Pierce decompositions of commutative algebras.
 
-Idempotent discovery is exact: a Bezout identity yields some nonzero
-idempotent whenever the algebra is not nil, and the complete primitive
-system comes from one split of A by its nilradical, lifted back by Hensel
-lifting.
+Idempotent discovery is exact: every idempotent is a CRT polynomial in one
+element of A, read off that element's relation p(t) = t^s u(t).  Some nonzero
+idempotent exists whenever the algebra is not nil, and one factorization of u
+gives the complete primitive system.
 """
 
 import currentalg as ca

@@ -288,7 +288,8 @@ class Fingerprint:
 
 def fingerprint(alg: Algebra) -> Fingerprint:
     """All invariants the other modules compute, in one deterministic record."""
-    from .cohomology import _chevalley_dims, derivation_space, harrison_h2
+    from .cohomology import _chevalley_dims, _leibniz_rows, harrison_h2
+    from .linalg import rank
     from .structure import (
         center,
         find_idempotents,
@@ -307,7 +308,7 @@ def fingerprint(alg: Algebra) -> Fingerprint:
             center_dim=center(alg).dim,
             is_solvable=rep.is_solvable,
             is_nilpotent=rep.is_nilpotent,
-            der_dim=derivation_space(alg).dim,
+            der_dim=alg.dim ** 2 - rank(_leibniz_rows(alg)),
             h1_dim=h1.dim_H,
             h2_dim=h2.dim_H,
         )

@@ -106,7 +106,7 @@ def algebra_from_dict(doc, where: str = "<doc>") -> Algebra:
                    basis_labels=basis)
 
 
-def algebra_to_dict(alg: Algebra, basis=None) -> dict:
+def algebra_to_dict(alg: Algebra) -> dict:
     constants = []
     for (i, j), vec in sorted(alg.table.items()):
         for k, c in enumerate(vec, start=1):
@@ -119,15 +119,13 @@ def algebra_to_dict(alg: Algebra, basis=None) -> dict:
         "dim": alg.dim,
         "constants": constants,
     }
-    if basis is None:
-        basis = alg.basis_labels
-    if basis is not None:
-        doc["basis"] = list(basis)
+    if alg.basis_labels is not None:
+        doc["basis"] = list(alg.basis_labels)
     return doc
 
 
-def emit_algebra(alg: Algebra, basis=None) -> str:
-    return json.dumps(algebra_to_dict(alg, basis), indent=2, sort_keys=True) + "\n"
+def emit_algebra(alg: Algebra) -> str:
+    return json.dumps(algebra_to_dict(alg), indent=2, sort_keys=True) + "\n"
 
 
 def parse_algebra_file(source) -> Algebra:
@@ -139,8 +137,8 @@ def parse_algebra_file(source) -> Algebra:
     return algebra_from_dict(doc, where)
 
 
-def write_algebra_file(alg: Algebra, target, basis=None) -> None:
-    text = emit_algebra(alg, basis)
+def write_algebra_file(alg: Algebra, target) -> None:
+    text = emit_algebra(alg)
     if hasattr(target, "write"):
         target.write(text)
     elif target == "-":

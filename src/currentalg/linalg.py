@@ -559,32 +559,6 @@ def poly_derivative(p):
     return poly_trim([i * a for i, a in enumerate(p)][1:])
 
 
-def poly_str(p, var: str = "t") -> str:
-    p = poly_trim(p)
-    if not p:
-        return "0"
-    parts = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        if i == 0:
-            mono = str(c)
-        else:
-            base = var if i == 1 else f"{var}^{i}"
-            if c == 1:
-                mono = base
-            elif c == -1:
-                mono = f"-{base}"
-            else:
-                mono = f"{c}*{base}"
-        parts.append(mono)
-    out = parts[0]
-    for mono in parts[1:]:
-        out += f" - {mono[1:]}" if mono.startswith("-") else f" + {mono}"
-    return out
-
-
 def min_poly(M: Matrix) -> tuple:
     """Monic minimal polynomial, ascending coefficients, via Krylov on vectors.
 
@@ -604,17 +578,23 @@ def min_poly(M: Matrix) -> tuple:
         w = vec_zero(n)
         for c in reversed(mu):
             w = vec_add(op.apply(w), vec_scale(c, e))
-        if vec_is_zero(w):
-            continue
-        krylov = [w]
-        while True:
-            nxt = op.apply(krylov[-1])
-            coeffs = solve(Matrix.from_columns(krylov), nxt)
-            if coeffs is not None:
-                break
-            krylov.append(nxt)
-        mu = poly_mul(mu, [-c for c in coeffs] + [_ONE])
+        if not vec_is_zero(w):
+            mu = poly_mul(mu, _krylov(op, w)[1])
     return mu
+
+
+def _krylov(M, w: tuple) -> tuple[list, tuple]:
+    """(w, Mw, ..., M^(m-1) w, mu_w) for a nonzero w and a Matrix or
+    SparseMatrix M: the Krylov vectors up to the first dependence, each taken
+    from the sparse M, and the monic mu_w of least degree m with mu_w(M) w = 0."""
+    op = SparseMatrix(M.rows, M.ncols)
+    krylov = [w]
+    while True:
+        nxt = op.apply(krylov[-1])
+        coeffs = solve(Matrix.from_columns(krylov), nxt)
+        if coeffs is not None:
+            return krylov, tuple(-c for c in coeffs) + (_ONE,)
+        krylov.append(nxt)
 
 
 @dataclass(frozen=True)

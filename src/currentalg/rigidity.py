@@ -31,11 +31,12 @@ from .algebra import (
 from .cohomology import (
     ChevalleyCochain,
     CohomologyDims,
+    _leibniz_rows,
     chevalley_delta,
     chevalley_dims,
-    derivation_space,
     harrison_h2,
 )
+from .linalg import rank
 
 RIGID_BY_H2_ZERO = "RigidByH2Zero"
 INCONCLUSIVE = "Inconclusive"
@@ -54,7 +55,7 @@ def rigidity_certificate(g: Algebra) -> RigidityCertificate:
         raise AlgebraError("rigidity_certificate needs a Lie algebra")
     require_identities(g)
     h2 = chevalley_dims(g, 2)
-    orbit = g.dim ** 2 - derivation_space(g).dim
+    orbit = rank(_leibniz_rows(g))  # n^2 - dim Der, Der the kernel of the Leibniz system
     verdict = RIGID_BY_H2_ZERO if h2.dim_H == 0 else INCONCLUSIVE
     return RigidityCertificate(verdict=verdict, h2_dims=h2, orbit_dim=orbit)
 

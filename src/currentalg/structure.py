@@ -1,21 +1,23 @@
 """Structural analysis: center, series, idempotents, Pierce decompositions.
 
-The idempotent machinery is fully exact and complete at desk scale:
+Every idempotent is read off one element's Krylov relation in A itself.  For
+a in A, the powers a, a^2, ..., a^m come from the sparse L_a up to the first
+dependence, which gives the least monic p with p(0) = 0 and p(a) = 0; write
+p = t^s u with u(0) != 0.  For a factor f of u coprime to p / f, the CRT
+polynomial e = 1 mod f, 0 mod p / f has e(0) = 0 and e^2 - e divisible by p,
+so e(a) is an exact idempotent of A; one multiplication checks it.
 
-* ``some_nonzero_idempotent`` needs no factorization at all.  It takes a
-  non-nilpotent basis element a (one exists in a commutative non-nil
-  algebra), computes the minimal zero-constant-term relation p(t) of a,
-  splits p = t^s * u with u(0) != 0, and turns a Bezout identity for
-  (t^s, u) into an idempotent polynomial in a.
+* ``some_nonzero_idempotent`` needs no factorization at all: it takes the
+  first basis element that is not nilpotent and f = u.
 
 * ``find_idempotents`` enumerates *all* idempotents as subset sums of the
-  primitive orthogonal system, found in one split of A / rad A: the
-  nilradical is the radical of the trace form (valid over char 0, unital
-  or not), the quotient is etale and unital, one monogenic generator of it
-  has a squarefree minimal polynomial, whose factorization over the base
-  field gives CRT idempotents that Hensel lifting carries back into A.
-  Over Q the factors come from sympy; over Q(i) they come from a
-  factorization over Q of a norm (Trager's method).
+  primitive orthogonal system.  The nilradical N is the radical of the trace
+  form (valid over char 0, unital or not); with d = dim A / N, the first
+  theta on the moment curve whose u has a squarefree part of degree d
+  separates the d characters of A / N, and the prime powers of one
+  factorization of u give the primitive idempotents.  Over Q the factors
+  come from sympy; over Q(i) they come from a factorization over Q of a norm
+  (Trager's method).
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .linalg import (
     Matrix,
     SparseMatrix,
     Subspace,
+    _krylov,
     inverse,
     kernel_basis,
-    min_poly,
     poly_add,
     poly_degree,
     poly_derivative,
@@ -49,7 +51,6 @@ from .linalg import (
     vec_add,
     vec_is_zero,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -150,99 +151,51 @@ def is_idempotent(A: Algebra, e: Sequence) -> bool:
     return A.multiply(e, e) == e
 
 
-def _element_powers_relation(A: Algebra, a: tuple):
-    """Powers a, a^2, ... and the minimal zero-constant relation p(t).
+def _relation(A: Algebra, a: tuple) -> tuple[list, tuple, int]:
+    """(powers, p, s) for a nonzero a: the powers a, a^2, ..., a^m taken from
+    the sparse L_a up to the first dependence, the least monic p (ascending,
+    degree m + 1) with p(0) = 0 and p(a) = 0, and s with p = t^s u, u(0) != 0."""
+    powers, mu = _krylov(A.left_mult_matrix(a), a)  # mu(L_a) a = 0: p = t mu
+    s = 1 + next(d for d, c in enumerate(mu) if c != 0)
+    return powers, (scalars.zero(A.field),) + mu, s
 
-    Returns (powers, p) with p monic ascending, p(0) = 0, p(a) = 0.
+
+def _crt_idempotent(A: Algebra, powers: list, p: tuple, f: tuple) -> tuple:
+    """e(a) for the e = 1 mod f, 0 mod p / f, from the powers of a with p(a) = 0.
+
+    f must divide u = p / t^s and be coprime to p / f.  Then t^s | e, so
+    e(0) = 0, and p | e^2 - e, so e(a) is exact in A: one multiplication
+    checks it, and a failure raises rather than iterating.
     """
-    powers = [a]
-    while True:
-        nxt = A.multiply(a, powers[-1])
-        sol = solve(Matrix.from_columns(powers), nxt)
-        if sol is not None:
-            # a^(m+1) = sum c_d a^d  ->  p = t^(m+1) - sum c_d t^d
-            coeffs = [scalars.zero(A.field)]
-            coeffs.extend(-c for c in sol)
-            coeffs.append(scalars.one(A.field))
-            return powers, poly_trim(coeffs)
-        powers.append(nxt)
-
-
-def _eval_zero_constant_poly(A: Algebra, poly, powers):
-    """Evaluate a polynomial with p(0) = 0 at the element whose powers are given."""
-    acc = vec_scale(scalars.zero(A.field), powers[0])
-    for d, c in enumerate(poly):
-        if d == 0:
-            if c != 0:
-                raise AssertionError("polynomial must have zero constant term")
-            continue
-        if c != 0:
-            acc = vec_add(acc, vec_scale(c, powers[d - 1]))
-    return acc
+    cofactor, rem = poly_divmod(p, f)
+    gcd, _s, inv = poly_ext_gcd(f, poly_divmod(cofactor, f)[1])  # 1 / cofactor mod f
+    if rem or poly_degree(gcd) != 0:
+        raise AssertionError("a CRT factor must divide p and be coprime to its cofactor")
+    eps = poly_mul(inv, cofactor)  # 1 mod f, 0 mod cofactor, degree < deg p
+    e = reduce(vec_add, (vec_scale(c, x) for c, x in zip(eps[1:], powers)),
+               (scalars.zero(A.field),) * A.dim)
+    if vec_is_zero(e) or A.multiply(e, e) != e:
+        raise AssertionError("the CRT element is not a nonzero idempotent of A")
+    return e
 
 
 def some_nonzero_idempotent(A: Algebra) -> Optional[tuple]:
     """A nonzero idempotent, or None exactly when A is a nilalgebra.
 
-    Works over Q and Q(i) without any polynomial factorization: only a
-    Bezout identity for the coprime pair (t^s, u) is needed.
+    Works over Q and Q(i) without any polynomial factorization: the first
+    basis element a with p = t^s u, deg u > 0, gives e = 1 mod u, 0 mod t^s.
     """
     _require_kind(A, ASSOC_COMM, "some_nonzero_idempotent")
     for i in range(1, A.dim + 1):
-        a = A.basis_vector(i)
-        powers, p = _element_powers_relation(A, a)
-        s = next(d for d, c in enumerate(p) if c != 0)
-        ts = (scalars.zero(A.field),) * s + (scalars.one(A.field),)
-        u, rem = poly_divmod(p, ts)
-        assert not rem
-        if poly_degree(u) == 0:
-            continue  # a is nilpotent; try the next basis element
-        gcd, alpha, _beta = poly_ext_gcd(ts, u)
-        if poly_degree(gcd) != 0:
-            raise AssertionError("t^s and u must be coprime")
-        eps = poly_divmod(poly_mul(alpha, ts), p)[1]
-        e = _eval_zero_constant_poly(A, eps, powers)
-        if vec_is_zero(e):
-            raise AssertionError("constructed idempotent is zero")
-        if A.multiply(e, e) != e:
-            raise AssertionError("constructed element is not idempotent")
-        return e
+        powers, p, s = _relation(A, A.basis_vector(i))
+        if poly_degree(p) > s:  # else a is nilpotent; try the next basis element
+            return _crt_idempotent(A, powers, p, p[s:])
     return None
 
 
 # ---------------------------------------------------------------------------
-# Trace radical and quotient
+# Trace radical
 # ---------------------------------------------------------------------------
-
-def quotient_algebra(B: Algebra, ideal: Subspace):
-    """(Q, proj, lift) for B / ideal, on the complement of the pivot columns."""
-    free = [c for c in range(B.dim) if c not in ideal.pivots]
-    if not free:
-        raise AlgebraError("quotient by the whole algebra is empty")
-
-    def proj(vec):
-        residue = ideal.reduce(vec)[1]
-        return tuple(residue[f] for f in free)
-
-    def lift(coords):
-        out = [scalars.zero(B.field)] * B.dim
-        for c, f in zip(coords, free):
-            out[f] = c
-        return tuple(out)
-
-    one, zero = scalars.one(B.field), scalars.zero(B.field)
-
-    def unit_coords(i):
-        return tuple(one if k == i - 1 else zero for k in range(len(free)))
-
-    products = {}
-    for i in range(1, len(free) + 1):
-        for j in range(i, len(free) + 1):
-            w = B.multiply(lift(unit_coords(i)), lift(unit_coords(j)))
-            products[(i, j)] = proj(w)
-    q = Algebra(f"{B.name}/nil", B.kind, B.field, len(free), products)
-    return q, proj, lift
-
 
 def _trace_form(A: Algebra) -> list:
     """Gram rows of T(x, y) = tr L_{xy}, read off the structure tensor:
@@ -328,75 +281,40 @@ def _factor_gaussian(coeffs):
     return out
 
 
-def _candidate_coordinate_vectors(dim: int, field: str):
-    """The moment curve x(t) = sum_k t^(k-1) b_k for t = 2 .. C(dim,2)(dim-1) + 2.
+def _generator(A: Algebra, d: int) -> tuple[list, tuple, int]:
+    """``_relation`` of the first theta on the moment curve x(t) = sum_k t^(k-1) b_k,
+    t = 2 .. C(d+1, 2)(n-1) + 2, whose u has a squarefree part of degree d.
 
-    In an etale algebra x generates iff the dim characters differ at x.  Two
-    distinct characters agree on x(t) at the roots of a nonzero polynomial
-    of degree < dim, so at most C(dim,2)(dim-1) values of t fail.  The curve
-    starts at t = 2: x(0) = b_1 and x(1) = sum b_k are the unit or a basis
-    idempotent in the canonical and unit-first bases, which never generate.
+    The roots of u are the nonzero values of the d characters of A / N at
+    theta, so the degree is d iff those values are nonzero and pairwise
+    distinct.  Each character is a polynomial in t of degree < n, so a
+    character vanishes, or two agree, for at most C(d+1, 2)(n-1) values of t.
+    The curve starts at t = 2: x(0) = b_1 and x(1) = sum b_k are the unit or a
+    basis idempotent in the canonical and unit-first bases.
     """
-    for t in range(2, comb(dim, 2) * (dim - 1) + 3):
-        yield tuple(scalars.coerce(field, t ** k) for k in range(dim))
-
-
-def _monogenic_generator(Q_alg: Algebra):
-    """(L_theta, m) for an element theta whose minimal polynomial m has full
-    degree (etale input)."""
-    for cand in _candidate_coordinate_vectors(Q_alg.dim, Q_alg.field):
-        op = Q_alg.left_mult_matrix(cand)
-        m = min_poly(op)
-        if poly_degree(m) == Q_alg.dim:
-            return op, m
-    raise AssertionError("an etale algebra has a generator on the moment curve")
-
-
-def _hensel_idempotent(B: Algebra, x: tuple) -> tuple:
-    """Lift an idempotent mod the nilradical to an exact one: x <- 3x^2 - 2x^3."""
-    for _ in range(64):
-        x2 = B.multiply(x, x)
-        if x2 == x:
-            return x
-        x3 = B.multiply(x2, x)
-        x = vec_sub(vec_scale(3, x2), vec_scale(2, x3))
-    raise AssertionError("idempotent lifting did not converge")
+    n = A.dim
+    for t in range(2, comb(d + 1, 2) * (n - 1) + 3):
+        powers, p, s = _relation(A, tuple(scalars.coerce(A.field, t ** k) for k in range(n)))
+        u = p[s:]
+        if poly_degree(u) - poly_degree(poly_gcd(u, poly_derivative(u))) == d:
+            return powers, p, s
+    raise AssertionError("the moment curve must separate the characters of A / rad A")
 
 
 def _primitive_idempotents(A: Algebra) -> list:
-    """The primitive idempotents of A from one split of A / rad T; [] iff A is nil.
+    """The primitive idempotents of A from one relation p = t^s u; [] iff A is nil.
 
-    Q = A / rad T is etale and unital, so a generator theta of Q has a
-    squarefree minimal polynomial m.  Each irreducible factor f of m gives
-    the CRT idempotent e(theta) of Q, e = 1 mod f and 0 mod m / f, and
-    Hensel's rule lifts it through the nilradical into A.  An idempotent of
-    A is fixed by its image in Q, and the idempotents of Q are the sums of
-    the e(theta), so the lifts are exactly the primitive idempotents of A.
+    With theta from ``_generator``, each irreducible factor f of u collects
+    the characters of A / N that one Galois orbit sends theta to, so with f^k
+    the exact power of f in u the CRT idempotents for f^k are the idempotents
+    of A that are 1 on one orbit and 0 elsewhere: the primitive ones.
     """
-    nilrad = _trace_radical(A)
-    if nilrad.dim == A.dim:
+    d = A.dim - _trace_radical(A).dim
+    if d == 0:
         return []
-    if nilrad.dim == 0:
-        quotient, lift = A, (lambda v: v)
-    else:
-        quotient, _proj, lift = quotient_algebra(A, nilrad)
-    op, m = _monogenic_generator(quotient)
-    powers = [find_unit(quotient)]  # theta^k = L_theta^k 1
-    for _ in range(quotient.dim - 1):
-        powers.append(op.apply(powers[-1]))
-    factors = _factor_poly(A.field, m)
-    if any(mult != 1 for _, mult in factors):
-        raise AssertionError("semisimple quotient has a non-squarefree minimal polynomial")
-    prims = []
-    for fac, _ in factors:
-        cofactor = poly_divmod(m, fac)[0]
-        gcd, _s, inv = poly_ext_gcd(fac, poly_divmod(cofactor, fac)[1])  # 1 / cofactor mod fac
-        if poly_degree(gcd) != 0:
-            raise AssertionError("factors of a squarefree polynomial must be coprime")
-        eps = poly_mul(inv, cofactor)  # 1 mod fac, 0 mod cofactor, degree < deg m
-        ebar = reduce(vec_add, (vec_scale(c, x) for c, x in zip(eps, powers)))
-        prims.append(_hensel_idempotent(A, lift(ebar)))
-    return prims
+    powers, p, s = _generator(A, d)
+    return [_crt_idempotent(A, powers, p, reduce(poly_mul, [f] * k))
+            for f, k in _factor_poly(A.field, p[s:])]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import settings
 import currentalg as ca
 from currentalg.io import parse_algebra_file
 from currentalg.linalg import (poly_degree, poly_divmod, poly_ext_gcd, poly_mul, poly_trim,
-                               vec_add, vec_scale)
+                               vec_add, vec_scale, vec_sub)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -452,6 +453,79 @@ def restricted_algebra(parent, sub, name: str) -> _Restriction:
     return _Restriction(alg, sub)
 
 
+def quotient_algebra(B, ideal):
+    """(Q, proj, lift) for B / ideal, on the complement of the pivot columns."""
+    free = [c for c in range(B.dim) if c not in ideal.pivots]
+    if not free:
+        raise ca.AlgebraError("quotient by the whole algebra is empty")
+    one, zero = ca.scalars.one(B.field), ca.scalars.zero(B.field)
+
+    def proj(vec):
+        residue = ideal.reduce(vec)[1]
+        return tuple(residue[f] for f in free)
+
+    def lift(coords):
+        out = [zero] * B.dim
+        for c, f in zip(coords, free):
+            out[f] = c
+        return tuple(out)
+
+    def unit_coords(i):
+        return tuple(one if k == i - 1 else zero for k in range(len(free)))
+
+    products = {(i, j): proj(B.multiply(lift(unit_coords(i)), lift(unit_coords(j))))
+                for i in range(1, len(free) + 1) for j in range(i, len(free) + 1)}
+    return ca.Algebra(f"{B.name}/nil", B.kind, B.field, len(free), products), proj, lift
+
+
+def candidate_coordinate_vectors(dim: int, field: str):
+    """The moment curve x(t) = sum_k t^(k-1) b_k for t = 2 .. C(dim,2)(dim-1) + 2:
+    in an etale algebra of dimension dim one of these points generates."""
+    for t in range(2, comb(dim, 2) * (dim - 1) + 3):
+        yield tuple(ca.scalars.coerce(field, t ** k) for k in range(dim))
+
+
+def hensel_idempotent(B, x: tuple) -> tuple:
+    """Lift an idempotent mod the nilradical to an exact one: x <- 3x^2 - 2x^3."""
+    for _ in range(64):
+        x2 = B.multiply(x, x)
+        if x2 == x:
+            return x
+        x = vec_sub(vec_scale(3, x2), vec_scale(2, B.multiply(x2, x)))
+    raise AssertionError("idempotent lifting did not converge")
+
+
+def bezout_idempotent_oracle(A):
+    """A nonzero idempotent or None, from the first non-nilpotent basis element
+    a: its powers by ``multiply``, its zero-constant relation p = t^s u, and a
+    Bezout identity alpha t^s + beta u = 1, so that (alpha t^s mod p)(a) is
+    idempotent."""
+    zero, one = ca.scalars.zero(A.field), ca.scalars.one(A.field)
+    for i in range(1, A.dim + 1):
+        a = A.basis_vector(i)
+        powers = [a]
+        while (sol := ca.solve(ca.Matrix.from_columns(powers),
+                               nxt := A.multiply(a, powers[-1]))) is None:
+            powers.append(nxt)
+        p = poly_trim([zero] + [-c for c in sol] + [one])
+        s = next(d for d, c in enumerate(p) if c != 0)
+        ts = (zero,) * s + (one,)
+        u, rem = poly_divmod(p, ts)
+        assert not rem
+        if poly_degree(u) == 0:
+            continue
+        gcd, alpha, _beta = poly_ext_gcd(ts, u)
+        assert poly_degree(gcd) == 0
+        eps = poly_divmod(poly_mul(alpha, ts), p)[1]
+        assert eps[0] == 0
+        e = (zero,) * A.dim
+        for c, x in zip(eps[1:], powers):
+            e = vec_add(e, vec_scale(c, x))
+        assert A.multiply(e, e) == e and any(e)
+        return e
+    return None
+
+
 def _eval_poly_with_unit(alg, poly, x, unit):
     acc = vec_scale(ca.scalars.zero(alg.field), unit)
     for c in reversed(poly_trim(poly)):
@@ -463,8 +537,7 @@ def _eval_poly_with_unit(alg, poly, x, unit):
 
 def _primitive_idempotents_unital(parent, comp, unit) -> list:
     """Primitive idempotents of a unital component, as ambient vectors."""
-    from currentalg.structure import (_candidate_coordinate_vectors, _factor_poly,
-                                      _hensel_idempotent, quotient_algebra)
+    from currentalg.structure import _factor_poly
 
     view = restricted_algebra(parent, comp, f"{parent.name}|comp")
     B = view.alg
@@ -477,8 +550,8 @@ def _primitive_idempotents_unital(parent, comp, unit) -> list:
     if quotient.dim == 1:
         return [unit]
     unit_q = proj(unit_c)
-    theta, m = next((c, p) for c in _candidate_coordinate_vectors(quotient.dim, B.field)
-                    for p in [ca.min_poly(quotient.left_mult_matrix(c))]
+    theta, m = next((c, p) for c in candidate_coordinate_vectors(quotient.dim, B.field)
+                    for p in [min_poly_oracle(quotient.left_mult_matrix(c))]
                     if poly_degree(p) == quotient.dim)
     factors = (qi_factor_oracle(m) if B.field == ca.QI else _factor_poly(B.field, m))
     assert all(mult == 1 for _, mult in factors)
@@ -492,7 +565,7 @@ def _primitive_idempotents_unital(parent, comp, unit) -> list:
         assert poly_degree(gcd) == 0
         eps = poly_divmod(poly_mul(t_coeff, cofactor), m)[1]
         ebar = _eval_poly_with_unit(quotient, eps, theta, unit_q)
-        e = _hensel_idempotent(B, lift(ebar))
+        e = hensel_idempotent(B, lift(ebar))
         prims.append(view.to_ambient(e))
     return prims
 
@@ -510,7 +583,7 @@ def recursive_decomposition_oracle(A):
             nil = ca.Subspace.zero(A.dim)
             break
         view = restricted_algebra(A, work, f"{A.name}|work")
-        e_c = ca.some_nonzero_idempotent(view.alg)
+        e_c = bezout_idempotent_oracle(view.alg)
         if e_c is None:
             nil = work
             break

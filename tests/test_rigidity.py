@@ -12,6 +12,7 @@ from currentalg import (
     TruncatedDeformation,
     bracket_cochain,
     change_basis,
+    derivation_space,
     direct_sum,
     infinitesimal_check,
     rigid_in_Lpq,
@@ -63,6 +64,12 @@ def test_orbit_dim_basis_invariant():
     for _ in range(4):
         moved = change_basis(g, rand_invertible(rng, 2))
         assert rigidity_certificate(moved).orbit_dim == base
+
+
+def test_orbit_dim_is_n2_minus_dim_der():
+    for g in oracle_corpus(ca.LIE):
+        if ca.check_identities(g).passed:
+            assert rigidity_certificate(g).orbit_dim == g.dim ** 2 - derivation_space(g).dim, g
 
 
 def test_rigid_in_lpq_examples():

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -31,13 +32,14 @@ from currentalg import (
 from currentalg import structure
 from currentalg.linalg import poly_monic, poly_mul
 from currentalg.structure import (
-    _candidate_coordinate_vectors,
     _factor_poly,
+    _poly_shift,
     _trace_form,
     _trace_radical,
 )
 
 from conftest import (
+    bezout_idempotent_oracle,
     catalog_assoc_algebras,
     dense_rref,
     oracle_corpus,
@@ -139,6 +141,7 @@ def test_some_nonzero_idempotent_agrees_with_nil_test():
             non_nil += 1
             assert a.multiply(e, e) == e
             assert any(x != 0 for x in e)
+            assert e == bezout_idempotent_oracle(a), a
             idems = find_idempotents(a)
             assert idems and all(a.multiply(x, x) == x for x in idems)
     assert non_nil >= 5
@@ -288,8 +291,9 @@ def test_all_nilpotent_space_examples():
 
 def _quartic_double_split():
     # K[x]/((x^2 - x)^2) on basis (1, x, x^2, x^3): x^4 = 2x^3 - x^2.
-    # Two connected components, each a 2-dim local algebra; the primitive
-    # idempotents need genuine Hensel lifting through the nilradical.
+    # Two connected components, each a 2-dim local algebra: x is idempotent
+    # only mod the nilradical, and the primitive idempotents are 3x^2 - 2x^3
+    # and 1 minus it.
     return ca.Algebra("quartic", ca.ASSOC_COMM, ca.Q, 4, {
         (1, 1): (1, 0, 0, 0), (1, 2): (0, 1, 0, 0),
         (1, 3): (0, 0, 1, 0), (1, 4): (0, 0, 0, 1),
@@ -329,13 +333,61 @@ def test_characteristically_nilpotent_examples():
     assert not is_characteristically_nilpotent(h)
 
 
-def test_generator_candidates_are_bounded():
-    for d in range(1, 7):
-        points = list(_candidate_coordinate_vectors(d, ca.Q))
-        assert len(points) == comb(d, 2) * (d - 1) + 1
-        assert points == [tuple(F(t) ** k for k in range(d)) for t in range(2, len(points) + 2)]
-    assert all(isinstance(x, GaussianRational)
-               for p in _candidate_coordinate_vectors(3, ca.QI) for x in p)
+def _count_relations(monkeypatch, fail=False):
+    """Record the elements ``_relation`` is asked about; with ``fail`` every
+    one of them reports the relation t^2 of a nilpotent element."""
+    seen, relation = [], structure._relation
+
+    def recorded(A, a):
+        seen.append(a)
+        return ([a], (F(0), F(0), F(1)), 2) if fail else relation(A, a)
+    monkeypatch.setattr(structure, "_relation", recorded)
+    return seen
+
+
+def test_generator_candidates_are_bounded(monkeypatch):
+    # d characters of A / N, each a polynomial of degree < n in t, so at most
+    # C(d+1, 2)(n-1) points fail and the search stops after one more
+    for n, d, a in [(1, 1, ca.m1(1)), (3, 3, ca.m1(3)), (4, 2, _m1_null(2, 2)),
+                    (5, 3, _m1_null(3, 2)), (4, 4, complexify(ca.m1(4)))]:
+        seen = _count_relations(monkeypatch, fail=True)
+        with pytest.raises(AssertionError, match="moment curve"):
+            find_idempotents(a)
+        assert len(seen) == comb(d + 1, 2) * (n - 1) + 1, a
+        one = ca.scalars.one(a.field)
+        assert seen == [tuple(one * t ** k for k in range(n)) for t in range(2, len(seen) + 2)]
+        assert all(type(x) is type(one) for p in seen for x in p)
+
+
+def test_generator_skips_a_point_with_a_zero_character(monkeypatch):
+    # M1^2 in the basis b1 = (2, 1), b2 = (-1, 1): x(2) = b1 + 2 b2 = 3 e2 is
+    # killed by the first character, so its u = t - 3 has degree 1 < d = 2
+    a = ca.change_basis(ca.m1(2), Matrix([[2, -1], [1, 1]]))
+    f_inv = ca.inverse(Matrix([[2, -1], [1, 1]]))
+    seen = _count_relations(monkeypatch)
+    got = find_idempotents(a)
+    assert seen == [(F(1), F(2)), (F(1), F(3))]
+    assert set(got) == {f_inv.apply(e) for e in find_idempotents(ca.m1(2))}
+    powers, p, s = structure._generator(a, 2)
+    assert s == 1 and p[s:] == (F(-4), F(-3), F(1))  # x(3) = -e1 + 4 e2: (t + 1)(t - 4)
+
+
+def test_a_factor_that_does_not_divide_raises_at_once(monkeypatch):
+    # Trager's gcd without the shift back: the factors of u(t - i) instead of
+    # u(t) (over Q, the factors shifted by 1).  The CRT step must refuse them
+    # at once, never iterate on them.
+    factor = structure._factor_poly
+
+    def unshifted(field, coeffs):
+        shift = GaussianRational(0, -1) if field == ca.QI else F(1)
+        return [(_poly_shift(f, shift), k) for f, k in factor(field, coeffs)]
+    monkeypatch.setattr(structure, "_factor_poly", unshifted)
+    for a in (ca.m1(3), _quartic_double_split(), complexify(ca.real_rigid(4, 2)),
+              ca.change_basis(complexify(ca.m1(4)), _unit_first(4, 4))):
+        start = time.perf_counter()
+        with pytest.raises(AssertionError):
+            find_idempotents(a)
+        assert time.perf_counter() - start < 2, a
 
 
 def test_find_idempotents_unit_first_basis():
@@ -455,9 +507,9 @@ def _assert_qi_factors_match(poly):
 
 def test_factor_poly_qi_fixed_cases():
     # the M1(5) unit-first generator search really meets the quintic
-    n = 5
-    f = Matrix([[1 if j == 0 else int(i == j) for j in range(n)] for i in range(n)])
-    assert structure._monogenic_generator(ca.change_basis(ca.m1(n), f))[1] == _QI_FIXED[-1]
+    a = ca.change_basis(ca.m1(5), _unit_first(5, 5))
+    _powers, p, s = structure._generator(a, 5)
+    assert p[s:] == _QI_FIXED[-1]
     for poly in _QI_FIXED:
         _assert_qi_factors_match(poly)
 

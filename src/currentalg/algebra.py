@@ -136,10 +136,11 @@ class Algebra:
             if xi == 0:
                 continue
             for j, yj in enumerate(y, start=1):
-                if yj == 0:
-                    continue
-                for k, c in self.tensor.get((i, j), ()):
-                    acc[k - 1] += xi * yj * c
+                terms = self.tensor.get((i, j))
+                if terms and yj != 0:
+                    xy = xi * yj
+                    for k, c in terms:
+                        acc[k - 1] += xy * c
         return tuple(acc)
 
     def _vector(self, x: Sequence) -> tuple:

@@ -4,10 +4,13 @@ Every row reduction is one fraction-free Gauss-Jordan, :func:`_rref`, on the
 ``{col: x}`` rows of a :class:`SparseMatrix`.  Each row is scaled to a
 primitive integral row (ints over Q; over Q(i), Gaussian integers held as int
 pairs), reduced on its leading column by integral row operations and divided
-by its content, so no ``Fraction`` or ``GaussianRational`` is built while
-eliminating; :func:`rank` runs only the forward phase.  Everything returns
-canonical reduced echelon representatives, which makes subspace equality a
-plain ``==``.
+by its content (over Q(i), its gcd in Z[i]), so no ``Fraction`` or
+``GaussianRational`` is built while eliminating; :func:`rank` runs only the
+forward phase.  Gaussian rows enter and leave as integer triples: a row is
+scaled by the lcm of the denominators d of its entries' triples (x, y, d),
+and each output entry x/a is written as the reduced triple of
+(x * conj(a), N(a)).  Everything returns canonical reduced echelon
+representatives, which makes subspace equality a plain ``==``.
 
 Vectors are tuples of scalars with 0-based coordinates.  Basis indices in the
 algebra layer are 1-based; the translation happens there, not here.
@@ -20,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .scalars import GaussianRational, Scalar, ScalarError
+from .scalars import GaussianRational, Scalar, ScalarError, _gauss, _parts
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -228,13 +231,35 @@ class _GaussInt:
         return bool(self.re or self.im)
 
 
+def _gaussian_gcd(a: _GaussInt, b: _GaussInt) -> _GaussInt:
+    """A gcd in Z[i], by Euclid's algorithm with the quotient rounded to the
+    nearest Gaussian integer, so the norm of the remainder at least halves."""
+    while b:
+        n = b.re * b.re + b.im * b.im
+        p = a * _GaussInt(b.re, -b.im)
+        q = _GaussInt((2 * p.re + n) // (2 * n), (2 * p.im + n) // (2 * n))
+        a, b = b, a - q * b
+    return a
+
+
 def _primitive(row: dict) -> dict:
-    """row divided by the gcd of its integer parts."""
+    """row divided by its content: the gcd of its entries in Z, or in Z[i] for
+    Gaussian rows (first the gcd of the integer parts, then Euclid in Z[i],
+    which stops at the first unit)."""
     if isinstance(next(iter(row.values())), _GaussInt):
         g = gcd(*(p for x in row.values() for p in (x.re, x.im)))
-        if g == 1:
-            return row
-        return {k: _GaussInt(x.re // g, x.im // g) for k, x in row.items()}
+        if g != 1:
+            row = {k: _GaussInt(x.re // g, x.im // g) for k, x in row.items()}
+        if gcd(*(x.re * x.re + x.im * x.im for x in row.values())) == 1:
+            return row  # the norm of the content divides every norm
+        entries = iter(row.values())
+        h = next(entries)
+        for x in entries:
+            if _exact_quotient(x, h) is None:
+                h = _gaussian_gcd(h, x)
+                if h.re * h.re + h.im * h.im == 1:
+                    return row
+        return {k: _exact_quotient(x, h) for k, x in row.items()}
     g = gcd(*row.values())
     return row if g == 1 else {k: x // g for k, x in row.items()}
 
@@ -246,20 +271,15 @@ def _integral(rows) -> tuple[list, bool]:
     else an int."""
     sparse = [r for r in rows if r]
     gaussian = [x for r in sparse for x in r.values() if isinstance(x, GaussianRational)]
-    pairs = any(x.im for x in gaussian)
+    pairs = any(_parts(x)[1] for x in gaussian)
     out = []
     for row in sparse:
-        if pairs:
-            parts = {c: (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
-                     for c, x in row.items()}
-            m = lcm(*(p.denominator for pair in parts.values() for p in pair))
-            row = {c: _GaussInt(re.numerator * (m // re.denominator),
-                                im.numerator * (m // im.denominator))
-                   for c, (re, im) in parts.items()}
+        if gaussian:
+            parts = {c: _parts(x) for c, x in row.items()}
+            m = lcm(*(d for _, _, d in parts.values()))
+            row = ({c: _GaussInt(x * (m // d), y * (m // d)) for c, (x, y, d) in parts.items()}
+                   if pairs else {c: x * (m // d) for c, (x, _, d) in parts.items()})
         else:
-            if gaussian:
-                row = {c: x.re if isinstance(x, GaussianRational) else x
-                       for c, x in row.items()}
             m = lcm(*(x.denominator for x in row.values()))
             row = {c: x.numerator * (m // x.denominator) for c, x in row.items()}
         out.append(_primitive(row))
@@ -277,8 +297,8 @@ def _exact_quotient(b, a):
 
 def _eliminate(row: dict, c: int, pivot: dict) -> dict:
     """row - f*pivot when f = row[c] / pivot[c] is integral, else a*row - b*pivot
-    divided by its content, with a = pivot[c] and b = row[c] (over Z first
-    divided by their gcd); either way column c drops out."""
+    divided by its content, with a = pivot[c] and b = row[c] first divided by
+    their gcd (in Z, or in Z[i] for int pairs); either way column c drops out."""
     a, b = pivot[c], row[c]
     zero = a - a
     f = _exact_quotient(b, a)
@@ -286,6 +306,9 @@ def _eliminate(row: dict, c: int, pivot: dict) -> dict:
         if isinstance(a, int):
             g = gcd(a, b)
             a, b = a // g, b // g
+        else:
+            g = _gaussian_gcd(a, b)
+            a, b = _exact_quotient(a, g), _exact_quotient(b, g)
         row, f = {k: a * x for k, x in row.items()}, b
     for k, y in pivot.items():
         z = row.get(k, zero) - f * y
@@ -331,10 +354,10 @@ def _rref(rows) -> tuple[list, list]:
         row, lead = echelon[c], echelon[c][c]
         if isinstance(lead, _GaussInt):
             n, conj = lead.re * lead.re + lead.im * lead.im, _GaussInt(lead.re, -lead.im)
-            row = {k: GaussianRational(Fraction(p.re, n), Fraction(p.im, n))
-                   for k, p in ((k, x * conj) for k, x in row.items())}
+            row = {k: _gauss(p.re, p.im, n) for k, p in ((k, x * conj) for k, x in row.items())}
         elif gaussian:
-            row = {k: GaussianRational(Fraction(x, lead)) for k, x in row.items()}
+            s = -1 if lead < 0 else 1
+            row = {k: _gauss(s * x, 0, s * lead) for k, x in row.items()}
         else:
             row = {k: Fraction(x, lead) for k, x in row.items()}
         out.append(row)

@@ -64,6 +64,113 @@ def catalog_assoc_algebras():
     ]
 
 
+class gaussian_pair_oracle:
+    """a + b*i held as two ``Fraction`` parts: the former
+    ``scalars.GaussianRational``, kept as the oracle for the integer-triple
+    class.  Every operation lifts an int or Fraction operand and rebuilds both
+    parts through ``Fraction()``."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        if isinstance(re, float) or isinstance(im, float):
+            raise ca.ScalarError("floating point is not allowed")
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, gaussian_pair_oracle):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return gaussian_pair_oracle(x)
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return gaussian_pair_oracle(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return gaussian_pair_oracle(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return gaussian_pair_oracle(o.re - self.re, o.im - self.im)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return gaussian_pair_oracle(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return gaussian_pair_oracle(
+            (self.re * o.re + self.im * o.im) / n,
+            (self.im * o.re - self.re * o.im) / n,
+        )
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __neg__(self):
+        return gaussian_pair_oracle(-self.re, -self.im)
+
+    def __pos__(self):
+        return self
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        # Agree with Fraction/int hashing when the value is real.
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def conjugate(self):
+        return gaussian_pair_oracle(self.re, -self.im)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        im = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
+        if self.re == 0:
+            return im
+        sign = "+" if self.im > 0 else ""
+        return f"{self.re}{sign}{im}"
+
+
 def rand_fraction(rng: random.Random, span: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, 3))
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import currentalg as ca
 from currentalg import (
@@ -26,7 +27,7 @@ from currentalg import (
     inner_derivations,
     multiplication_cochain,
 )
-from currentalg.cohomology import cochain_from_flat, cochain_to_flat
+from currentalg.cohomology import _chevalley_rows, cochain_from_flat, cochain_to_flat
 
 from conftest import (
     catalog_assoc_algebras,
@@ -116,6 +117,46 @@ def test_derivations_equal_z1():
               for v in ca.kernel_basis(chevalley_delta_matrix(g, 1))]
         lhs = Subspace(g.dim ** 2, [m.flatten() for m in z1])
         assert lhs == derivation_space(g)
+
+
+@st.composite
+def _gaussian_unimodular(draw, n):
+    """L U with L unit lower and U unit upper bidiagonal (the shape of
+    ``unimodular_twist``), off-diagonal entries a + bi with a, b in -1..1."""
+    def unit_bidiagonal(lower):
+        return Matrix([[1 if i == j else
+                        ca.GaussianRational(draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+                        if i - j == (1 if lower else -1) else 0 for j in range(n)]
+                       for i in range(n)])
+    return unit_bidiagonal(True) @ unit_bidiagonal(False)
+
+
+def _composite_is_zero(hi, lo) -> bool:
+    """hi . lo = 0 for sparse operators: every row of hi times lo vanishes."""
+    for row in hi.rows:
+        acc = {}
+        for c, x in row.items():
+            for k, y in lo.rows[c].items():
+                acc[k] = acc.get(k, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
+@settings(max_examples=16)
+@given(data=st.data())
+def test_qi_twisted_catalog_properties(data):
+    # A complexified catalog Lie algebra in a random Gaussian unimodular basis:
+    # d.d = 0 in degrees 0 and 1, Z^1 = Der, and the fingerprint of the
+    # untwisted complexification.
+    g = ca.complexify(data.draw(st.sampled_from(
+        [g for g in catalog_lie_algebras() if g.dim <= 6])))
+    h = ca.change_basis(g, data.draw(_gaussian_unimodular(g.dim)))
+    d0, d1, d2 = (_chevalley_rows(h, k) for k in range(3))
+    assert _composite_is_zero(d1, d0) and _composite_is_zero(d2, d1)
+    z1 = [Matrix.from_flat(v, h.dim, h.dim).transpose() for v in ca.kernel_basis(d1)]
+    assert Subspace(h.dim ** 2, [m.flatten() for m in z1]) == derivation_space(h)
+    assert ca.fingerprint(h) == ca.fingerprint(g)
 
 
 def test_inner_derivations_dims():

@@ -19,7 +19,10 @@ from currentalg import (
     rank,
     solve,
 )
+from currentalg.cohomology import _chevalley_rows
 from currentalg.linalg import (
+    _echelon,
+    _integral,
     poly_degree,
     poly_ext_gcd,
     poly_gcd,
@@ -287,6 +290,23 @@ def test_rref_edge_shapes():
     assert rref([(), ()]) == ([], [])
     assert rref([(F(0), F(0))] * 3) == ([], [])
     assert rref([(F(0), F(2), F(4))] * 2) == ([(F(0), F(1), F(2))], [1])
+
+
+def test_gaussian_echelon_entries_stay_small():
+    # The coboundaries of t2+a2 over Q(i) in a dense Gaussian unimodular basis:
+    # elimination meets Gaussian common factors such as 1+i, which the integer
+    # content does not see; unless each row is divided by its gcd in Z[i], they
+    # pile up to thousands of bits.
+    rng = random.Random(0)
+    def entry():
+        return GaussianRational(rng.randint(-1, 1), rng.randint(-1, 1))
+    n = 4
+    lower = Matrix([[1 if i == j else entry() if i > j else 0 for j in range(n)] for i in range(n)])
+    upper = Matrix([[1 if i == j else entry() if i < j else 0 for j in range(n)] for i in range(n)])
+    h = ca.change_basis(ca.complexify(ca.t_oplus_a(2, 1)), lower @ upper)
+    for k in (1, 2):
+        for row in _echelon(_integral(_chevalley_rows(h, k).rows)[0]).values():
+            assert max(max(abs(x.re), abs(x.im)) for x in row.values()).bit_length() < 64
 
 
 @_FIELDS

@@ -1,16 +1,20 @@
 """Exact linear algebra over Q and Q(i).
 
 Every row reduction is one fraction-free Gauss-Jordan, :func:`_rref`, on the
-``{col: x}`` rows of a :class:`SparseMatrix`.  Each row is scaled to a
-primitive integral row (ints over Q; over Q(i), Gaussian integers held as int
-pairs), reduced on its leading column by integral row operations and divided
-by its content (over Q(i), its gcd in Z[i]), so no ``Fraction`` or
+``{col: x}`` rows of a :class:`SparseMatrix`, over Z only.  Each row is
+scaled to a primitive integer row, reduced on its leading column by integral
+row operations and divided by its content, so no ``Fraction`` or
 ``GaussianRational`` is built while eliminating; :func:`rank` runs only the
-forward phase.  Gaussian rows enter and leave as integer triples: a row is
-scaled by the lcm of the denominators d of its entries' triples (x, y, d),
-and each output entry x/a is written as the reduced triple of
-(x * conj(a), N(a)).  Everything returns canonical reduced echelon
-representatives, which makes subspace equality a plain ``==``.
+forward phase.  Gaussian rows enter as integer triples (x, y, d), scaled by
+the lcm of their d.  When some entry has an imaginary part, each row v
+enters as the two integer rows of v and i*v, coordinate c split into its
+real part at column 2c and its imaginary part at 2c + 1.  That real span is
+closed under multiplication by i, so the pivots come in pairs (2c, 2c + 1)
+and the reduced row of pivot 2c is the realified reduced row of pivot c over
+Q(i): each entry is read back as the reduced triple of
+(x[2k], x[2k+1], x[2c]), and the rank over Q(i) is half the rank over Q.
+Everything returns canonical reduced echelon representatives, which makes
+subspace equality a plain ``==``.
 
 Vectors are tuples of scalars with 0-based coordinates.  Basis indices in the
 algebra layer are 1-based; the translation happens there, not here.
@@ -212,63 +216,24 @@ def vec_is_zero(u):
     return all(a == 0 for a in u)
 
 
-class _GaussInt:
-    """a + bi with int a, b: an entry of an integral row over Q(i) in :func:`rref`."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __mul__(self, o):
-        return _GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __sub__(self, o):
-        return _GaussInt(self.re - o.re, self.im - o.im)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-
-def _gaussian_gcd(a: _GaussInt, b: _GaussInt) -> _GaussInt:
-    """A gcd in Z[i], by Euclid's algorithm with the quotient rounded to the
-    nearest Gaussian integer, so the norm of the remainder at least halves."""
-    while b:
-        n = b.re * b.re + b.im * b.im
-        p = a * _GaussInt(b.re, -b.im)
-        q = _GaussInt((2 * p.re + n) // (2 * n), (2 * p.im + n) // (2 * n))
-        a, b = b, a - q * b
-    return a
-
-
 def _primitive(row: dict) -> dict:
-    """row divided by its content: the gcd of its entries in Z, or in Z[i] for
-    Gaussian rows (first the gcd of the integer parts, then Euclid in Z[i],
-    which stops at the first unit)."""
-    if isinstance(next(iter(row.values())), _GaussInt):
-        g = gcd(*(p for x in row.values() for p in (x.re, x.im)))
-        if g != 1:
-            row = {k: _GaussInt(x.re // g, x.im // g) for k, x in row.items()}
-        if gcd(*(x.re * x.re + x.im * x.im for x in row.values())) == 1:
-            return row  # the norm of the content divides every norm
-        entries = iter(row.values())
-        h = next(entries)
-        for x in entries:
-            if _exact_quotient(x, h) is None:
-                h = _gaussian_gcd(h, x)
-                if h.re * h.re + h.im * h.im == 1:
-                    return row
-        return {k: _exact_quotient(x, h) for k, x in row.items()}
+    """row divided by its content, the gcd of its entries."""
     g = gcd(*row.values())
     return row if g == 1 else {k: x // g for k, x in row.items()}
 
 
-def _integral(rows) -> tuple[list, bool]:
-    """The nonempty sparse rows as primitive rows, each scaled by the lcm of
-    its denominators, and whether any entry is Gaussian.  x is a
-    :class:`_GaussInt` in every row when some entry has an imaginary part,
-    else an int."""
+def _integral(rows) -> tuple[list, bool, bool]:
+    """The nonempty sparse rows as primitive integer rows, each scaled by the
+    lcm of its denominators; whether any entry is Gaussian; and whether the
+    rows are realified, as they are when some entry has an imaginary part.
+
+    A realified row v = x + y*i (x, y integer rows) enters as the two rows of
+    v and i*v over Z: coordinate c goes to column 2c (real part) and 2c + 1
+    (imaginary part), so v has x_c, y_c there and i*v has -y_c, x_c.  Their
+    span over Q is the realification of the span over Q(i), so it is closed
+    under multiplication by i; its pivots therefore come in pairs
+    (2c, 2c + 1), one pair per pivot c over Q(i).  Gaussian rows with no
+    imaginary part are reduced as plain int rows."""
     sparse = [r for r in rows if r]
     gaussian = [x for r in sparse for x in r.values() if isinstance(x, GaussianRational)]
     pairs = any(_parts(x)[1] for x in gaussian)
@@ -277,41 +242,32 @@ def _integral(rows) -> tuple[list, bool]:
         if gaussian:
             parts = {c: _parts(x) for c, x in row.items()}
             m = lcm(*(d for _, _, d in parts.values()))
-            row = ({c: _GaussInt(x * (m // d), y * (m // d)) for c, (x, y, d) in parts.items()}
+            row = ({k: p for c, (x, y, d) in parts.items()
+                    for k, p in ((2 * c, x * (m // d)), (2 * c + 1, y * (m // d))) if p}
                    if pairs else {c: x * (m // d) for c, (x, _, d) in parts.items()})
         else:
             m = lcm(*(x.denominator for x in row.values()))
             row = {c: x.numerator * (m // x.denominator) for c, x in row.items()}
-        out.append(_primitive(row))
-    return out, bool(gaussian)
-
-
-def _exact_quotient(b, a):
-    """b / a when it is integral (in Z, or in Z[i] for int pairs), else None."""
-    if isinstance(a, int):
-        return None if b % a else b // a
-    n = a.re * a.re + a.im * a.im
-    p = b * _GaussInt(a.re, -a.im)
-    return None if p.re % n or p.im % n else _GaussInt(p.re // n, p.im // n)
+        row = _primitive(row)
+        out.append(row)
+        if pairs:  # i*v: (x, y) at (2c, 2c + 1) becomes (-y, x)
+            out.append({k ^ 1: -x if k & 1 else x for k, x in row.items()})
+    return out, bool(gaussian), pairs
 
 
 def _eliminate(row: dict, c: int, pivot: dict) -> dict:
     """row - f*pivot when f = row[c] / pivot[c] is integral, else a*row - b*pivot
     divided by its content, with a = pivot[c] and b = row[c] first divided by
-    their gcd (in Z, or in Z[i] for int pairs); either way column c drops out."""
+    their gcd; either way column c drops out."""
     a, b = pivot[c], row[c]
-    zero = a - a
-    f = _exact_quotient(b, a)
-    if f is None:
-        if isinstance(a, int):
-            g = gcd(a, b)
-            a, b = a // g, b // g
-        else:
-            g = _gaussian_gcd(a, b)
-            a, b = _exact_quotient(a, g), _exact_quotient(b, g)
-        row, f = {k: a * x for k, x in row.items()}, b
+    if b % a:
+        g = gcd(a, b)
+        a, f = a // g, b // g
+        row = {k: a * x for k, x in row.items()}
+    else:
+        f = b // a
     for k, y in pivot.items():
-        z = row.get(k, zero) - f * y
+        z = row.get(k, 0) - f * y
         if z:
             row[k] = z
         else:
@@ -332,36 +288,47 @@ def _echelon(rows: list) -> dict:
     return echelon
 
 
+def _back_substitute(echelon: dict) -> dict:
+    """The forward phase reduced in descending pivot order, so that no pivot
+    row keeps an entry in another pivot column."""
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in echelon]:
+            row = _eliminate(row, k, echelon[k])
+        echelon[c] = row
+    return echelon
+
+
 def _rref(rows) -> tuple[list, list]:
     """Reduced echelon form of sparse rows: (nonzero ``{col: x}`` rows, pivots).
 
     Fraction-free Gauss-Jordan on the integral rows of :func:`_integral`:
     reduce each row on its leading column against the pivot rows found so
     far, back-substitute in descending pivot order, and divide each row by its
-    pivot entry only when it is written out.  Entries are GaussianRational
-    when any input entry is, else Fraction.
+    pivot entry only when it is written out.  Realified rows are read back at
+    their even pivots 2c only: the reduced integer row x there is 0 at 2c + 1
+    and is x[2c] times the realified reduced row of pivot c over Q(i), whose
+    entry k is therefore (x[2k] + x[2k+1]*i) / x[2c].  Entries are
+    GaussianRational when any input entry is, else Fraction.
     """
-    integral, gaussian = _integral(rows)
-    echelon = _echelon(integral)
+    integral, gaussian, pairs = _integral(rows)
+    echelon = _back_substitute(_echelon(integral))
     pivots = sorted(echelon)
-    for c in reversed(pivots):
-        row = echelon[c]
-        for k in [k for k in row if k != c and k in echelon]:
-            row = _eliminate(row, k, echelon[k])
-        echelon[c] = row
+    if pairs:
+        pivots = pivots[::2]
     out = []
     for c in pivots:
         row, lead = echelon[c], echelon[c][c]
-        if isinstance(lead, _GaussInt):
-            n, conj = lead.re * lead.re + lead.im * lead.im, _GaussInt(lead.re, -lead.im)
-            row = {k: _gauss(p.re, p.im, n) for k, p in ((k, x * conj) for k, x in row.items())}
+        s = -1 if lead < 0 else 1
+        if pairs:
+            row = {k: _gauss(s * row.get(2 * k, 0), s * row.get(2 * k + 1, 0), s * lead)
+                   for k in sorted({j >> 1 for j in row})}
         elif gaussian:
-            s = -1 if lead < 0 else 1
             row = {k: _gauss(s * x, 0, s * lead) for k, x in row.items()}
         else:
             row = {k: Fraction(x, lead) for k, x in row.items()}
         out.append(row)
-    return out, pivots
+    return out, [c >> 1 for c in pivots] if pairs else pivots
 
 
 def rref(rows) -> tuple[list, list]:
@@ -374,8 +341,10 @@ def rref(rows) -> tuple[list, list]:
 
 
 def rank(M) -> int:
-    """Rank of a Matrix or SparseMatrix, from the forward phase alone."""
-    return len(_echelon(_integral(SparseMatrix(M.rows, M.ncols).rows)[0]))
+    """Rank of a Matrix or SparseMatrix, from the forward phase alone (half
+    the rank over Q of realified rows)."""
+    integral, _, pairs = _integral(SparseMatrix(M.rows, M.ncols).rows)
+    return len(_echelon(integral)) >> pairs
 
 
 def kernel_basis(M) -> list[tuple]:

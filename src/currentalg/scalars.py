@@ -36,15 +36,17 @@ class GaussianRational:
     its numerator and denominator and is never lifted to a Gaussian rational,
     so generic code (elimination, polynomial gcd, ...) runs unchanged over
     both fields.  ``re`` and ``im`` are read-only ``Fraction`` views; the
-    triple is canonical, so ``==`` compares triples.
+    triple is canonical, so ``==`` compares triples.  The parts given to the
+    constructor must be ``int`` or ``Fraction``; anything else, a float, a
+    ``Decimal`` or text included, raises :class:`ScalarError`.
     """
 
     __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, float) or isinstance(im, float):
-            raise ScalarError("floating point is not allowed")
-        re, im = Fraction(re), Fraction(im)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise ScalarError(f"parts must be int or Fraction, got {type(part).__name__}")
         # Both parts are reduced, so their common denominator leaves no common factor.
         d = lcm(re.denominator, im.denominator)
         self._x = re.numerator * (d // re.denominator)

@@ -281,19 +281,36 @@ def dense_view(op) -> ca.Matrix:
 
 
 P61 = 2 ** 61 - 1
+# p = 1 mod 4, so -1 has a square root mod p and Q(i) maps into Z/p.
+P998 = 998244353
+
+
+def sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo a prime p = 1 mod 4: a^((p-1)/4) for a
+    quadratic non-residue a."""
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    return pow(a, (p - 1) // 4, p)
 
 
 def rank_mod_p(rows, p: int = P61) -> int:
-    """Rank mod p of sparse ``{col: x}`` rows with rational entries.
+    """Rank mod p of sparse ``{col: x}`` rows with rational or Gaussian
+    entries; for p = 1 mod 4, i maps to :func:`sqrt_minus_one` (p).
 
-    Scaling a row by a unit mod p changes no rank, and a minor that vanishes
-    over Q vanishes mod p, so rank mod p <= rank over Q."""
+    That map is a ring homomorphism from the Gaussian rationals whose
+    denominators p does not divide.  Scaling a row by a unit mod p changes no
+    rank, and a minor that vanishes over Q or Q(i) vanishes mod p, so rank
+    mod p <= the exact rank.  This route never realifies a Gaussian row."""
+    root = sqrt_minus_one(p) if p % 4 == 1 else None
     pivots = {}  # column -> row with a 1 there, reduced mod p
     for row in rows:
         r = {}
         for c, x in row.items():  # pow raises when p divides the denominator
-            x = Fraction(x)
-            v = x.numerator * pow(x.denominator, -1, p) % p
+            re, im = (x.re, x.im) if isinstance(x, ca.GaussianRational) else (Fraction(x), 0)
+            if im and root is None:
+                raise ValueError(f"i has no image mod {p}")
+            v = re.numerator * pow(re.denominator, -1, p) % p
+            if im:
+                v = (v + root * im.numerator * pow(im.denominator, -1, p)) % p
             if v:
                 r[c] = v
         while r:

@@ -30,6 +30,7 @@ from currentalg import (
 from currentalg.cohomology import _chevalley_rows, cochain_from_flat, cochain_to_flat
 
 from conftest import (
+    P998,
     catalog_assoc_algebras,
     catalog_lie_algebras,
     oracle_corpus,
@@ -37,6 +38,7 @@ from conftest import (
     rand_chevalley2,
     rand_matrix,
     rand_symmetric,
+    rank_mod_p,
     table_mult,
     table_product,
 )
@@ -157,6 +159,23 @@ def test_qi_twisted_catalog_properties(data):
     z1 = [Matrix.from_flat(v, h.dim, h.dim).transpose() for v in ca.kernel_basis(d1)]
     assert Subspace(h.dim ** 2, [m.flatten() for m in z1]) == derivation_space(h)
     assert ca.fingerprint(h) == ca.fingerprint(g)
+
+
+@pytest.mark.parametrize("g", [ca.current_algebra(ca.r2(), ca.m1(2)), ca.sl2(), ca.t_oplus_a(2, 1)],
+                         ids=["r2 (x) M1^2", "sl2", "t_oplus_a(2,1)"])
+@settings(max_examples=3)
+@given(data=st.data())
+def test_qi_twisted_h2_zero_by_rank_mod_p(g, data):
+    # Over Q(i) in a Gaussian bidiagonal basis, with i -> sqrt(-1) mod p:
+    # rank_p <= rank and d2 d1 = 0, so rank_p d1 + rank_p d2 = dim C2 proves
+    # H2 = 0 and both exact ranks without the kernel.
+    g = ca.complexify(g)
+    h = ca.change_basis(g, data.draw(_gaussian_unimodular(g.dim)))
+    d1, d2 = _chevalley_rows(h, 1), _chevalley_rows(h, 2)
+    assert _composite_is_zero(d2, d1)
+    r1, r2 = rank_mod_p(d1.rows, P998), rank_mod_p(d2.rows, P998)
+    assert r1 + r2 == d2.ncols
+    assert (ca.rank(d1), ca.rank(d2)) == (r1, r2)
 
 
 def test_inner_derivations_dims():

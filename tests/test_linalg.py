@@ -21,6 +21,7 @@ from currentalg import (
 )
 from currentalg.cohomology import _chevalley_rows
 from currentalg.linalg import (
+    _back_substitute,
     _echelon,
     _integral,
     poly_degree,
@@ -30,7 +31,7 @@ from currentalg.linalg import (
     rref,
 )
 
-from conftest import dense_rref, min_poly_oracle, quotient_algebra, rand_matrix
+from conftest import P998, dense_rref, min_poly_oracle, quotient_algebra, rand_matrix, rank_mod_p
 
 F = Fraction
 
@@ -294,9 +295,10 @@ def test_rref_edge_shapes():
 
 def test_gaussian_echelon_entries_stay_small():
     # The coboundaries of t2+a2 over Q(i) in a dense Gaussian unimodular basis:
-    # elimination meets Gaussian common factors such as 1+i, which the integer
-    # content does not see; unless each row is divided by its gcd in Z[i], they
-    # pile up to thousands of bits.
+    # elimination meets Gaussian common factors such as 1+i, which pile up to
+    # thousands of bits in rows over Z[i] divided only by their integer content.
+    # The kernel reduces the realified rows over Z instead; their entries must
+    # stay small too.
     rng = random.Random(0)
     def entry():
         return GaussianRational(rng.randint(-1, 1), rng.randint(-1, 1))
@@ -306,7 +308,43 @@ def test_gaussian_echelon_entries_stay_small():
     h = ca.change_basis(ca.complexify(ca.t_oplus_a(2, 1)), lower @ upper)
     for k in (1, 2):
         for row in _echelon(_integral(_chevalley_rows(h, k).rows)[0]).values():
-            assert max(max(abs(x.re), abs(x.im)) for x in row.values()).bit_length() < 64
+            assert max(abs(x) for x in row.values()).bit_length() < 64
+
+
+@st.composite
+def _gaussian_matrices(draw):
+    """(ncols, rows) over Q(i), each row of :func:`_matrices` times a drawn
+    scalar, so that most matrices have entries with imaginary parts and
+    repeated rows stay dependent."""
+    ncols, rows = draw(_matrices(ca.QI))
+    scale = st.sampled_from([GaussianRational(*z) for z in ((1, 0), (0, 1), (1, 1), (2, -1))])
+    return ncols, [tuple(z * x for x in row) for row, z in ((r, draw(scale)) for r in rows)]
+
+
+@given(data=st.data())
+def test_realified_pivots_pair_up(data):
+    # Rows with imaginary parts enter the kernel as v and i*v over Z.  The
+    # pivots pair up as (2c, 2c + 1), and after back-substitution the row of
+    # pivot 2c is 0 at 2c + 1: the readout of _rref and rank // 2 rest on it.
+    ncols, rows = data.draw(_gaussian_matrices())
+    integral, _, pairs = _integral(SparseMatrix(rows, ncols).rows)
+    assume(pairs)
+    echelon = _echelon(integral)
+    evens = sorted(echelon)[::2]
+    assert all(c % 2 == 0 for c in evens)
+    assert sorted(echelon) == [k for c in evens for k in (c, c + 1)]
+    reduced = _back_substitute(echelon)
+    assert all(c + 1 not in reduced[c] for c in evens)
+    assert [c // 2 for c in evens] == dense_rref(rows)[1]
+
+
+@given(data=st.data())
+def test_gaussian_rank_mod_p_bounds_rank(data):
+    # i -> sqrt(-1) mod p is a ring map, so no minor survives it that vanishes
+    # over Q(i): an independent route that never realifies a row.
+    ncols, rows = data.draw(_gaussian_matrices())
+    op = SparseMatrix(rows, ncols)
+    assert rank_mod_p(op.rows, P998) <= rank(op) == len(dense_rref(rows)[1])
 
 
 @_FIELDS

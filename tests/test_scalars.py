@@ -44,6 +44,10 @@ def test_floats_rejected_everywhere():
     for value in ("1e-3", "0.5", Decimal("0.1")):
         with pytest.raises(ScalarError):
             scalars.coerce(Q, value)
+        with pytest.raises(ScalarError):
+            GaussianRational(value)
+        with pytest.raises(ScalarError):
+            GaussianRational(0, value)
 
 
 def test_coerce_field_rules():

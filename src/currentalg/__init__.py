@@ -73,7 +73,6 @@ from .linalg import (
     Matrix,
     OperatorReport,
     SingularMatrixError,
-    SparseMatrix,
     Subspace,
     inverse,
     kernel_basis,

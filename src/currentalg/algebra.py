@@ -12,6 +12,7 @@ identity check is a separately testable predicate.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
@@ -157,11 +158,12 @@ class Algebra:
     def left_mult_matrix(self, a: Sequence) -> Matrix:
         """L_a, columns a * e_j: entry (k, j) is sum_i a_i c_ij^k."""
         a = self._vector(a)
-        rows = [[scalars.zero(self.field)] * self.dim for _ in range(self.dim)]
+        entries = defaultdict(int)
         for (i, j), terms in self.tensor.items():
-            for k, c in terms:
-                rows[k - 1][j - 1] += a[i - 1] * c
-        return Matrix(rows)
+            if a[i - 1]:
+                for k, c in terms:
+                    entries[k - 1, j - 1] += a[i - 1] * c
+        return Matrix.from_entries(entries, self.dim, self.dim)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """ad x = [x, .] for Lie kind (same as L_x; kept for readability)."""

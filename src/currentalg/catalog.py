@@ -123,21 +123,15 @@ def torus_generators(n: int, k: int, variant: str = AS_PRINTED) -> list:
     if variant not in (AS_PRINTED, ROTATION):
         raise UnknownAlgebraError(f"unknown torus variant {variant!r}")
     blocks = min(k - 1, n // 2)
+    one = Fraction(1)
+    sign = one if variant == AS_PRINTED else -one
     gens = []
     for p in range(1, blocks + 1):
-        a, b = 2 * p - 1, 2 * p
-        swap = [[0] * n for _ in range(n)]
-        swap[b - 1][a - 1] = 1
-        swap[a - 1][b - 1] = 1 if variant == AS_PRINTED else -1
-        gens.append(Matrix(swap))
-        diag = [[0] * n for _ in range(n)]
-        diag[a - 1][a - 1] = 1
-        diag[b - 1][b - 1] = 1
-        gens.append(Matrix(diag))
-    for j in range(2 * blocks + 1, n + 1):
-        single = [[0] * n for _ in range(n)]
-        single[j - 1][j - 1] = 1
-        gens.append(Matrix(single))
+        a, b = 2 * p - 2, 2 * p - 1
+        gens.append(Matrix.from_entries({(b, a): one, (a, b): sign}, n, n))
+        gens.append(Matrix.from_entries({(a, a): one, (b, b): one}, n, n))
+    for j in range(2 * blocks, n):
+        gens.append(Matrix.from_entries({(j, j): one}, n, n))
     return gens
 
 
@@ -198,12 +192,7 @@ def _block_swap(i: int, s: int) -> int:
 def permutation_matrix(perm: tuple) -> Matrix:
     """Columns: new basis vector m is the old basis vector perm[m]."""
     d = len(perm)
-    cols = []
-    for m in range(d):
-        col = [0] * d
-        col[perm[m] - 1] = 1
-        cols.append(col)
-    return Matrix.from_columns(cols)
+    return Matrix.from_entries({(perm[m] - 1, m): Fraction(1) for m in range(d)}, d, d)
 
 
 def real_rigid_complex_split(n: int, s: int) -> Matrix:
@@ -213,21 +202,14 @@ def real_rigid_complex_split(n: int, s: int) -> Matrix:
     v = (e_{2i-1} - i e_{2i})/2; plain coordinates are untouched.
     """
     half = Fraction(1, 2)
-    cols = []
-    for i in range(1, s + 1):
-        a, b = 2 * i - 1, 2 * i
-        u = [GaussianRational(0)] * n
-        v = [GaussianRational(0)] * n
-        u[a - 1] = GaussianRational(half)
-        u[b - 1] = GaussianRational(0, half)
-        v[a - 1] = GaussianRational(half)
-        v[b - 1] = GaussianRational(0, -half)
-        cols.extend([u, v])
-    for j in range(2 * s + 1, n + 1):
-        col = [GaussianRational(0)] * n
-        col[j - 1] = GaussianRational(1)
-        cols.append(col)
-    return Matrix.from_columns(cols)
+    entries = {}
+    for a in range(0, 2 * s, 2):  # u in column a, v in column a + 1
+        entries[a, a] = entries[a, a + 1] = GaussianRational(half)
+        entries[a + 1, a] = GaussianRational(0, half)
+        entries[a + 1, a + 1] = GaussianRational(0, -half)
+    for j in range(2 * s, n):
+        entries[j, j] = GaussianRational(1)
+    return Matrix.from_entries(entries, n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,7 @@ from typing import Mapping, Optional, Sequence
 from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError
 from .current import current_algebra
 from .linalg import (
-    _ZERO,
     Matrix,
-    SparseMatrix,
     Subspace,
     _entry,
     kernel_basis,
@@ -195,7 +193,7 @@ def multiplication_cochain(A: Algebra) -> SymmetricCochain:
 # Chevalley coboundary and dimensions
 # ---------------------------------------------------------------------------
 
-def _chevalley_rows(g: Algebra, k: int) -> SparseMatrix:
+def _chevalley_rows(g: Algebra, k: int) -> Matrix:
     """The operator d: C^k -> C^(k+1), read off the formula.
 
     Row (T, t) is coordinate t of (d phi)(e_T) on an increasing tuple T;
@@ -224,7 +222,7 @@ def _chevalley_rows(g: Algebra, k: int) -> SparseMatrix:
                     if sign:
                         for t in range(n):
                             entries[r * n + t, col[key] + t] += (-1) ** (p + q) * sign * c
-    return SparseMatrix.from_entries(entries, len(targets) * n, len(sources) * n)
+    return Matrix.from_entries(entries, len(targets) * n, len(sources) * n)
 
 
 def chevalley_delta(g: Algebra, c: ChevalleyCochain) -> ChevalleyCochain:
@@ -253,12 +251,9 @@ def cochain_from_flat(degree: int, dim: int, flat: Sequence) -> ChevalleyCochain
 
 
 def chevalley_delta_matrix(g: Algebra, k: int) -> Matrix:
-    """Matrix of the degree-k coboundary in the ordered tuple bases, read off
-    its sparse rows; a map into the zero space is one zero row, since a
-    Matrix without rows has no column count."""
-    d = _chevalley_rows(g, k)
-    return Matrix([[row.get(c, _ZERO) for c in range(d.ncols)]
-                   for row in d.rows or ([{}] if d.ncols else [])])
+    """Matrix of the degree-k coboundary in the ordered tuple bases; a map
+    into the zero space has no rows and keeps its column count."""
+    return _chevalley_rows(g, k)
 
 
 @dataclass(frozen=True)
@@ -304,7 +299,7 @@ def derivations(alg: Algebra) -> list:
     return [Matrix.from_flat(v, n, n) for v in basis]
 
 
-def _leibniz_rows(alg: Algebra) -> SparseMatrix:
+def _leibniz_rows(alg: Algebra) -> Matrix:
     """The operator f -> f(e_i e_j) - f(e_i) e_j - e_i f(e_j).
 
     Row (i, j, s) for each reduced pair; the unknown f[r][c] (coordinate r
@@ -323,7 +318,7 @@ def _leibniz_rows(alg: Algebra) -> SparseMatrix:
                 entries[pos * n + s - 1, r * n + i - 1] -= c
             for s, c in tensor.get((i, r + 1), ()):
                 entries[pos * n + s - 1, r * n + j - 1] -= c
-    return SparseMatrix.from_entries(entries, len(pairs) * n, n * n)
+    return Matrix.from_entries(entries, len(pairs) * n, n * n)
 
 
 def derivation_space(alg: Algebra) -> Subspace:
@@ -374,7 +369,7 @@ def hochschild_delta2(A: Algebra, psi: SymmetricCochain) -> dict:
     return {t: v for t, v in zip(_all_triples(n), values) if not vec_is_zero(v)}
 
 
-def _hochschild_rows(A: Algebra) -> SparseMatrix:
+def _hochschild_rows(A: Algebra) -> Matrix:
     """The Hochschild operator d: S^2 -> C^3.
 
     Row (i, j, k, t) is coordinate t of (d psi)(e_i, e_j, e_k), triples in
@@ -399,7 +394,7 @@ def _hochschild_rows(A: Algebra) -> SparseMatrix:
                 entries[r * n + t, col[l, k] + t] -= c
             for l, c in tensor.get((j, k), ()):
                 entries[r * n + t, col[i, l] + t] += c
-    return SparseMatrix.from_entries(entries, n ** 4, len(pairs) * n)
+    return Matrix.from_entries(entries, n ** 4, len(pairs) * n)
 
 
 def symmetric_to_flat(c: SymmetricCochain) -> tuple:

@@ -1,7 +1,7 @@
 """Exact linear algebra over Q and Q(i).
 
 Every row reduction is one fraction-free Gauss-Jordan, :func:`_rref`, on the
-``{col: x}`` rows of a :class:`SparseMatrix`, over Z only.  Each row is
+``{col: x}`` rows of a :class:`Matrix`, over Z only.  Each row is
 scaled to a primitive integer row, reduced on its leading column by integral
 row operations and divided by its content, so no ``Fraction`` or
 ``GaussianRational`` is built while eliminating; :func:`rank` runs only the
@@ -46,96 +46,119 @@ def _entry(x) -> Scalar:
 
 
 class Matrix:
-    """Immutable dense matrix of exact scalars."""
+    """Immutable matrix of exact scalars: ``sparse_rows``, one ``{col: x}``
+    dict per row with no zero entries, and the shape, so that a map into or
+    out of the zero space keeps its other dimension.  Dense rows become sparse
+    in the constructor; ``rows`` is a dense read-only view."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows = tuple(tuple(_entry(x) for x in row) for row in rows)
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged rows")
+        rows = [tuple(map(_entry, row)) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        self.sparse_rows = tuple({c: x for c, x in enumerate(r) if x} for r in rows)
+        self.nrows, self.ncols = len(rows), ncols
+
+    @classmethod
+    def _of(cls, rows, ncols: int) -> "Matrix":
+        """``{col: x}`` rows without zero entries, stored as given."""
+        m = object.__new__(cls)
+        m.sparse_rows = tuple(rows)
+        m.nrows, m.ncols = len(m.sparse_rows), ncols
+        return m
+
+    @classmethod
+    def from_entries(cls, entries: Mapping, nrows: int, ncols: int) -> "Matrix":
+        """Summed entries {(row, col): x}, those that cancelled to zero dropped."""
+        rows = [{} for _ in range(nrows)]
+        for (r, c), x in entries.items():
+            if x:
+                rows[r][c] = x
+        return cls._of(rows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of([{i: _ONE} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        return cls(list(zip(*cols))) if cols else cls([])
+        return cls(cols).transpose()
 
     @classmethod
     def from_flat(cls, flat: Sequence, nrows: int, ncols: int) -> "Matrix":
         if len(flat) != nrows * ncols:
             raise ValueError("flat length does not match shape")
-        return cls([flat[i * ncols : (i + 1) * ncols] for i in range(nrows)])
+        rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+        return cls(rows) if rows else cls._of((), ncols)
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self) -> tuple:
+        return tuple(tuple(row.get(c, _ZERO) for c in range(self.ncols))
+                     for row in self.sparse_rows)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def column(self, j) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
+        return list(self.transpose().rows)
 
     def flatten(self) -> tuple:
         """Row-major flattening; the convention used for operator subspaces."""
         return tuple(x for row in self.rows for x in row)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch in matrix difference")
+        out = []
+        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
+            row = dict(r1)
+            for c, y in r2.items():
+                z = row.get(c, 0) - y
+                if z:
+                    row[c] = z
+                else:
+                    del row[c]
+            out.append(row)
+        return Matrix._of(out, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        op = SparseMatrix(self.rows, self.ncols)
-        return Matrix.from_columns([op.apply(col) for col in other.columns()])
+        out = []
+        for row in self.sparse_rows:
+            acc = {}
+            for k, x in row.items():
+                for c, y in other.sparse_rows[k].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            out.append({c: z for c, z in acc.items() if z})
+        return Matrix._of(out, other.ncols)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return SparseMatrix(self.rows, self.ncols).apply(vec)
+        out = [_ZERO] * self.nrows
+        for r, row in enumerate(self.sparse_rows):
+            for c, x in row.items():
+                if vec[c] != 0:
+                    out[r] += x * vec[c]
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows))) if self.rows else Matrix([])
+        cols = [{} for _ in range(self.ncols)]
+        for r, row in enumerate(self.sparse_rows):
+            for c, x in row.items():
+                cols[c][r] = x
+        return Matrix._of(cols, self.nrows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; (A kron B)[(i-1)q+a, (j-1)q+b] = A[i,j] B[a,b]."""
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                out.append([a * b for a in arow for b in brow])
-        return Matrix(out)
+        q = other.ncols
+        return Matrix._of([{j * q + b: x * y for j, x in arow.items() for b, y in brow.items()}
+                           for arow in self.sparse_rows for brow in other.sparse_rows],
+                          self.ncols * q)
 
     def __pow__(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -152,52 +175,22 @@ class Matrix:
         return result
 
     def trace(self):
-        return sum((self.rows[i][i] for i in range(self.nrows)), _ZERO)
+        return sum((row.get(i, _ZERO) for i, row in enumerate(self.sparse_rows)), _ZERO)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.sparse_rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.ncols == other.ncols and self.sparse_rows == other.sparse_rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.ncols, tuple(frozenset(row.items()) for row in self.sparse_rows)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix[{body}]"
-
-
-class SparseMatrix:
-    """Immutable sparse matrix: ``{col: x}`` rows without zero entries, and the
-    column count, so a map into the zero space keeps its width.  Rows are such
-    dicts or dense sequences; a dense row becomes sparse here and nowhere else."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: Iterable, ncols: int):
-        self.rows = tuple(r if isinstance(r, dict) else {c: x for c, x in enumerate(r) if x}
-                          for r in rows)
-        self.nrows, self.ncols = len(self.rows), ncols
-
-    @classmethod
-    def from_entries(cls, entries: Mapping, nrows: int, ncols: int) -> "SparseMatrix":
-        """Summed entries {(row, col): x}, those that cancelled to zero dropped."""
-        rows = [{} for _ in range(nrows)]
-        for (r, c), x in entries.items():
-            if x:
-                rows[r][c] = x
-        return cls(rows, ncols)
-
-    def apply(self, vec: Sequence) -> tuple:
-        out = [_ZERO] * self.nrows
-        for r, row in enumerate(self.rows):
-            for c, x in row.items():
-                if vec[c] != 0:
-                    out[r] += x * vec[c]
-        return tuple(out)
 
 
 def vec_add(u, v):
@@ -336,20 +329,20 @@ def rref(rows) -> tuple[list, list]:
     column indices); see :func:`_rref`."""
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
-    out, pivots = _rref(SparseMatrix(rows, ncols).rows)
+    out, pivots = _rref([{c: x for c, x in enumerate(row) if x} for row in rows])
     return [tuple(row.get(k, _ZERO) for k in range(ncols)) for row in out], pivots
 
 
 def rank(M) -> int:
-    """Rank of a Matrix or SparseMatrix, from the forward phase alone (half
-    the rank over Q of realified rows)."""
-    integral, _, pairs = _integral(SparseMatrix(M.rows, M.ncols).rows)
+    """Rank of a Matrix, from the forward phase alone (half the rank over Q of
+    realified rows)."""
+    integral, _, pairs = _integral(M.sparse_rows)
     return len(_echelon(integral)) >> pairs
 
 
 def kernel_basis(M) -> list[tuple]:
     """Canonical basis of {x : Mx = 0}, one vector per free column."""
-    rows, pivots = _rref(SparseMatrix(M.rows, M.ncols).rows)
+    rows, pivots = _rref(M.sparse_rows)
     n, pivot_set = M.ncols, set(pivots)
     basis = []
     for f in (c for c in range(n) if c not in pivot_set):
@@ -367,7 +360,7 @@ def solve(M, b: Sequence) -> Optional[tuple]:
         raise ValueError("right-hand side length does not match row count")
     n = M.ncols
     rows, pivots = _rref([{**row, n: x} if x else row for row, x
-                          in zip(SparseMatrix(M.rows, n).rows, map(_entry, b))])
+                          in zip(M.sparse_rows, map(_entry, b))])
     if n in pivots:
         return None  # pivot in the augmented column: inconsistent
     x = [_ZERO] * n
@@ -380,11 +373,10 @@ def inverse(M: Matrix) -> Matrix:
     n = M.nrows
     if n != M.ncols:
         raise SingularMatrixError("only square matrices are invertible")
-    rows, pivots = _rref([{**row, n + i: _ONE}
-                          for i, row in enumerate(SparseMatrix(M.rows, n).rows)])
+    rows, pivots = _rref([{**row, n + i: _ONE} for i, row in enumerate(M.sparse_rows)])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix([[row.get(n + j, _ZERO) for j in range(n)] for row in rows])
+    return Matrix._of([{c - n: x for c, x in row.items() if c >= n} for row in rows], n)
 
 
 class Subspace:
@@ -561,7 +553,6 @@ def min_poly(M: Matrix) -> tuple:
     n = M.nrows
     if n != M.ncols:
         raise ValueError("minimal polynomial needs a square matrix")
-    op = SparseMatrix(M.rows, n)
     mu = (_ONE,)
     for j in range(n):
         if len(mu) > n:
@@ -569,20 +560,19 @@ def min_poly(M: Matrix) -> tuple:
         e = tuple(_ONE if i == j else _ZERO for i in range(n))
         w = vec_zero(n)
         for c in reversed(mu):
-            w = vec_add(op.apply(w), vec_scale(c, e))
+            w = vec_add(M.apply(w), vec_scale(c, e))
         if not vec_is_zero(w):
-            mu = poly_mul(mu, _krylov(op, w)[1])
+            mu = poly_mul(mu, _krylov(M, w)[1])
     return mu
 
 
 def _krylov(M, w: tuple) -> tuple[list, tuple]:
-    """(w, Mw, ..., M^(m-1) w, mu_w) for a nonzero w and a Matrix or
-    SparseMatrix M: the Krylov vectors up to the first dependence, each taken
-    from the sparse M, and the monic mu_w of least degree m with mu_w(M) w = 0."""
-    op = SparseMatrix(M.rows, M.ncols)
+    """(w, Mw, ..., M^(m-1) w, mu_w) for a nonzero w: the Krylov vectors up to
+    the first dependence and the monic mu_w of least degree m with
+    mu_w(M) w = 0."""
     krylov = [w]
     while True:
-        nxt = op.apply(krylov[-1])
+        nxt = M.apply(krylov[-1])
         coeffs = solve(Matrix.from_columns(krylov), nxt)
         if coeffs is not None:
             return krylov, tuple(-c for c in coeffs) + (_ONE,)

@@ -33,7 +33,6 @@ from . import scalars
 from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError
 from .linalg import (
     Matrix,
-    SparseMatrix,
     Subspace,
     _krylov,
     inverse,
@@ -63,14 +62,12 @@ def _require_kind(alg: Algebra, kind: str, op: str) -> None:
 # Center and series
 # ---------------------------------------------------------------------------
 
-def _right_mult_system(alg: Algebra) -> SparseMatrix:
+def _right_mult_system(alg: Algebra) -> Matrix:
     """x -> (x e_1, ..., x e_n) stacked: row (j-1) n + k-1, column i holds c_ij^k."""
     n = alg.dim
-    rows = [{} for _ in range(n * n)]
-    for (i, j), terms in alg.tensor.items():
-        for k, c in terms:
-            rows[(j - 1) * n + k - 1][i - 1] = c
-    return SparseMatrix(rows, n)
+    return Matrix.from_entries({((j - 1) * n + k - 1, i - 1): c
+                                for (i, j), terms in alg.tensor.items() for k, c in terms},
+                               n * n, n)
 
 
 def center(g: Algebra) -> Subspace:
@@ -220,7 +217,7 @@ def _trace_radical(A: Algebra) -> Subspace:
     eigenvalues of L_x have every power sum 0, so by Newton's identities
     they are all 0, L_x is nilpotent and x^(m+1) = L_x^m x = 0.
     """
-    return Subspace(A.dim, kernel_basis(SparseMatrix(_trace_form(A), A.dim)))
+    return Subspace(A.dim, kernel_basis(Matrix(_trace_form(A))))
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +428,7 @@ def all_nilpotent_space(ops: Sequence[Matrix]) -> bool:
         if M.shape != (n, n):
             raise ValueError("operators must be square and of equal dimension")
     while n > 0:
-        stacked = Matrix([row for M in mats for row in M.rows])
-        common = kernel_basis(stacked)
+        common = kernel_basis(Matrix._of([row for M in mats for row in M.sparse_rows], n))
         if not common:
             return False
         w = Subspace(n, common)
@@ -447,8 +443,8 @@ def all_nilpotent_space(ops: Sequence[Matrix]) -> bool:
         new_mats = []
         for M in mats:
             mm = t_inv @ M @ t
-            block = [r[k:] for r in mm.rows[k:]]
-            new_mats.append(Matrix(block))
+            new_mats.append(Matrix._of([{c - k: x for c, x in row.items() if c >= k}
+                                        for row in mm.sparse_rows[k:]], n - k))
         mats = new_mats
         n -= k
     return True

@@ -277,7 +277,7 @@ def dense_rref(rows) -> tuple[list, list]:
 
 def dense_view(op) -> ca.Matrix:
     """The dense Matrix of a sparse operator's ``{col: x}`` rows."""
-    return ca.Matrix([[row.get(c, Fraction(0)) for c in range(op.ncols)] for row in op.rows])
+    return ca.Matrix([[row.get(c, Fraction(0)) for c in range(op.ncols)] for row in op.sparse_rows])
 
 
 P61 = 2 ** 61 - 1

@@ -367,13 +367,13 @@ def test_criterion_11_paper_scale_rigidity_with_modular_oracle():
         # rank_p <= rank_Q, and d2 d1 = 0 gives rank d1 <= dim Z2 = dim C2 - rank d2,
         # so rank_p d1 + rank_p d2 = dim C2 makes both ranks exact and H2 = 0
         d1, d2 = _chevalley_rows(flat, 1), _chevalley_rows(flat, 2)
-        for row in d2.rows:
+        for row in d2.sparse_rows:
             composite = {}
             for c, x in row.items():
-                for k, y in d1.rows[c].items():
+                for k, y in d1.sparse_rows[c].items():
                     composite[k] = composite.get(k, 0) + x * y
             ok = ok and not any(composite.values())
-        r1, r2 = rank_mod_p(d1.rows), rank_mod_p(d2.rows)
+        r1, r2 = rank_mod_p(d1.sparse_rows), rank_mod_p(d2.sparse_rows)
         ok = ok and r1 + r2 == d2.ncols
         ok = ok and (d2.ncols - r2, r1, 0) == (dims.dim_Z, dims.dim_B, dims.dim_H)
         lines.append(f"{name} H2 = {dims.dim_H} in {elapsed:.2f}s < 1s")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,10 +136,10 @@ def _gaussian_unimodular(draw, n):
 
 def _composite_is_zero(hi, lo) -> bool:
     """hi . lo = 0 for sparse operators: every row of hi times lo vanishes."""
-    for row in hi.rows:
+    for row in hi.sparse_rows:
         acc = {}
         for c, x in row.items():
-            for k, y in lo.rows[c].items():
+            for k, y in lo.sparse_rows[c].items():
                 acc[k] = acc.get(k, 0) + x * y
         if any(acc.values()):
             return False
@@ -173,7 +174,7 @@ def test_qi_twisted_h2_zero_by_rank_mod_p(g, data):
     h = ca.change_basis(g, data.draw(_gaussian_unimodular(g.dim)))
     d1, d2 = _chevalley_rows(h, 1), _chevalley_rows(h, 2)
     assert _composite_is_zero(d2, d1)
-    r1, r2 = rank_mod_p(d1.rows, P998), rank_mod_p(d2.rows, P998)
+    r1, r2 = rank_mod_p(d1.sparse_rows, P998), rank_mod_p(d2.sparse_rows, P998)
     assert r1 + r2 == d2.ncols
     assert (ca.rank(d1), ca.rank(d2)) == (r1, r2)
 
@@ -422,8 +423,21 @@ def test_chevalley_delta_matrix_matches_formula_oracle():
             assert got.ncols == len(cols), (g, k)
             if rows:
                 assert got == Matrix.from_columns(cols), (g, k)
-            else:  # zero map into the zero space: one zero row, or none at all
-                assert got.nrows == (1 if cols else 0) and got.is_zero(), (g, k)
+            else:  # the map into the zero space: no rows, one column per source coordinate
+                assert got.shape == (0, len(cols)), (g, k)
+
+
+def test_chevalley_delta_matrices_compose_to_zero():
+    # d^(k+1) d^k = 0 as a product of Matrix objects, also at the top of the
+    # complex, where a map into or out of the zero space keeps its other side.
+    lie = [g for g in oracle_corpus(ca.LIE) if ca.check_identities(g).passed]
+    assert ca.abelian(1) in lie
+    for g in lie:
+        n = g.dim
+        for k in (0, 1):
+            d = chevalley_delta_matrix(g, k + 1) @ chevalley_delta_matrix(g, k)
+            assert d.shape == (comb(n, k + 2) * n, comb(n, k) * n), (g, k)
+            assert d.is_zero(), (g, k)
 
 
 def test_hochschild_deltas_match_formula_oracle():

@@ -10,7 +10,6 @@ from currentalg import (
     GaussianRational,
     Matrix,
     SingularMatrixError,
-    SparseMatrix,
     Subspace,
     inverse,
     kernel_basis,
@@ -94,7 +93,7 @@ def test_matrix_kron_layout():
     b = Matrix([[0, 1], [1, 0]])
     k = a.kron(b)
     # (i-1)*q + a layout: entry ((1,2),(2,1)) = a[0][1] * b[1][0]
-    assert k[0 * 2 + 1][1 * 2 + 0] == a[0][1] * b[1][0]
+    assert k.rows[0 * 2 + 1][1 * 2 + 0] == a.rows[0][1] * b.rows[1][0]
     assert k.shape == (4, 4)
 
 
@@ -165,6 +164,47 @@ def test_poly_helpers():
     assert poly_degree(gg) == 0
 
 
+def test_matrix_difference_checks_shapes():
+    assert Matrix([[1, 2]]) - Matrix([[1, 1]]) == Matrix([[0, 1]])
+    for other in (Matrix([[1]]), Matrix([[1, 2], [3, 4]])):
+        with pytest.raises(ValueError):
+            Matrix([[1, 2]]) - other
+
+
+def test_matrix_edge_shapes():
+    wide, tall = Matrix.from_columns([[], []]), Matrix([[], [], []])
+    assert (wide.shape, tall.shape) == ((0, 2), (3, 0))
+    assert (wide.transpose().shape, tall.transpose().shape) == ((2, 0), (0, 3))
+    assert (Matrix.from_flat((), 0, 2), Matrix.from_flat((), 3, 0)) == (wide, tall)
+    assert wide != Matrix([]) != tall
+    for product, shape in ((wide.transpose() @ wide, (2, 2)), (tall @ wide, (3, 2)),
+                           (wide @ wide.transpose(), (0, 0))):
+        assert product.shape == shape and product.is_zero()
+    assert (wide @ Matrix.identity(2)).shape == (0, 2)
+    assert (wide.kron(Matrix.identity(2)).shape, tall.kron(wide).shape) == ((0, 4), (0, 0))
+    assert tall.kron(Matrix([[1, 2]])).shape == (3, 0)
+    assert rank(wide) == rank(tall) == 0
+    assert kernel_basis(wide) == [(F(1), F(0)), (F(0), F(1))]
+    assert kernel_basis(tall) == []
+    assert solve(wide, ()) == (F(0), F(0))
+    assert solve(tall, (0, 0, 0)) == ()
+    assert solve(tall, (0, 1, 0)) is None
+    assert wide.apply((1, 2)) == () and tall.apply(()) == (F(0),) * 3
+
+
+def test_dense_and_assembled_matrices_agree():
+    i = GaussianRational(0, 1)
+    for dense, entries in (([[1, 0], [0, F(2)]], {(0, 0): F(1), (1, 1): 2}),
+                           ([[GaussianRational(1), 0, i]], {(0, 0): 1, (0, 2): i}),
+                           ([[GaussianRational(F(1, 2)), 3]], {(0, 0): F(1, 2), (0, 1): i - i + 3})):
+        m, op = Matrix(dense), Matrix.from_entries(entries, len(dense), len(dense[0]))
+        assert m == op and hash(m) == hash(op) and m.rows == op.rows, dense
+    with pytest.raises(ca.ScalarError):
+        Matrix([[1.0]])
+    with pytest.raises(ValueError):
+        Matrix([[1, 2], [3]])
+
+
 def test_matrix_power():
     m = Matrix([[1, 1], [0, 1]])
     assert m ** 0 == Matrix.identity(2)
@@ -227,7 +267,7 @@ def _vectors(draw, field, rows, ncols):
 
 @st.composite
 def _assembled(draw, field, rows, ncols):
-    """rows as a SparseMatrix summed term by term, as the assemblers build
+    """rows as a Matrix summed term by term, as the assemblers build
     operators: each entry x arrives as x - y and y for a drawn y, so zero
     entries with y != 0 cancel to zero during assembly."""
     entries = defaultdict(int)
@@ -236,7 +276,7 @@ def _assembled(draw, field, rows, ncols):
             y = draw(_ENTRIES[field])
             entries[r, c] += x - y
             entries[r, c] += y
-    return SparseMatrix.from_entries(entries, len(rows), ncols)
+    return Matrix.from_entries(entries, len(rows), ncols)
 
 
 def _oracle_kernel(rows, ncols):
@@ -279,9 +319,11 @@ def test_rref_matches_dense_oracle(field, data):
     assert rank(Matrix(rows)) == len(want_pivots)
     # the same rows as an assembled sparse operator, and the map into the zero space
     for op, dense in ((data.draw(_assembled(field, rows, ncols)), rows),
-                      (SparseMatrix([], ncols), [])):
+                      (Matrix.from_entries({}, 0, ncols), [])):
         assert (op.nrows, op.ncols) == (len(dense), ncols)
-        assert all(x != 0 for row in op.rows for x in row.values())
+        assert all(x != 0 for row in op.sparse_rows for x in row.values())
+        if dense:  # built densely or term by term, one matrix
+            assert op == Matrix(dense) and hash(op) == hash(Matrix(dense))
         assert rank(op) == len(dense_rref(dense)[1])
         assert kernel_basis(op) == _oracle_kernel(dense, ncols)
 
@@ -307,7 +349,7 @@ def test_gaussian_echelon_entries_stay_small():
     upper = Matrix([[1 if i == j else entry() if i < j else 0 for j in range(n)] for i in range(n)])
     h = ca.change_basis(ca.complexify(ca.t_oplus_a(2, 1)), lower @ upper)
     for k in (1, 2):
-        for row in _echelon(_integral(_chevalley_rows(h, k).rows)[0]).values():
+        for row in _echelon(_integral(_chevalley_rows(h, k).sparse_rows)[0]).values():
             assert max(abs(x) for x in row.values()).bit_length() < 64
 
 
@@ -327,7 +369,7 @@ def test_realified_pivots_pair_up(data):
     # pivots pair up as (2c, 2c + 1), and after back-substitution the row of
     # pivot 2c is 0 at 2c + 1: the readout of _rref and rank // 2 rest on it.
     ncols, rows = data.draw(_gaussian_matrices())
-    integral, _, pairs = _integral(SparseMatrix(rows, ncols).rows)
+    integral, _, pairs = _integral(Matrix(rows).sparse_rows)
     assume(pairs)
     echelon = _echelon(integral)
     evens = sorted(echelon)[::2]
@@ -343,8 +385,8 @@ def test_gaussian_rank_mod_p_bounds_rank(data):
     # i -> sqrt(-1) mod p is a ring map, so no minor survives it that vanishes
     # over Q(i): an independent route that never realifies a row.
     ncols, rows = data.draw(_gaussian_matrices())
-    op = SparseMatrix(rows, ncols)
-    assert rank_mod_p(op.rows, P998) <= rank(op) == len(dense_rref(rows)[1])
+    op = Matrix(rows)
+    assert rank_mod_p(op.sparse_rows, P998) <= rank(op) == len(dense_rref(rows)[1])
 
 
 @_FIELDS

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
@@ -37,12 +38,20 @@ def _tensor(table: Mapping, kind: str) -> dict:
     """Sparse structure tensor of a symmetry-reduced table: every ordered pair
     (i, j) with a nonzero product maps to the nonzero terms (k, c) of e_i * e_j.
 
+    An integral ``Fraction`` c is stored as the ``int`` c.numerator, so a
+    table with integer constants over Q is read and summed as plain ints by
+    every assembler and residual sum, and its operators reach
+    :func:`linalg._integral` as int rows.  Other ``Fraction``s and every
+    Gaussian value are stored as they are; :meth:`Algebra.basis_product`
+    coerces back to the field.
+
     Also reads the ``data`` of a degree-2 cochain, stored on i < j like a
     Lie table.
     """
     tensor = {}
     for (i, j), vec in table.items():
-        terms = tuple((k, c) for k, c in enumerate(vec, start=1) if c != 0)
+        terms = tuple((k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+                      for k, c in enumerate(vec, start=1) if c != 0)
         tensor[(j, i)] = (terms if kind == ASSOC_COMM
                           else tuple((k, -c) for k, c in terms))
         tensor[(i, j)] = terms
@@ -122,11 +131,12 @@ class Algebra:
     # -- products ----------------------------------------------------------
 
     def basis_product(self, i: int, j: int) -> tuple:
-        """e_i * e_j with the stored symmetry class filled back in."""
+        """e_i * e_j with the stored symmetry class filled back in, as field
+        scalars."""
         self._check_index(i), self._check_index(j)
         out = [scalars.zero(self.field)] * self.dim
         for k, c in self.tensor.get((i, j), ()):
-            out[k - 1] = c
+            out[k - 1] = scalars.coerce(self.field, c)
         return tuple(out)
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:

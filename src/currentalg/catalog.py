@@ -284,13 +284,18 @@ def fingerprint(alg: Algebra) -> Fingerprint:
     if alg.kind == LIE:
         rep = series(alg)
         h1, h2 = _chevalley_dims(alg, 0, 2)
+        # Der through the Leibniz system and Z^1 through d^1: two assemblers.
+        der_dim = alg.dim ** 2 - rank(_leibniz_rows(alg))
+        if der_dim != h1.dim_Z:
+            raise AssertionError(
+                "Leibniz kernel and Z^1 disagree; this is a bug in an assembler")
         return Fingerprint(
             dim=alg.dim,
             kind=alg.kind,
             center_dim=center(alg).dim,
             is_solvable=rep.is_solvable,
             is_nilpotent=rep.is_nilpotent,
-            der_dim=alg.dim ** 2 - rank(_leibniz_rows(alg)),
+            der_dim=der_dim,
             h1_dim=h1.dim_H,
             h2_dim=h2.dim_H,
         )

@@ -210,18 +210,20 @@ def _chevalley_rows(g: Algebra, k: int) -> Matrix:
     for r, tup in enumerate(targets):
         for p in range(k + 1):
             # (-1)^p [x_p, phi(..., x_p omitted, ...)]
-            rest = col[tup[:p] + tup[p + 1:]]
+            rest, sign_p = col[tup[:p] + tup[p + 1:]], -1 if p & 1 else 1
             for s in range(n):
                 for t, c in tensor.get((tup[p], s + 1), ()):
-                    entries[r * n + t - 1, rest + s] += (-1) ** p * c
+                    entries[r * n + t - 1, rest + s] += sign_p * c
             # (-1)^(p+q) phi([x_p, x_q], ..., x_p, x_q omitted, ...)
             for q in range(p + 1, k + 1):
+                sign_pq = -sign_p if q & 1 else sign_p
                 for l, c in tensor.get((tup[p], tup[q]), ()):
                     key, sign = _sort_with_sign(
                         (l,) + tup[:p] + tup[p + 1:q] + tup[q + 1:])
                     if sign:
+                        x, at = sign_pq * sign * c, col[key]
                         for t in range(n):
-                            entries[r * n + t, col[key] + t] += (-1) ** (p + q) * sign * c
+                            entries[r * n + t, at + t] += x
     return Matrix.from_entries(entries, len(targets) * n, len(sources) * n)
 
 

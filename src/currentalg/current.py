@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from . import scalars
 from .algebra import (
     LIE,
     ASSOC_COMM,
@@ -72,7 +73,7 @@ class PQResidual:
     g_triple: tuple          # (i, j, k)
     a_triple: tuple          # (a, b, c)
     target: tuple            # (s, t)
-    value: object            # nonzero scalar
+    value: object            # nonzero field scalar
 
     def flat_triple(self, q: int) -> tuple:
         (i, j, k), (a, b, c) = self.g_triple, self.a_triple
@@ -114,7 +115,7 @@ def jacobi_pq_residuals(g: Algebra, A: Algebra) -> list[PQResidual]:
                             acc[s, t] = acc.get((s, t), 0) + x * y * z * e
         residuals.extend(
             PQResidual(g_triple=(i, j, k), a_triple=(a, b, c), target=st,
-                       value=acc[st])
+                       value=scalars.coerce(g.field, acc[st]))
             for st in sorted(acc) if acc[st] != 0)
     return residuals
 

@@ -5,10 +5,13 @@ Every row reduction is one fraction-free Gauss-Jordan, :func:`_rref`, on the
 scaled to a primitive integer row, reduced on its leading column by integral
 row operations and divided by its content, so no ``Fraction`` or
 ``GaussianRational`` is built while eliminating; :func:`rank` runs only the
-forward phase.  Gaussian rows enter as integer triples (x, y, d), scaled by
-the lcm of their d.  When some entry has an imaginary part, each row v
-enters as the two integer rows of v and i*v, coordinate c split into its
-real part at column 2c and its imaginary part at 2c + 1.  That real span is
+forward phase.  Entries may be ``int``, ``Fraction`` or ``GaussianRational``.
+An operator assembled from an integral table over Q has only ``int``
+entries; its rows enter as they are, with no denominators to clear, and are
+only divided by their content.  Gaussian rows enter as integer triples
+(x, y, d), scaled by the lcm of their d.  When some entry has an imaginary
+part, each row v enters as the two integer rows of v and i*v, coordinate c
+split into its real part at column 2c and its imaginary part at 2c + 1.  That real span is
 closed under multiplication by i, so the pivots come in pairs (2c, 2c + 1)
 and the reduced row of pivot 2c is the realified reduced row of pivot c over
 Q(i): each entry is read back as the reduced triple of
@@ -219,6 +222,9 @@ def _integral(rows) -> tuple[list, bool, bool]:
     """The nonempty sparse rows as primitive integer rows, each scaled by the
     lcm of its denominators; whether any entry is Gaussian; and whether the
     rows are realified, as they are when some entry has an imaginary part.
+    When every entry is a plain int, as in an operator assembled from an
+    integral structure tensor, the rows are only copied and divided by their
+    content.
 
     A realified row v = x + y*i (x, y integer rows) enters as the two rows of
     v and i*v over Z: coordinate c goes to column 2c (real part) and 2c + 1
@@ -228,8 +234,9 @@ def _integral(rows) -> tuple[list, bool, bool]:
     (2c, 2c + 1), one pair per pivot c over Q(i).  Gaussian rows with no
     imaginary part are reduced as plain int rows."""
     sparse = [r for r in rows if r]
-    gaussian = [x for r in sparse for x in r.values() if isinstance(x, GaussianRational)]
-    pairs = any(_parts(x)[1] for x in gaussian)
+    types = set().union(*(map(type, r.values()) for r in sparse))
+    gaussian, ints = GaussianRational in types, types == {int}
+    pairs = gaussian and any(_parts(x)[1] for r in sparse for x in r.values())
     out = []
     for row in sparse:
         if gaussian:
@@ -238,6 +245,8 @@ def _integral(rows) -> tuple[list, bool, bool]:
             row = ({k: p for c, (x, y, d) in parts.items()
                     for k, p in ((2 * c, x * (m // d)), (2 * c + 1, y * (m // d))) if p}
                    if pairs else {c: x * (m // d) for c, (x, _, d) in parts.items()})
+        elif ints:
+            row = dict(row)  # the elimination edits its rows in place
         else:
             m = lcm(*(x.denominator for x in row.values()))
             row = {c: x.numerator * (m // x.denominator) for c, x in row.items()}

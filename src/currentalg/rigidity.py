@@ -50,12 +50,20 @@ class RigidityCertificate:
 
 
 def rigidity_certificate(g: Algebra) -> RigidityCertificate:
-    """H^2-based certificate plus the orbit dimension n^2 - dim Der."""
+    """H^2-based certificate plus the orbit dimension n^2 - dim Der.
+
+    Der is both the kernel of the Leibniz system and Z^1, the kernel of d^1,
+    so the Leibniz rank must equal dim B^2, the rank of d^1; the two
+    operators come from different assemblers, and a disagreement raises.
+    """
     if g.kind != LIE:
         raise AlgebraError("rigidity_certificate needs a Lie algebra")
     require_identities(g)
     h2 = chevalley_dims(g, 2)
     orbit = rank(_leibniz_rows(g))  # n^2 - dim Der, Der the kernel of the Leibniz system
+    if orbit != h2.dim_B:
+        raise AssertionError(
+            "Leibniz rank and rank of d^1 disagree; this is a bug in an assembler")
     verdict = RIGID_BY_H2_ZERO if h2.dim_H == 0 else INCONCLUSIVE
     return RigidityCertificate(verdict=verdict, h2_dims=h2, orbit_dim=orbit)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from pathlib import Path
 
@@ -347,6 +348,86 @@ def table_mult(alg, x, y):
                 for k, c in enumerate(table_product(alg, i, j)):
                     out[k] += xi * yj * c
     return tuple(out)
+
+
+# Column-by-column oracles of the assembled operators: each column is the
+# image of one basis cochain, from the formula and the stored table only (no
+# tensor, multiply or basis_product).  Returned as Matrix objects, whose
+# constructor turns every entry into a field scalar.
+
+def chevalley_columns_oracle(g, k):
+    """Chevalley d^k of g: column (S, s) is d of the cochain phi(e_S) = e_s."""
+    n = g.dim
+    cols = []
+    for tup in combinations(range(1, n + 1), k):
+        for s in range(1, n + 1):
+
+            def phi(args):  # phi(e_tup) = e_s, alternating: coefficient of e_s
+                if sorted(args) != list(tup) or len(set(args)) < len(args):
+                    return 0
+                return (-1) ** sum(a > b for a, b in combinations(args, 2))
+
+            col = []
+            for T in combinations(range(1, n + 1), k + 1):
+                val = [Fraction(0)] * n
+                for p in range(k + 1):  # (-1)^p [x_p, phi(..., x_p omitted, ...)]
+                    sign = phi(T[:p] + T[p + 1:])
+                    for t, c in enumerate(table_product(g, T[p], s) if sign else ()):
+                        val[t] += (-1) ** p * sign * c
+                for p, q in combinations(range(k + 1), 2):
+                    rest = tuple(x for m, x in enumerate(T) if m not in (p, q))
+                    for l, w in enumerate(table_product(g, T[p], T[q]), 1):
+                        val[s - 1] += (-1) ** (p + q) * w * phi((l,) + rest)
+                col.extend(val)
+            cols.append(tuple(col))
+    return ca.Matrix.from_columns(cols)
+
+
+def leibniz_columns_oracle(alg):
+    """The Leibniz system f -> f(e_i e_j) - f(e_i) e_j - e_i f(e_j): column
+    (r-1) n + (c-1) is its value on f = E_rc, f(e_c) = e_r; rows (i, j, s) on
+    reduced pairs, i < j for Lie and i <= j for assoc-comm."""
+    n = alg.dim
+    pairs = list((combinations if alg.kind == ca.LIE else combinations_with_replacement)(
+        range(1, n + 1), 2))
+    cols = []
+    for r, c in product(range(1, n + 1), repeat=2):
+        col = []
+        for i, j in pairs:
+            val = [Fraction(0)] * n
+            val[r - 1] += table_product(alg, i, j)[c - 1]
+            if i == c:
+                val = [x - y for x, y in zip(val, table_product(alg, r, j))]
+            if j == c:
+                val = [x - y for x, y in zip(val, table_product(alg, i, r))]
+            col.extend(val)
+        cols.append(tuple(col))
+    return ca.Matrix.from_columns(cols)
+
+
+def hochschild_columns_oracle(A):
+    """Hochschild d: S^2 -> C^3: column (a <= b, s) is d of the symmetric
+    cochain psi(e_a, e_b) = e_s; rows (i, j, k, t) with triples in
+    lexicographic order."""
+    n = A.dim
+    cols = []
+    for (a, b), s in product(combinations_with_replacement(range(1, n + 1), 2),
+                             range(1, n + 1)):
+
+        def psi(x, y):  # coefficient of e_s in psi(e_x, e_y)
+            return int((min(x, y), max(x, y)) == (a, b))
+
+        col = []
+        for i, j, k in product(range(1, n + 1), repeat=3):
+            # e_i psi(e_j, e_k) - psi(e_i e_j, e_k) + psi(e_i, e_j e_k) - psi(e_i, e_j) e_k
+            val = [psi(j, k) * x - psi(i, j) * y for x, y in zip(
+                table_product(A, i, s), table_product(A, s, k))]
+            val[s - 1] += (
+                sum(w * psi(i, l) for l, w in enumerate(table_product(A, j, k), 1))
+                - sum(w * psi(l, k) for l, w in enumerate(table_product(A, i, j), 1)))
+            col.extend(val)
+        cols.append(tuple(col))
+    return ca.Matrix.from_columns(cols)
 
 
 def unimodular_twist(n, seed):

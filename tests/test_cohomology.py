@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -34,6 +34,8 @@ from conftest import (
     P998,
     catalog_assoc_algebras,
     catalog_lie_algebras,
+    chevalley_columns_oracle,
+    hochschild_columns_oracle,
     oracle_corpus,
     rand_chevalley,
     rand_chevalley2,
@@ -380,51 +382,22 @@ def test_cochain_flat_round_trip():
 
 # ---------------------------------------------------------------------------
 # Independent oracle: coboundaries column by column on basis cochains, from
-# the formulas and the stored table only (no tensor, multiply, basis_product)
+# the formulas and the stored table only (no tensor, multiply, basis_product);
+# the column oracles live in conftest.py
 # ---------------------------------------------------------------------------
 
 def _unit(n, s, c=1):
     return tuple(F(c) if k == s else F(0) for k in range(1, n + 1))
 
 
-def _oracle_chevalley_columns(g, k):
-    n = g.dim
-    cols = []
-    for tup in combinations(range(1, n + 1), k):
-        for s in range(1, n + 1):
-
-            def phi(args):  # phi(e_tup) = e_s, alternating: coefficient of e_s
-                if sorted(args) != list(tup) or len(set(args)) < len(args):
-                    return 0
-                return (-1) ** sum(a > b for a, b in combinations(args, 2))
-
-            col = []
-            for T in combinations(range(1, n + 1), k + 1):
-                val = [F(0)] * n
-                for p in range(k + 1):  # (-1)^p [x_p, phi(..., x_p omitted, ...)]
-                    sign = phi(T[:p] + T[p + 1:])
-                    for t, c in enumerate(table_product(g, T[p], s) if sign else ()):
-                        val[t] += (-1) ** p * sign * c
-                for p, q in combinations(range(k + 1), 2):
-                    rest = tuple(x for m, x in enumerate(T) if m not in (p, q))
-                    for l, w in enumerate(table_product(g, T[p], T[q]), 1):
-                        val[s - 1] += (-1) ** (p + q) * w * phi((l,) + rest)
-                col.extend(val)
-            cols.append(tuple(col))
-    return cols
-
-
 def test_chevalley_delta_matrix_matches_formula_oracle():
     for g in oracle_corpus(ca.LIE):
         for k in (0, 1, 2):
-            cols = _oracle_chevalley_columns(g, k)
-            rows = len(list(combinations(range(g.dim), k + 1))) * g.dim
+            want = chevalley_columns_oracle(g, k)
             got = chevalley_delta_matrix(g, k)
-            assert got.ncols == len(cols), (g, k)
-            if rows:
-                assert got == Matrix.from_columns(cols), (g, k)
-            else:  # the map into the zero space: no rows, one column per source coordinate
-                assert got.shape == (0, len(cols)), (g, k)
+            # a map into the zero space has no rows and one column per source coordinate
+            assert got.shape == (comb(g.dim, k + 1) * g.dim, comb(g.dim, k) * g.dim), (g, k)
+            assert got == want, (g, k)
 
 
 def test_chevalley_delta_matrices_compose_to_zero():
@@ -455,20 +428,11 @@ def test_hochschild_deltas_match_formula_oracle():
                     table_mult(A, f.apply(ei), ej))]
                 assert d1.value(i, j) == tuple(expected), (A, r, c, i, j)
         pairs = combinations_with_replacement(range(1, n + 1), 2)
-        for (a, b), s in product(pairs, range(1, n + 1)):
-
-            def psi(x, y):  # psi(e_a, e_b) = e_s, symmetric: coefficient of e_s
-                return int((min(x, y), max(x, y)) == (a, b))
-
+        columns = hochschild_columns_oracle(A).columns()
+        for ((a, b), s), expected in zip(product(pairs, range(1, n + 1)), columns):
             d2 = hochschild_delta2(A, SymmetricCochain(n, {(a, b): _unit(n, s)}))
-            for i, j, k in product(range(1, n + 1), repeat=3):
-                # e_i psi(e_j, e_k) - psi(e_i e_j, e_k) + psi(e_i, e_j e_k) - psi(e_i, e_j) e_k
-                expected = [psi(j, k) * x - psi(i, j) * y for x, y in zip(
-                    table_product(A, i, s), table_product(A, s, k))]
-                expected[s - 1] += (
-                    sum(w * psi(i, l) for l, w in enumerate(table_product(A, j, k), 1))
-                    - sum(w * psi(l, k) for l, w in enumerate(table_product(A, i, j), 1)))
-                assert d2.get((i, j, k), zero) == tuple(expected), (A, a, b, s)
+            got = [x for ijk in product(range(1, n + 1), repeat=3) for x in d2.get(ijk, zero)]
+            assert tuple(got) == expected, (A, a, b, s)
 
 
 def test_infinitesimal_check_routes_agree_on_corpus():

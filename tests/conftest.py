@@ -460,6 +460,19 @@ def oracle_corpus(kind):
     return with_variants([a for a in base if a.kind == kind])
 
 
+def scaled(alg):
+    """alg in the basis 2 e_1, e_2, ..., e_n: constants with halves among ints."""
+    n = alg.dim
+    return ca.change_basis(alg, ca.Matrix([[2 if i == j == 0 else int(i == j) for j in range(n)]
+                                           for i in range(n)]))
+
+
+def scaled_corpus(kind):
+    """The oracle corpus (canonical, twisted, complexified) and each of those scaled."""
+    base = oracle_corpus(kind)
+    return base + [scaled(a) for a in base]
+
+
 def _triples(n: int):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

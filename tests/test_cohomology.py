@@ -42,6 +42,7 @@ from conftest import (
     rand_matrix,
     rand_symmetric,
     rank_mod_p,
+    scaled_corpus,
     table_mult,
     table_product,
 )
@@ -391,13 +392,17 @@ def _unit(n, s, c=1):
 
 
 def test_chevalley_delta_matrix_matches_formula_oracle():
-    for g in oracle_corpus(ca.LIE):
+    # canonical, twisted, complexified and rational-scaled forms
+    for g in scaled_corpus(ca.LIE):
         for k in (0, 1, 2):
             want = chevalley_columns_oracle(g, k)
             got = chevalley_delta_matrix(g, k)
+            r, kernel = ca.rank(got), ca.kernel_basis(got)
+            # compared after the elimination, which must leave its input as it was;
             # a map into the zero space has no rows and one column per source coordinate
             assert got.shape == (comb(g.dim, k + 1) * g.dim, comb(g.dim, k) * g.dim), (g, k)
-            assert got == want, (g, k)
+            assert got == want and hash(got) == hash(want), (g, k)
+            assert r == ca.rank(want) and kernel == ca.kernel_basis(want), (g, k)
 
 
 def test_chevalley_delta_matrices_compose_to_zero():

@@ -9,10 +9,10 @@ which satisfies d.d = 0 and makes Z^1 exactly the derivation algebra.
 Cochain bases are ordered lexicographically on index tuples with the value
 coordinate innermost, so coboundary matrices have reproducible shapes.
 
-Each operator (Chevalley d^0..d^2, the Leibniz system, Hochschild d^2) is
-assembled row by row from its formula and ``Algebra.tensor``; Hochschild d^1
-is minus the Leibniz system.  The Jacobiator route in ``rigidity`` and the
-decomposable evaluators below stay independent of these rows.
+Each operator (Chevalley d^0..d^2, Hochschild d^2; the Leibniz system lives in
+``algebra``) is assembled row by row from its formula and ``Algebra.tensor``;
+Hochschild d^1 is minus the Leibniz system.  The Jacobiator route in ``rigidity``
+and the decomposable evaluators below stay independent of these rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError
+from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, _leibniz_rows
 from .current import current_algebra
 from .linalg import (
     Matrix,
@@ -299,28 +299,6 @@ def derivations(alg: Algebra) -> list:
     n = alg.dim
     basis = kernel_basis(_leibniz_rows(alg))
     return [Matrix.from_flat(v, n, n) for v in basis]
-
-
-def _leibniz_rows(alg: Algebra) -> Matrix:
-    """The operator f -> f(e_i e_j) - f(e_i) e_j - e_i f(e_j).
-
-    Row (i, j, s) for each reduced pair; the unknown f[r][c] (coordinate r
-    of f(e_c)) sits in column (r-1)*n + (c-1).
-    """
-    n, tensor = alg.dim, alg.tensor
-    pairs = (increasing_tuples(n, 2) if alg.kind == LIE
-             else combinations_with_diag(n))
-    entries = defaultdict(int)
-    for pos, (i, j) in enumerate(pairs):
-        for c0, w in tensor.get((i, j), ()):
-            for s in range(n):
-                entries[pos * n + s, s * n + c0 - 1] += w
-        for r in range(n):
-            for s, c in tensor.get((r + 1, j), ()):
-                entries[pos * n + s - 1, r * n + i - 1] -= c
-            for s, c in tensor.get((i, r + 1), ()):
-                entries[pos * n + s - 1, r * n + j - 1] -= c
-    return Matrix.from_entries(entries, len(pairs) * n, n * n)
 
 
 def derivation_space(alg: Algebra) -> Subspace:

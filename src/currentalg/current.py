@@ -129,9 +129,9 @@ def is_tensor_derivation(g: Algebra, A: Algebra, f1: Matrix, f2: Matrix) -> bool
         mu1(f1 X, Y) (x) mu2(f2 a, b) + mu1(X, f1 Y) (x) mu2(f2 b, a)
             - f1(mu1(X, Y)) (x) f2(mu2(a, b)) = 0,
 
-    and independently checks the flat Leibniz rule for kron(f1, f2) on the
-    current algebra.  The two must agree; a disagreement would be a bug and
-    raises.
+    and independently applies the assembled Leibniz system of the current
+    algebra to kron(f1, f2).  The two must agree; a disagreement would be a
+    bug and raises.
     """
     p, q = g.dim, A.dim
     if f1.shape != (p, p) or f2.shape != (q, q):

@@ -163,7 +163,8 @@ def cochain_from_dict(doc, where: str = "<doc>") -> ChevalleyCochain:
         _fail(f"{where}.field", f"must be one of {list(scalars.FIELDS)}")
     if type(dim) is not int or dim < 1:  # true and false are not integers here
         _fail(f"{where}.dim", "must be a positive integer")
-    if doc.get("degree", 2) != 2:
+    degree = doc.get("degree", 2)
+    if type(degree) is not int or degree != 2:  # 2.0 and true are not the int 2
         _fail(f"{where}.degree", "only degree-2 cochains are supported")
     if not isinstance(doc["entries"], list):
         _fail(f"{where}.entries", "must be a list")

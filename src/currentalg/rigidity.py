@@ -25,13 +25,13 @@ from .algebra import (
     Algebra,
     AlgebraError,
     _jacobi,
+    _leibniz_rows,
     _tensor,
     require_identities,
 )
 from .cohomology import (
     ChevalleyCochain,
     CohomologyDims,
-    _leibniz_rows,
     chevalley_delta,
     chevalley_dims,
     harrison_h2,
@@ -143,17 +143,18 @@ def truncated_deformation_check(d: TruncatedDeformation) -> DeformationReport:
 
     Reports the highest order through which every coefficient vanishes and
     the first violating (order, basis triple) otherwise.  Order 0 is the
-    Jacobi identity of the base bracket itself.
+    Jacobi identity of the base bracket itself.  T_m = 0 past the L cochains
+    kept, so only m <= min(N, 2L) with m_1, m - m_1 <= L can contribute.
     """
     N = d.order
     terms = [d.base.tensor] + [_tensor(phi.data, LIE) for phi in d.cochains[:N]]
-    terms += [{}] * (N + 1 - len(terms))
+    L = len(terms) - 1
     # Order-major scan: the first nonzero coefficient is the least
     # (order, triple) pair, the first obstruction.
-    for m in range(N + 1):
+    for m in range(min(N, 2 * L) + 1):
         for ijk in combinations(range(1, d.base.dim + 1), 3):
             acc = {}
-            for m1 in range(m + 1):
+            for m1 in range(max(0, m - L), min(m, L) + 1):
                 _jacobi(terms[m1], terms[m - m1], *ijk, acc)
             if any(x != 0 for x in acc.values()):
                 return DeformationReport(ok_up_to=m - 1,

@@ -35,7 +35,6 @@ from .linalg import (
     Matrix,
     Subspace,
     _krylov,
-    inverse,
     kernel_basis,
     poly_add,
     poly_degree,
@@ -412,13 +411,14 @@ def find_idempotents(A: Algebra, candidates: Sequence = ()) -> list:
 # ---------------------------------------------------------------------------
 
 def all_nilpotent_space(ops: Sequence[Matrix]) -> bool:
-    """Is every element of the linear span of ``ops`` nilpotent?
+    """Do ``ops`` generate a nilpotent associative algebra?
 
-    Decided by common-kernel descent: compute the joint kernel, quotient,
-    repeat; success iff the dimension descends to 0.  For spans closed under
-    commutator (derivation algebras in particular) this is exact by Engel's
-    theorem; a failed descent always exhibits a non-nilpotent element in the
-    closure.
+    Decided by image descent: W_0 = K^n, W_(k+1) = span{M w : M in ops, w in
+    W_k}; the chain reaches 0 iff every product of n of the ops vanishes.  For
+    spans closed under commutator (derivation algebras in particular) this is
+    exactly whether every element of the span is nilpotent, by Engel's
+    theorem; otherwise the span can be nil and the answer false (E12 + E23 and
+    E21 - E32 in M_3).
     """
     mats = list(ops)
     if not mats:
@@ -427,27 +427,9 @@ def all_nilpotent_space(ops: Sequence[Matrix]) -> bool:
     for M in mats:
         if M.shape != (n, n):
             raise ValueError("operators must be square and of equal dimension")
-    while n > 0:
-        common = kernel_basis(Matrix._of([row for M in mats for row in M.sparse_rows], n))
-        if not common:
-            return False
-        w = Subspace(n, common)
-        k = w.dim
-        if k == n:
-            return True
-        free = [c for c in range(n) if c not in w.pivots]
-        cols = [list(row) for row in w.basis]
-        cols += [[1 if i == f else 0 for i in range(n)] for f in free]
-        t = Matrix.from_columns(cols)
-        t_inv = inverse(t)
-        new_mats = []
-        for M in mats:
-            mm = t_inv @ M @ t
-            new_mats.append(Matrix._of([{c - k: x for c, x in row.items() if c >= k}
-                                        for row in mm.sparse_rows[k:]], n - k))
-        mats = new_mats
-        n -= k
-    return True
+    chain = _descending_chain(Subspace.full(n), lambda w: Subspace(
+        n, [M.apply(v) for M in mats for v in w.basis]))
+    return chain[-1].dim == 0
 
 
 def is_characteristically_nilpotent(g: Algebra) -> bool:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from pathlib import Path
@@ -348,6 +350,26 @@ def table_mult(alg, x, y):
                 for k, c in enumerate(table_product(alg, i, j)):
                     out[k] += xi * yj * c
     return tuple(out)
+
+
+def derivation_oracle(alg, f):
+    """The Leibniz rule f(e_i e_j) = f(e_i) e_j + e_i f(e_j) pair by pair, on
+    reduced pairs, the products read from the stored table only."""
+    n = alg.dim
+    e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    pairs = (combinations if alg.kind == ca.LIE else combinations_with_replacement)(range(n), 2)
+    for i, j in pairs:
+        lhs = f.apply(table_product(alg, i + 1, j + 1))
+        rhs = vec_add(table_mult(alg, f.apply(e[i]), e[j]), table_mult(alg, e[i], f.apply(e[j])))
+        if any(x != 0 for x in vec_sub(lhs, rhs)):
+            return False
+    return True
+
+
+def nilpotent_ops_oracle(ops, n):
+    """Do the n x n ``ops`` generate a nilpotent associative algebra?  Exactly
+    when every product of n of them vanishes."""
+    return all(reduce(operator.matmul, word).is_zero() for word in product(ops, repeat=n))
 
 
 # Column-by-column oracles of the assembled operators: each column is the

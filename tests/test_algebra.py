@@ -13,14 +13,18 @@ from currentalg import (
     change_basis,
     check_identities,
     complexify,
+    derivations,
     direct_sum,
+    is_derivation,
 )
 
 from conftest import (
     catalog_assoc_algebras,
     catalog_lie_algebras,
+    derivation_oracle,
     oracle_corpus,
     rand_invertible,
+    scaled_corpus,
     table_mult,
     table_product,
 )
@@ -190,3 +194,32 @@ def test_complex_split_example():
         (GaussianRational(half), GaussianRational(0, -half)),
     ])
     assert change_basis(ac, p) == complexify(ca.m1(2))
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+def test_is_derivation_matches_pair_oracle(kind):
+    # Derivations, integer combinations of them and random integer operators
+    # (mostly not derivations) over the scaled corpus, against the Leibniz
+    # rule evaluated pair by pair from the stored table.
+    rng = random.Random(71)
+    verdicts = set()
+    for alg in scaled_corpus(kind):
+        n = alg.dim
+        der = derivations(alg)
+        for d in der:
+            assert is_derivation(alg, d) and derivation_oracle(alg, d)
+        flat = [0] * (n * n)
+        for d in der:
+            c = rng.randint(-2, 2)
+            flat = [x + c * y for x, y in zip(flat, d.flatten())]
+        combo = Matrix.from_flat(flat, n, n)
+        randoms = [Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                   for _ in range(3)]
+        for f in [combo] + randoms:
+            verdict = is_derivation(alg, f)
+            assert verdict == derivation_oracle(alg, f), (alg, f)
+            verdicts.add(verdict)
+        for shape in ((n + 1, n + 1), (n, n + 1)):
+            with pytest.raises(AlgebraError, match="shape"):
+                is_derivation(alg, Matrix([[0] * shape[1]] * shape[0]))
+    assert verdicts == {True, False}

@@ -19,6 +19,8 @@ from currentalg.io import (
     write_algebra_file,
 )
 
+from conftest import deformation_oracle
+
 F = Fraction
 
 
@@ -69,6 +71,8 @@ def test_cochain_parse_error_diagnostics(fixture_dir, tmp_path, capsys):
         ({**base, "entries": [[1, 2, 1, "0"], [1, 2, 1, "3"]]},
          r"entries\[1\]: duplicate key \(1,2,1\)"),
         ({**base, "entries": [[2, 1, 1, "1"]]}, "i < j"),
+        ({**base, "degree": 2.0}, r"<doc>\.degree: only degree-2 cochains are supported"),
+        ({**base, "degree": True}, r"<doc>\.degree: only degree-2 cochains are supported"),
     ]
     for doc, needle in cases:
         with pytest.raises(AlgebraFileError, match=needle):
@@ -230,6 +234,24 @@ def test_cli_deform(fixture_dir, capsys):
                         "--order", "2")
     assert code == 1
     assert "order=1" in out and "1, 2, 3" in out
+
+    for alg, cochain in (("abelian2", "cochain_r2_x1"),
+                         ("heisenberg3", "cochain_heis3_obstructed")):
+        algebra_path = fixture_dir / f"{alg}.json"
+        cochain_path = fixture_dir / f"{cochain}.json"
+        code, out, _ = _run(capsys, "--json", "deform", str(algebra_path),
+                            "--cochain", str(cochain_path), "--order", "1000000")
+        data = json.loads(out)["data"]
+        # one cochain: every coefficient above order 2 vanishes
+        ok_up_to, first = deformation_oracle(ca.TruncatedDeformation(
+            base=parse_algebra_file(algebra_path),
+            cochains=(parse_cochain_file(cochain_path),), order=2))
+        if first is None:
+            assert code == 0 and data["ok_up_to"] == 1000000
+            assert data["first_obstruction"] is None
+        else:
+            assert code == 1 and data["ok_up_to"] == ok_up_to
+            assert data["first_obstruction"] == {"order": first[0], "triple": list(first[1])}
 
 
 def test_cli_analyze(fixture_dir, capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -193,3 +194,29 @@ def test_truncated_deformation_matches_oracle():
             assert (report.ok_up_to, report.first_obstruction) == deformation_oracle(d)
             seen.add(report.ok_up_to)
     assert seen == {-1, 0, 1, 2, 3, 4}
+
+
+def _small_order_report(d):
+    """The oracle at order 2L, L the cochains kept: T_m = 0 for m > L, so
+    every coefficient above 2L vanishes and a clean check reaches d.order."""
+    ok_up_to, first = deformation_oracle(replace(d, order=2 * len(d.cochains[:d.order])))
+    return (d.order if first is None else ok_up_to), first
+
+
+def test_large_order_matches_small_order_oracle():
+    # order 10^6 would take hours if every order m <= N were scanned
+    rng = random.Random(67)
+    cases = [(g, _seeded_cochains(rng, g))
+             for g in oracle_corpus(ca.LIE)[:12] + [ca.heisenberg(3)] for _ in range(3)]
+    # over an abelian base one cochain is a cocycle, and it is obstructed at
+    # order 2 = 2L exactly when it fails Jacobi: the last order scanned
+    cases += [(g, (rand_chevalley2(rng, g.dim),))
+              for g in (ca.abelian(3), ca.abelian(4)) for _ in range(3)]
+    seen = set()
+    for g, cochains in cases:
+        d = TruncatedDeformation(base=g, cochains=cochains, order=10 ** 6)
+        report = truncated_deformation_check(d)
+        assert (report.ok_up_to, report.first_obstruction) == _small_order_report(d)
+        first = report.first_obstruction
+        seen.add(None if first is None else first[0] == 2 * len(cochains))
+    assert seen == {None, True, False}

@@ -41,7 +41,9 @@ from currentalg.structure import (
 from conftest import (
     bezout_idempotent_oracle,
     catalog_assoc_algebras,
+    catalog_lie_algebras,
     dense_rref,
+    nilpotent_ops_oracle,
     oracle_corpus,
     qi_factor_oracle,
     random_assoc_comm_algebras,
@@ -286,7 +288,57 @@ def test_all_nilpotent_space_examples():
     assert all_nilpotent_space([e12, e23])
     e21 = Matrix([[0, 0], [1, 0]])
     assert not all_nilpotent_space([Matrix([[0, 1], [0, 0]]), e21])
-    assert all_nilpotent_space([])
+    # every x a + y b is nilpotent, but a b = E11 - E22 is not: the answer is
+    # about the associative algebra the ops generate, not their span
+    a, b = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), Matrix([[0, 0, 0], [1, 0, 0], [0, -1, 0]])
+    m = Matrix.from_flat([2 * x + 3 * y for x, y in zip(a.flatten(), b.flatten())], 3, 3)
+    assert (m ** 3).is_zero() and not ((a @ b) ** 3).is_zero()
+    assert not all_nilpotent_space([a, b])
+    assert all_nilpotent_space([]) and nilpotent_ops_oracle([], 2)
+    assert all_nilpotent_space([Matrix([[0]]), Matrix([[0]])])
+    assert not all_nilpotent_space([Matrix([[0]]), Matrix([[3]])])
+    for ops in ([Matrix([[0, 1], [0, 0]]), Matrix([[0]])],
+                [Matrix([[0, 1, 0], [0, 0, 1]])]):
+        with pytest.raises(ValueError, match="square and of equal dimension"):
+            all_nilpotent_space(ops)
+
+
+_SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def _conjugated_triangular(draw):
+    """One to three P T P^-1, T strictly upper triangular and P = L U unimodular."""
+    n = draw(st.integers(1, 4))
+
+    def square(entry):
+        return Matrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+    p = (square(lambda i, j: 1 if i == j else draw(_SMALL) if i > j else 0)
+         @ square(lambda i, j: 1 if i == j else draw(_SMALL) if i < j else 0))
+    p_inv = ca.inverse(p)
+    return [p @ square(lambda i, j: draw(_SMALL) if i < j else 0) @ p_inv
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def _integer_operator_sets(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2))
+    return [Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@given(ops=_conjugated_triangular())
+def test_all_nilpotent_space_conjugated_triangular(ops):
+    assert nilpotent_ops_oracle(ops, ops[0].nrows)
+    assert all_nilpotent_space(ops)
+
+
+@settings(max_examples=300)
+@given(ops=_integer_operator_sets())
+def test_all_nilpotent_space_matches_product_oracle(ops):
+    assert all_nilpotent_space(ops) == nilpotent_ops_oracle(ops, ops[0].nrows)
 
 
 def _quartic_double_split():
@@ -331,6 +383,10 @@ def test_characteristically_nilpotent_examples():
     diag = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     assert is_derivation(h, diag)  # the witness: a non-nilpotent derivation
     assert not is_characteristically_nilpotent(h)
+    for g in catalog_lie_algebras():
+        if g.dim <= 4:
+            der = ca.derivations(g)
+            assert is_characteristically_nilpotent(g) == nilpotent_ops_oracle(der, g.dim)
 
 
 def _count_relations(monkeypatch, fail=False):

@@ -523,10 +523,12 @@ def poly_monic(p):
 
 
 def poly_gcd(p, q):
-    a, b = poly_trim(p), poly_trim(q)
+    """Monic gcd.  Each remainder is made monic, which keeps the Fractions of
+    the remainder sequence from compounding their leading coefficients."""
+    a, b = poly_trim(p), poly_monic(q)
     while b:
         _, r = poly_divmod(a, b)
-        a, b = b, r
+        a, b = b, poly_monic(r)
     return poly_monic(a)
 
 

@@ -16,8 +16,9 @@ so e(a) is an exact idempotent of A; one multiplication checks it.
   theta on the moment curve whose u has a squarefree part of degree d
   separates the d characters of A / N, and the prime powers of one
   factorization of u give the primitive idempotents.  Over Q the factors
-  come from sympy; over Q(i) they come from a factorization over Q of a norm
-  (Trager's method).
+  come from a Zassenhaus factorization over Z (Cantor-Zassenhaus modulo a
+  prime, Hensel lifting, recombination); over Q(i) they come from a
+  factorization over Q of a norm (Trager's method).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
-from math import comb
+from math import comb, gcd, isqrt, lcm
+from random import Random
 from typing import Callable, Optional, Sequence
 
 from . import scalars
@@ -220,31 +222,208 @@ def _trace_radical(A: Algebra) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Factorization bridge and primitive idempotents
+# Factorization over Z (Zassenhaus) and primitive idempotents
 # ---------------------------------------------------------------------------
 
-def _factor_poly(field: str, coeffs):
+_SPLIT_DRAWS = 64  # failed equal-degree draws before giving up (each fails w.p. <= 5/9)
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _sub_mod(a, b, m):
+    n = max(len(a), len(b))
+    return _trim([(x - y) % m for x, y in zip(list(a) + [0] * (n - len(a)),
+                                               list(b) + [0] * (n - len(b)))])
+
+
+def _mul_mod(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _divmod_mod(a, b, p):
+    """Quotient and remainder of a by b != 0 modulo the prime p."""
+    a, inv, n = list(a), pow(b[-1], -1, p), len(b) - 1
+    quot = [0] * max(len(a) - n, 0)
+    for d in reversed(range(len(quot))):
+        c = quot[d] = a[d + n] * inv % p
+        if c:
+            for i in range(n):
+                a[d + i] -= c * b[i]
+    return quot, _trim([x % p for x in a[:n]])
+
+
+def _mul_rem(a, b, g, p):
+    """a b mod (g, p)."""
+    return _divmod_mod(_mul_mod(a, b, p), g, p)[1]
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd modulo p (a != 0)."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _pow_mod(a, e, f, p):
+    """a^e mod (f, p) by repeated squaring."""
+    out, a = [1], _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _mul_rem(out, a, f, p)
+        e >>= 1
+        if e:
+            a = _mul_rem(a, a, f, p)
+    return out
+
+
+def _split_mod(f, p, rng) -> list:
+    """Monic irreducible factors of a monic squarefree f modulo an odd prime p.
+
+    Distinct-degree: g_d = gcd(f, t^(p^d) - t) collects the factors of
+    degree d.  Equal-degree (Cantor-Zassenhaus): for random a, gcd(g, a^((p^d
+    - 1)/2) - 1) is a proper factor of g with probability >= 4/9 when g has
+    two or more factors; after ``_SPLIT_DRAWS`` failures in a row the split
+    raises ``AssertionError`` instead of drawing forever.
+    """
+    def equal_degree(g, d):
+        if len(g) - 1 == d:
+            return [g]
+        for _ in range(_SPLIT_DRAWS):
+            a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+            c = _gcd_mod(g, _sub_mod(_pow_mod(a, (p ** d - 1) // 2, g, p), [1], p), p)
+            if 1 < len(c) < len(g):
+                return equal_degree(c, d) + equal_degree(_divmod_mod(g, c, p)[0], d)
+        raise AssertionError("no equal-degree split in %d draws" % _SPLIT_DRAWS)
+
+    out, h, d = [], [0, 1], 1
+    while 2 * d <= len(f) - 1:
+        h = _pow_mod(h, p, f, p)
+        g = _gcd_mod(f, _sub_mod(h, [0, 1], p), p)
+        if len(g) > 1:
+            out += equal_degree(g, d)
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+        d += 1
+    return out + [f] if len(f) > 1 else out
+
+
+def _exact_quotient(a, b):
+    """a / b in Z[t], or None when b does not divide a."""
+    a, quot = list(a), [0] * (len(a) - len(b) + 1)
+    for d in reversed(range(len(quot))):
+        quot[d], r = divmod(a[d + len(b) - 1], b[-1])
+        if r:
+            return None
+        for i, y in enumerate(b):
+            a[d + i] -= quot[d] * y
+    return None if any(a) else quot
+
+
+def _zassenhaus(f: list) -> list:
+    """Irreducible factors in Z[t] of a primitive squarefree f with f[-1] > 0.
+
+    p is the least odd prime with p not dividing lc(f) and f mod p
+    squarefree; the search ends because f is squarefree over Q, so its
+    discriminant is nonzero and only the finitely many primes dividing
+    lc(f) disc(f) are skipped.  The factors mod p are lifted together by
+    linear Hensel steps until q = p^k > 2 lc(f) 2^n |f|_2, a bound on the
+    coefficients of lc(f) g / lc(g) for every factor g of f.  Subsets of
+    increasing size are then recombined: the symmetric residue of lc times
+    their product mod q, made primitive, is a factor iff it divides f
+    exactly.  Recombination stays exponential in the number of modular
+    factors in the worst case (Swinnerton-Dyer polynomials), as in every
+    Zassenhaus factorization without lattice reduction.
+    """
+    n, lc = len(f) - 1, f[-1]
+    if n <= 1:
+        return [f] if n == 1 else []
+    odd_primes = (p for p in count(3, 2) if all(p % k for k in range(3, isqrt(p) + 1, 2)))
+    p = next(p for p in odd_primes if lc % p and len(_gcd_mod(
+        [c % p for c in f], _trim([i * c % p for i, c in enumerate(f)][1:]), p)) == 1)
+    inv_lc = pow(lc, -1, p)
+    gs = _split_mod([c * inv_lc % p for c in f], p, Random(p))
+    if len(gs) == 1:
+        return [f]
+    # a_i = (prod_{l != i} g_l)^-1 mod g_i, so sum_i a_i prod_{l != i} g_l = 1 mod p;
+    # g_i is irreducible, so the inverse is the power p^deg(g_i) - 2 (Fermat)
+    cof = [_pow_mod(reduce(lambda x, h: _mul_rem(x, h, g, p), gs[:i] + gs[i + 1:], [1]),
+                    p ** (len(g) - 1) - 2, g, p) for i, g in enumerate(gs)]
+    q, bound2 = p, 4 * lc * lc * 4 ** n * sum(c * c for c in f)
+    while q * q <= bound2:  # f = lc prod g_i mod q; make it hold mod q p
+        e = _sub_mod(f, reduce(lambda x, g: _mul_mod(x, g, q * p), gs, [lc]), q * p)
+        e = [c // q * inv_lc % p for c in e]  # the next p-adic digit of the error, over lc
+        deltas = (_mul_rem(_divmod_mod(e, g, p)[1], a, g, p) for g, a in zip(gs, cof))
+        gs = [[x + q * y for x, y in zip(g, delta + [0] * len(g))] for g, delta in zip(gs, deltas)]
+        q *= p
+
+    def symmetric(c):
+        c %= q
+        return c - q if 2 * c > q else c
+
+    out, rest, size = [], f, 1
+    while 2 * size <= len(gs):
+        for pick in combinations(range(len(gs)), size):
+            lead = rest[-1]
+            c0 = symmetric(reduce(lambda x, i: x * gs[i][0] % q, pick, lead))
+            if c0 and lead * rest[0] % c0:
+                continue  # the constant term already rules this subset out
+            g = [symmetric(c) for c in reduce(lambda x, i: _mul_mod(x, gs[i], q), pick, [lead])]
+            g = [c // gcd(*g) for c in g]
+            quot = _exact_quotient(rest, g)
+            if quot is not None:
+                out.append(g)
+                rest, gs = quot, [h for i, h in enumerate(gs) if i not in pick]
+                break
+        else:
+            size += 1
+    return out + [rest]
+
+
+def _factor_poly(field: str, coeffs) -> list:
     """Irreducible monic factors (ascending coeffs) with multiplicities.
 
-    Over Q this is sympy's factorization.  Over Q(i) it is Trager's norm
-    method, which needs only a factorization over Q: for the squarefree
-    part f take the least s >= 0 with N(t) = f(t - s i) * conj(f)(t + s i)
-    squarefree in Q[t]; each irreducible factor h of N gives the irreducible
-    factor gcd(f(t - s i), h)(t + s i) of f.  Multiplicities come from
-    trial division of the input.
+    Both fields take the monic input's squarefree part s = f / gcd(f, f').
+    Over Q, s with denominators cleared is factored over Z by
+    ``_zassenhaus``.  Over Q(i) it is Trager's norm method, which needs only
+    a factorization over Q: take the least j >= 0 with N(t) = s(t - j i)
+    conj(s)(t + j i) squarefree in Q[t]; each irreducible factor h of N
+    gives the irreducible factor gcd(s(t - j i), h)(t + j i).  Multiplicities
+    come from trial division of f.  The factors are listed by (degree,
+    multiplicity, descending primitive integer coefficients) over Q and by
+    the (degree, coefficients) of h over Q(i), the order of the test oracle.
     """
-    if field == scalars.QI:
-        return _factor_gaussian(coeffs)
-    import sympy
-
-    t = sympy.Symbol("t")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(poly_trim(coeffs))], t, domain="QQ")
+    f = poly_monic(scalars.coerce_vector(field, coeffs))
+    sqf = poly_divmod(f, poly_gcd(f, poly_derivative(f)))[0]
     out = []
-    for fac, mult in poly.factor_list()[1]:
-        asc = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
-        out.append((tuple(c / asc[-1] for c in asc), mult))
-    return out
+    for fac in (_factor_gaussian(sqf) if field == scalars.QI else _factor_rational(sqf)):
+        mult = 1
+        if len(sqf) < len(f):  # repeated factors: count them by trial division
+            mult, rest = 0, f
+            while not (div := poly_divmod(rest, fac))[1]:
+                mult, rest = mult + 1, div[0]
+        out.append((fac, mult))
+    return out if field == scalars.QI else sorted(out, key=lambda fk: (len(fk[0]), fk[1]))
+
+
+def _factor_rational(sqf) -> list:
+    """Monic irreducible factors of a monic squarefree sqf in Q[t], sorted by
+    (degree, descending coefficients) of their primitive integer forms."""
+    den = lcm(*(c.denominator for c in sqf))
+    ints = [c.numerator * (den // c.denominator) for c in sqf]
+    facs = sorted(_zassenhaus([c // gcd(*ints) for c in ints]), key=lambda h: (len(h), h[::-1]))
+    return [tuple(Fraction(c, h[-1]) for c in h) for h in facs]
 
 
 def _poly_shift(p, c):
@@ -255,9 +434,7 @@ def _poly_shift(p, c):
     return tuple(out)
 
 
-def _factor_gaussian(coeffs):
-    f = poly_monic(scalars.coerce_vector(scalars.QI, coeffs))
-    sqf = poly_divmod(f, poly_gcd(f, poly_derivative(f)))[0]
+def _factor_gaussian(sqf) -> list:
     for s in count():
         shift = scalars.GaussianRational(0, s)
         g = scalars.coerce_vector(scalars.QI, _poly_shift(sqf, -shift))
@@ -265,16 +442,8 @@ def _factor_gaussian(coeffs):
         norm = poly_add(poly_mul(re, re), poly_mul(im, im))  # g * conj(g)
         if poly_degree(poly_gcd(norm, poly_derivative(norm))) == 0:
             break
-    out = []
-    for h, _ in _factor_poly(scalars.Q, norm):
-        fac = scalars.coerce_vector(scalars.QI, _poly_shift(poly_gcd(g, h), shift))
-        mult = 1
-        if len(sqf) < len(f):  # repeated factors: count them by trial division
-            mult, rest = 0, f
-            while not (div := poly_divmod(rest, fac))[1]:
-                mult, rest = mult + 1, div[0]
-        out.append((fac, mult))
-    return out
+    return [scalars.coerce_vector(scalars.QI, _poly_shift(poly_gcd(g, h), shift))
+            for h in _factor_rational(norm)]
 
 
 def _generator(A: Algebra, d: int) -> tuple[list, tuple, int]:

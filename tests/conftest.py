@@ -628,6 +628,22 @@ def trace_gram_oracle(A) -> list:
              for j in range(1, A.dim + 1)] for i in range(1, A.dim + 1)]
 
 
+def q_factor_oracle(coeffs):
+    """Irreducible monic factors over Q (ascending coeffs) with multiplicities,
+    in the order of sympy's ``Poly.factor_list``."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    coeffs = [Fraction(c) for c in coeffs]
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      t, domain="QQ")
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        asc = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
+        out.append((tuple(c / asc[-1] for c in asc), mult))
+    return out
+
+
 def qi_factor_oracle(coeffs):
     """Irreducible monic factors over Q(i) (ascending coeffs) with
     multiplicities, by sympy's algebraic-field factorization."""

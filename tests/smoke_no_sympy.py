@@ -1,0 +1,27 @@
+"""Smoke run of currentalg with sympy blocked: the runtime needs no third-party package.
+
+    PYTHONPATH=src python3 tests/smoke_no_sympy.py   # from a checkout
+    python3 tests/smoke_no_sympy.py                  # against an installed package
+
+Runs the benchmark warm-up, a Pierce decomposition over Q(i) and
+``currentalg analyze`` on an associative commutative file, then checks that
+no sympy module was loaded.  Exits nonzero on any failure.  The tier-1 suite
+runs it in a child process; CI also runs it against a plain ``pip install .``.
+"""
+
+import sys
+from pathlib import Path
+
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+
+import currentalg as ca  # noqa: E402
+from currentalg.cli import run_command  # noqa: E402
+
+ca.find_idempotents(ca.real_rigid(2, 1))
+ca.rigidity_certificate(ca.current_algebra(ca.r2(), ca.m1(1)))
+assert len(ca.orthogonal_decomposition(ca.complexify(ca.real_rigid(4, 2))).idempotents) == 4
+fixture = Path(__file__).resolve().parent.parent / "fixtures" / "real_rigid_3_1.json"
+assert run_command(["analyze", str(fixture)]) == 0
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "sympy" and mod is not None)
+assert not loaded, loaded
+print("no sympy loaded")

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -357,6 +358,17 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "currentalg.cli"],
                           capture_output=True, text=True)
     assert proc.returncode == 2  # usage error: no command
+
+
+def test_runtime_needs_no_sympy():
+    # a fresh interpreter in which `import sympy` fails
+    src = Path(ca.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_no_sympy.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("no sympy loaded")
 
 
 def test_shell_pipeline(fixture_dir):

@@ -45,6 +45,7 @@ from conftest import (
     dense_rref,
     nilpotent_ops_oracle,
     oracle_corpus,
+    q_factor_oracle,
     qi_factor_oracle,
     random_assoc_comm_algebras,
     recursive_decomposition_oracle,
@@ -446,6 +447,27 @@ def test_a_factor_that_does_not_divide_raises_at_once(monkeypatch):
         assert time.perf_counter() - start < 2, a
 
 
+def test_equal_degree_split_gives_up_after_bounded_draws(monkeypatch):
+    # Every draw is the zero polynomial, which never splits a product of
+    # equal-degree factors.  The split must raise after a fixed number of
+    # failed draws, never loop.
+    class ZeroDraws:
+        def __init__(self, seed):
+            pass
+
+        def randrange(self, p):
+            return 0
+    monkeypatch.setattr(structure, "Random", ZeroDraws)
+    calls = (lambda: find_idempotents(ca.m1(3)),
+             lambda: _factor_poly(ca.Q, (-6, 11, -6, 1)),  # three roots mod 3
+             lambda: _factor_poly(ca.QI, (1, 0, 1)))  # its norm splits mod 5
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(AssertionError):
+            call()
+        assert time.perf_counter() - start < 2
+
+
 def test_find_idempotents_unit_first_basis():
     # M1^6 with the unit as basis vector 1: no basis vector generates the
     # semisimple quotient, which used to send the search through a 25^6 box.
@@ -524,6 +546,64 @@ def test_trace_radical_is_full_exactly_for_nilalgebras():
     # non-unital: the radical of M1^q + null_m is exactly the null summand
     for m, a in _m1_null_bases():
         assert _trace_radical(a).dim == m, a
+
+
+_COEFF = st.one_of(st.integers(-9, 9).map(F),
+                   st.builds(F, st.integers(-9, 9), st.integers(1, 4)))
+
+
+@st.composite
+def _q_factor(draw):
+    """A factor of degree 1-4 with integer or rational coefficients, not monic in general."""
+    deg = draw(st.integers(1, 4))
+    return tuple(draw(st.lists(_COEFF, min_size=deg, max_size=deg))) + (draw(_COEFF.filter(bool)),)
+
+
+@st.composite
+def _q_products(draw):
+    """A content times 1-5 factors drawn from a pool of at most three, so repeats are common."""
+    pool = draw(st.lists(_q_factor(), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+    content = draw(st.integers(-12, 12).filter(bool))
+    return reduce(poly_mul, [pool[i] for i in picks], (F(content),))
+
+
+def _assert_q_factors_match(poly):
+    got = _factor_poly(ca.Q, poly)
+    assert got == q_factor_oracle(poly), poly  # factors, multiplicities and order
+    product = reduce(poly_mul, [fac for fac, mult in got for _ in range(mult)], (F(1),))
+    assert product == poly_monic([F(c) for c in poly]), poly
+
+
+_SD_2_3_5 = (576, 0, -960, 0, 352, 0, -40, 0, 1)  # minimal polynomial of sqrt2 + sqrt3 + sqrt5
+_PHI_15 = (1, -1, 0, 1, -1, 1, 0, -1, 1)
+_Q_FIXED = (
+    ((1, 0, 0, 0, 1), 1),
+    (_SD_2_3_5, 1),
+    (_PHI_15, 1),
+    ((-1,) + (0,) * 11 + (1,), 6),  # t^12 - 1: the cyclotomic polynomials of 1, 2, 3, 4, 6, 12
+    (reduce(poly_mul, [(-k, 1) for k in range(1, 11)]), 10),
+    (poly_mul((-2 ** 70, 1), (3 ** 40, 1)), 2),
+    (reduce(poly_mul, [(-1, 1)] * 2 + [(1, 0, 1)] * 3), 2),
+    ((7,), 0),
+    ((3, 2), 1),
+    (poly_mul((1, 2), (3, 1)), 2),  # 2t + 1 and t + 3: same degree and multiplicity
+)
+
+
+def test_factor_poly_q_fixed_cases():
+    for poly, nfactors in _Q_FIXED:
+        _assert_q_factors_match(poly)
+        assert len(_factor_poly(ca.Q, poly)) == nfactors, poly
+    assert _factor_poly(ca.Q, _Q_FIXED[6][0]) == [((F(-1), F(1)), 2), ((F(1), F(0), F(1)), 3)]
+    # ties go by descending integer coefficients: [1, 3] before [2, 1]
+    assert _factor_poly(ca.Q, _Q_FIXED[-1][0]) == [((F(3), F(1)), 1), ((F(1, 2), F(1)), 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_q_products())
+def test_factor_poly_q_matches_oracle(poly):
+    _assert_q_factors_match(poly)
 
 
 _NON_SQUARES = (2, 3, 5, -6, GaussianRational(0, 1), GaussianRational(0, 3),

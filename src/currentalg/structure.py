@@ -353,18 +353,19 @@ def _zassenhaus(f: list) -> list:
     p = next(p for p in odd_primes if lc % p and len(_gcd_mod(
         [c % p for c in f], _trim([i * c % p for i, c in enumerate(f)][1:]), p)) == 1)
     inv_lc = pow(lc, -1, p)
-    gs = _split_mod([c * inv_lc % p for c in f], p, Random(p))
-    if len(gs) == 1:
+    g0s = _split_mod([c * inv_lc % p for c in f], p, Random(p))
+    if len(g0s) == 1:
         return [f]
     # a_i = (prod_{l != i} g_l)^-1 mod g_i, so sum_i a_i prod_{l != i} g_l = 1 mod p;
     # g_i is irreducible, so the inverse is the power p^deg(g_i) - 2 (Fermat)
-    cof = [_pow_mod(reduce(lambda x, h: _mul_rem(x, h, g, p), gs[:i] + gs[i + 1:], [1]),
-                    p ** (len(g) - 1) - 2, g, p) for i, g in enumerate(gs)]
-    q, bound2 = p, 4 * lc * lc * 4 ** n * sum(c * c for c in f)
+    cof = [_pow_mod(reduce(lambda x, h: _mul_rem(x, h, g, p), g0s[:i] + g0s[i + 1:], [1]),
+                    p ** (len(g) - 1) - 2, g, p) for i, g in enumerate(g0s)]
+    gs, q, bound2 = g0s, p, 4 * lc * lc * 4 ** n * sum(c * c for c in f)
     while q * q <= bound2:  # f = lc prod g_i mod q; make it hold mod q p
         e = _sub_mod(f, reduce(lambda x, g: _mul_mod(x, g, q * p), gs, [lc]), q * p)
         e = [c // q * inv_lc % p for c in e]  # the next p-adic digit of the error, over lc
-        deltas = (_mul_rem(_divmod_mod(e, g, p)[1], a, g, p) for g, a in zip(gs, cof))
+        # a lifted g_i is g0_i mod p, so the step's arithmetic mod p uses the small g0_i
+        deltas = (_mul_rem(_divmod_mod(e, g, p)[1], a, g, p) for g, a in zip(g0s, cof))
         gs = [[x + q * y for x, y in zip(g, delta + [0] * len(g))] for g, delta in zip(gs, deltas)]
         q *= p
 

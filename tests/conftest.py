@@ -793,8 +793,6 @@ def _eval_poly_with_unit(alg, poly, x, unit):
 
 def _primitive_idempotents_unital(parent, comp, unit) -> list:
     """Primitive idempotents of a unital component, as ambient vectors."""
-    from currentalg.structure import _factor_poly
-
     view = restricted_algebra(parent, comp, f"{parent.name}|comp")
     B = view.alg
     unit_c = view.from_ambient(unit)
@@ -809,7 +807,7 @@ def _primitive_idempotents_unital(parent, comp, unit) -> list:
     theta, m = next((c, p) for c in candidate_coordinate_vectors(quotient.dim, B.field)
                     for p in [min_poly_oracle(quotient.left_mult_matrix(c))]
                     if poly_degree(p) == quotient.dim)
-    factors = (qi_factor_oracle(m) if B.field == ca.QI else _factor_poly(B.field, m))
+    factors = qi_factor_oracle(m) if B.field == ca.QI else q_factor_oracle(m)
     assert all(mult == 1 for _, mult in factors)
     if len(factors) == 1:
         return [unit]

@@ -62,6 +62,7 @@ class ChevalleyCochain:
     Values are stored on strictly increasing index tuples only; evaluation
     on any other tuple applies the permutation sign, and repeated indices
     give zero.  A 0-cochain is a single vector stored at the empty tuple.
+    A tuple given twice must carry the same vector both times.
     """
 
     __slots__ = ("degree", "dim", "data")
@@ -84,9 +85,10 @@ class ChevalleyCochain:
             vec = tuple(_entry(x) for x in vec)
             if len(vec) != dim:
                 raise AlgebraError("cochain values must have the algebra dimension")
-            if not vec_is_zero(vec):
-                table[tup] = vec
-        self.data = dict(sorted(table.items()))
+            if tup in table and table[tup] != vec:
+                raise AlgebraError(f"inconsistent duplicate entry at {tup}")
+            table[tup] = vec
+        self.data = {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
 
     @classmethod
     def zero(cls, degree: int, dim: int) -> "ChevalleyCochain":
@@ -140,9 +142,8 @@ class SymmetricCochain:
                 raise AlgebraError("cochain values must have the algebra dimension")
             if key in table and table[key] != vec:
                 raise AlgebraError(f"inconsistent duplicate entry at {key}")
-            if not vec_is_zero(vec):
-                table[key] = vec
-        self.data = dict(sorted(table.items()))
+            table[key] = vec
+        self.data = {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
 
     @classmethod
     def zero(cls, dim: int) -> "SymmetricCochain":

@@ -45,16 +45,20 @@ def _index_row(row, dim: int, loc: str) -> list:
     return row
 
 
-def _read_document(source) -> tuple[str, str]:
+def _load_document(source) -> tuple:
+    """The JSON value read from a path, a stream or stdin ("-"), and its name."""
     if hasattr(source, "read"):
-        return source.read(), getattr(source, "name", "<stream>")
-    if source == "-":
-        return sys.stdin.read(), "<stdin>"
-    path = Path(source)
+        read, where = source.read, getattr(source, "name", "<stream>")
+    elif source == "-":
+        read, where = sys.stdin.read, "<stdin>"
+    else:
+        read, where = Path(source).read_text, str(Path(source))
     try:
-        return path.read_text(), str(path)
+        return json.loads(read()), where
     except OSError as exc:
-        raise AlgebraFileError(f"{path}: {exc}") from exc
+        raise AlgebraFileError(f"{where}: {exc}") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer longer than int() converts
+        raise AlgebraFileError(f"{where}: invalid JSON ({exc})") from exc
 
 
 def algebra_from_dict(doc, where: str = "<doc>") -> Algebra:
@@ -129,12 +133,7 @@ def emit_algebra(alg: Algebra) -> str:
 
 
 def parse_algebra_file(source) -> Algebra:
-    text, where = _read_document(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(f"{where}: invalid JSON ({exc})") from exc
-    return algebra_from_dict(doc, where)
+    return algebra_from_dict(*_load_document(source))
 
 
 def write_algebra_file(alg: Algebra, target) -> None:
@@ -188,9 +187,4 @@ def cochain_from_dict(doc, where: str = "<doc>") -> ChevalleyCochain:
 
 
 def parse_cochain_file(source) -> ChevalleyCochain:
-    text, where = _read_document(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(f"{where}: invalid JSON ({exc})") from exc
-    return cochain_from_dict(doc, where)
+    return cochain_from_dict(*_load_document(source))

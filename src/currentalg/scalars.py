@@ -31,14 +31,16 @@ class GaussianRational:
     """(x + y*i) / d held as one reduced integer triple: d > 0 and
     gcd(x, y, d) = 1.  Treated as immutable.
 
-    Each sum, difference, product and quotient is integer arithmetic on the
-    triples followed by one gcd; an ``int`` or ``Fraction`` operand enters as
-    its numerator and denominator and is never lifted to a Gaussian rational,
-    so generic code (elimination, polynomial gcd, ...) runs unchanged over
-    both fields.  ``re`` and ``im`` are read-only ``Fraction`` views; the
-    triple is canonical, so ``==`` compares triples.  The parts given to the
-    constructor must be ``int`` or ``Fraction``; anything else, a float, a
-    ``Decimal`` or text included, raises :class:`ScalarError`.
+    Every operator reads its other operand as a triple through
+    :func:`_parts`, which takes an ``int``, a ``Fraction`` or a Gaussian
+    rational and answers ``NotImplemented`` for anything else, so generic
+    code (elimination, polynomial gcd, ...) runs unchanged over both fields.
+    ``+``, ``*``, ``/`` and ``==`` are one formula each on the two triples,
+    the first three followed by one gcd; ``-`` and the reflected ``-`` and
+    ``/`` go through them.  ``re`` and ``im`` are read-only ``Fraction``
+    views; the triple is canonical, so ``==`` compares triples.  The parts
+    given to the constructor must be ``int`` or ``Fraction``; anything else,
+    a float, a ``Decimal`` or text included, raises :class:`ScalarError`.
     """
 
     __slots__ = ("_x", "_y", "_d")
@@ -62,58 +64,36 @@ class GaussianRational:
         return Fraction(self._y, self._d)
 
     def __add__(self, o):
-        if type(o) is GaussianRational:
-            if o._d == self._d:
-                return _gauss(self._x + o._x, self._y + o._y, self._d)
-            return _gauss(self._x * o._d + o._x * self._d,
-                          self._y * o._d + o._y * self._d, self._d * o._d)
-        if type(o) is int:  # x + o*d keeps gcd(x, y, d) = 1
-            return _reduced(self._x + o * self._d, self._y, self._d)
-        if isinstance(o, (int, Fraction)):
-            p, q = o.numerator, o.denominator
-            return _gauss(self._x * q + p * self._d, self._y * q, self._d * q)
-        return NotImplemented
+        t = _parts(o)
+        if t is None:
+            return NotImplemented
+        u, v, e = t
+        return _gauss(self._x * e + u * self._d, self._y * e + v * self._d, self._d * e)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        if type(o) is GaussianRational:
-            if o._d == self._d:
-                return _gauss(self._x - o._x, self._y - o._y, self._d)
-            return _gauss(self._x * o._d - o._x * self._d,
-                          self._y * o._d - o._y * self._d, self._d * o._d)
-        if type(o) is int:
-            return _reduced(self._x - o * self._d, self._y, self._d)
-        if isinstance(o, (int, Fraction)):
-            p, q = o.numerator, o.denominator
-            return _gauss(self._x * q - p * self._d, self._y * q, self._d * q)
-        return NotImplemented
+        t = _parts(o)
+        return NotImplemented if t is None else self.__add__(_reduced(-t[0], -t[1], t[2]))
 
     def __rsub__(self, o):
-        if isinstance(o, (int, Fraction)):
-            p, q = o.numerator, o.denominator
-            return _gauss(p * self._d - self._x * q, -self._y * q, self._d * q)
-        return NotImplemented
+        return (-self).__add__(o)
 
     def __mul__(self, o):
-        if type(o) is GaussianRational:
-            return _gauss(self._x * o._x - self._y * o._y,
-                          self._x * o._y + self._y * o._x, self._d * o._d)
-        if isinstance(o, (int, Fraction)):
-            p, q = o.numerator, o.denominator
-            return _gauss(self._x * p, self._y * p, self._d * q)
-        return NotImplemented
+        t = _parts(o)
+        if t is None:
+            return NotImplemented
+        u, v, e = t
+        return _gauss(self._x * u - self._y * v, self._x * v + self._y * u, self._d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         # (x + yi)/d / ((u + vi)/e) = (x + yi)(u - vi) e / (d (u^2 + v^2))
-        if type(o) is GaussianRational:
-            u, v, e = o._x, o._y, o._d
-        elif isinstance(o, (int, Fraction)):
-            u, v, e = o.numerator, 0, o.denominator
-        else:
+        t = _parts(o)
+        if t is None:
             return NotImplemented
+        u, v, e = t
         n = u * u + v * v
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -121,14 +101,8 @@ class GaussianRational:
         return _gauss(x * u + y * v, y * u - x * v, self._d * n)
 
     def __rtruediv__(self, o):
-        # p/q / ((x + yi)/d) = p d (x - yi) / (q (x^2 + y^2))
-        if not isinstance(o, (int, Fraction)):
-            return NotImplemented
-        n = self._x * self._x + self._y * self._y
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        pd = o.numerator * self._d
-        return _gauss(pd * self._x, -pd * self._y, o.denominator * n)
+        t = _parts(o)
+        return NotImplemented if t is None else _reduced(*t).__truediv__(self)
 
     def __neg__(self):
         return _reduced(-self._x, -self._y, self._d)
@@ -137,11 +111,8 @@ class GaussianRational:
         return self
 
     def __eq__(self, o):
-        if type(o) is GaussianRational:
-            return self._x == o._x and self._y == o._y and self._d == o._d
-        if isinstance(o, (int, Fraction)):
-            return self._y == 0 and self._x == o.numerator and self._d == o.denominator
-        return NotImplemented
+        t = _parts(o)
+        return NotImplemented if t is None else (self._x, self._y, self._d) == t
 
     def __hash__(self):
         # Agree with Fraction/int hashing when the value is real.
@@ -179,11 +150,13 @@ def _reduced(x: int, y: int, d: int) -> GaussianRational:
     return z
 
 
-def _parts(z) -> tuple:
-    """An int, Fraction or GaussianRational as its triple (x, y, d)."""
+def _parts(z):
+    """The reduced triple (x, y, d) of an int, Fraction or GaussianRational, else None."""
     if type(z) is GaussianRational:
         return z._x, z._y, z._d
-    return z.numerator, 0, z.denominator
+    if isinstance(z, (int, Fraction)):
+        return z.numerator, 0, z.denominator
+    return None
 
 
 def _gauss(x: int, y: int, d: int) -> GaussianRational:
@@ -231,10 +204,9 @@ def coerce(field: str, value) -> Scalar:
                 raise ScalarError("field Q forbids nonzero imaginary parts")
             return value.re
     elif field == QI:
-        if type(value) is GaussianRational:
-            return value
-        if isinstance(value, (int, Fraction)):
-            return _reduced(value.numerator, 0, value.denominator)
+        t = _parts(value)
+        if t is not None:
+            return value if type(value) is GaussianRational else _reduced(*t)
     else:
         raise ScalarError(f"unknown field tag {field!r}")
     if isinstance(value, str):
@@ -249,12 +221,6 @@ def coerce_vector(field: str, values) -> tuple:
     return tuple(coerce(field, v) for v in values)
 
 
-_IMAG_RE = re.compile(
-    r"""^(?P<re>[+-]?\d+(?:/\d+)?)?
-         (?P<im>[+-](?:\d+(?:/\d+)?)?|(?:\d+(?:/\d+)?))?i$""",
-    re.VERBOSE,
-)
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -266,6 +232,8 @@ def _strict_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
         raise ScalarError(f"malformed rational {text!r} (zero denominator)") from exc
+    except ValueError as exc:  # more digits than int() converts
+        raise ScalarError(f"malformed rational: {exc}") from exc
 
 
 def parse_scalar_text(field: str, text: str) -> Scalar:
@@ -275,22 +243,19 @@ def parse_scalar_text(field: str, text: str) -> Scalar:
         return coerce(field, _strict_fraction(s))
     if field != QI:
         raise ScalarError(f"imaginary value {text!r} needs field Qi")
-    m = _IMAG_RE.match(s)
-    if not m:
-        raise ScalarError(f"malformed Gaussian rational {text!r}")
-    re_part = m.group("re")
-    im_part = m.group("im")
-    if im_part is None:
-        # whole (possibly signed) coefficient belongs to i: "3i", "-1/2i", "i"
-        im_part, re_part = re_part, None
-        if im_part is None:
-            im_part = "1"
-    if im_part in ("+", "-", ""):
+    # "a+bi": drop the final character, which must be the i, and split at the
+    # last sign that is not the first character; "i" alone or after a sign
+    # is a unit coefficient.  An i left in either side fails _strict_fraction.
+    body = s[:-1]
+    k = max(body.rfind("+"), body.rfind("-"), 0)
+    re_part, im_part = body[:k], body[k:]
+    if im_part in ("", "+", "-"):
         im_part += "1"
-    return GaussianRational(
-        _strict_fraction(re_part) if re_part else 0,
-        _strict_fraction(im_part.lstrip("+")),
-    )
+    try:
+        return GaussianRational(_strict_fraction(re_part) if re_part else 0,
+                                _strict_fraction(im_part))
+    except ScalarError:
+        raise ScalarError(f"malformed Gaussian rational {text!r}") from None
 
 
 def scalar_to_json(field: str, value: Scalar):

@@ -61,6 +61,20 @@ def test_cochain_alternating_evaluation():
         ChevalleyCochain(2, 3, {(1, 2): (0.5, 0, 0)})
 
 
+def test_cochains_reject_inconsistent_duplicates():
+    v, w = (1, 0, 0), (0, 1, 0)
+    for items in ([((1, 2), v), ((1, 2), w)], [((1, 2), (0, 0, 0)), ((1, 2), w)],
+                  [((1, 2), w), ((1, 2), (0, 0, 0))]):
+        with pytest.raises(AlgebraError, match="inconsistent duplicate"):
+            ChevalleyCochain(2, 3, items)
+    for items in ([((1, 2), (0, 0)), ((2, 1), (1, 0))], [((2, 1), (1, 0)), ((1, 2), (0, 0))]):
+        with pytest.raises(AlgebraError, match="inconsistent duplicate"):
+            SymmetricCochain(2, items)
+    # a repeated equal value is one entry, as in Algebra
+    assert ChevalleyCochain(2, 3, [((1, 2), v), ((1, 2), v)]).data == {(1, 2): (1, 0, 0)}
+    assert SymmetricCochain(2, [((1, 2), (0, 1)), ((2, 1), (0, 1))]).data == {(1, 2): (0, 1)}
+
+
 def test_delta_on_abelian_vanishes():
     rng = random.Random(2)
     g = ca.abelian(3)

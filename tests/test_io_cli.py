@@ -210,6 +210,27 @@ def test_cli_pierce(fixture_dir, capsys):
     assert "a11: dim=1" in out and "a00: dim=1" in out
 
 
+def test_cli_pierce_rejects_malformed_coordinate(fixture_dir, capsys):
+    # "0/11/2i" is two fractions before the i, not 0 + i/2
+    code, _, err = _run(capsys, "pierce", str(fixture_dir / "real_rigid_2_1_qi.json"),
+                        "--idempotent", "1/2,0/11/2i")
+    assert code == 2 and "malformed Gaussian rational '0/11/2i'" in err
+
+
+def test_cli_unreadable_inputs_exit_2(fixture_dir, tmp_path, capsys):
+    # int() reads at most 4300 digits by default; neither input may end in a traceback
+    big = "9" * 5000
+    code, _, err = _run(capsys, "pierce", str(fixture_dir / "m1_2.json"), "--idempotent", f"1,{big}")
+    assert code == 2 and "malformed rational" in err
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"name": "a", "kind": "lie", "field": "Q", "dim": %s, "constants": []}' % big)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "\xe9", "kind": "lie", "field": "Q", "dim": 1, "constants": []}')
+    for path in (huge, latin1):
+        code, _, err = _run(capsys, "validate", str(path))
+        assert code == 2 and f"{path}: invalid JSON" in err
+
+
 def test_cli_rigid_pq(fixture_dir, capsys):
     code, out, _ = _run(capsys, "rigid-pq", str(fixture_dir / "r2.json"),
                         str(fixture_dir / "m1_2.json"))

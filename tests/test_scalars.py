@@ -1,4 +1,5 @@
 import operator
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -164,3 +165,46 @@ def test_coerce_returns_field_values_as_they_are():
     assert scalars.coerce(Q, "2/3") == x and scalars.coerce(QI, "1+2i") == z
     with pytest.raises(ScalarError):
         scalars.coerce(Q, object())
+
+
+# -- one text grammar: the last sign after the first character splits a+bi ----
+
+@pytest.mark.parametrize("text", ["1/12/1i", "0/11/2i", "12/12/12i",  # two fractions
+                                  "1+i+i", "i2", "ii", "1/0i", "1.5i", "1+-2i"])
+def test_parse_rejects_malformed_gaussian_text(text):
+    with pytest.raises(ScalarError, match=re.escape(f"malformed Gaussian rational {text!r}")):
+        scalars.parse_scalar_text(QI, text)
+
+
+def test_parse_rejects_more_digits_than_int_reads():
+    with pytest.raises(ScalarError):
+        scalars.parse_scalar_text(Q, "9" * 5000)
+    with pytest.raises(ScalarError):
+        scalars.parse_scalar_text(QI, "1+" + "9" * 5000 + "i")
+
+
+@given(_reals)
+def test_rational_text_round_trip(q):
+    for field in (Q, QI):
+        assert scalars.parse_scalar_text(field, str(q)) == q
+
+
+@given(_reals, _reals)
+def test_gaussian_text_round_trip(re_part, im_part):
+    z = GaussianRational(re_part, im_part)
+    assert scalars.parse_scalar_text(QI, str(z)) == z
+    assert scalars.parse_scalar_text(QI, f" {z} ".replace("+", " + ")) == z
+
+
+# -- the single operand reader: anything else is NotImplemented ---------------
+
+@pytest.mark.parametrize("other", [0.5, Decimal("0.5"), 1 + 2j, "1", None, [1]], ids=repr)
+@pytest.mark.parametrize("z", [GaussianRational(1, 2), GaussianRational(1)], ids=str)
+def test_foreign_operands_are_not_implemented(z, other):
+    for f in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            f(z, other)
+        with pytest.raises(TypeError):
+            f(other, z)
+    assert (z == other) is False and (other == z) is False
+    assert (z != other) is True and (other != z) is True

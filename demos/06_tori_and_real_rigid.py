@@ -35,9 +35,14 @@ for (n, s) in ((2, 1), (3, 1), (4, 2)):
           moved == ca.t_oplus_a(n, s))
 
 # Over Q(i) each block splits into a conjugate pair of idempotents, so the
-# complexification is the fully split algebra M1^n, exactly.
+# complexification is the fully split algebra M1^n, exactly.  The basis
+# change P is computed: its columns are the primitive idempotents.
 for (n, s) in ((2, 1), (4, 2)):
-    split = ca.real_rigid_complex_split(n, s)
-    ok = ca.change_basis(ca.complexify(ca.real_rigid(n, s)), split) == \
-        ca.complexify(ca.m1(n))
+    A = ca.complexify(ca.real_rigid(n, s))
+    P = ca.Matrix.from_columns(ca.orthogonal_decomposition(A).idempotents)
+    print(f"\nP for complexified realRigid({n},{s}), one idempotent per column:")
+    for row in P.rows:
+        print("   ", "  ".join(f"{str(x):>6}" for x in row))
+    ok = ca.change_basis(A, P) == ca.complexify(ca.m1(n))
     print(f"complexified realRigid({n},{s}) == M1^{n}:", ok)
+    assert ok

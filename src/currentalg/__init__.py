@@ -35,7 +35,6 @@ from .catalog import (
     permutation_matrix,
     r2,
     real_rigid,
-    real_rigid_complex_split,
     sl2,
     t_oplus_a,
     toplus_current_permutation,

@@ -51,7 +51,7 @@ def _tensor(table: Mapping, kind: str) -> dict:
     tensor = {}
     for (i, j), vec in table.items():
         terms = tuple((k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-                      for k, c in enumerate(vec, start=1) if c != 0)
+                      for k, c in enumerate(vec, start=1) if c)
         tensor[(j, i)] = (terms if kind == ASSOC_COMM
                           else tuple((k, -c) for k, c in terms))
         tensor[(i, j)] = terms
@@ -144,11 +144,11 @@ class Algebra:
         x, y = self._vector(x), self._vector(y)
         acc = [scalars.zero(self.field)] * self.dim
         for i, xi in enumerate(x, start=1):
-            if xi == 0:
+            if not xi:
                 continue
             for j, yj in enumerate(y, start=1):
                 terms = self.tensor.get((i, j))
-                if terms and yj != 0:
+                if terms and yj:
                     xy = xi * yj
                     for k, c in terms:
                         acc[k - 1] += xy * c

@@ -20,7 +20,6 @@ from .algebra import (
 )
 from .current import flat_index
 from .linalg import Matrix
-from .scalars import GaussianRational
 
 
 class UnknownAlgebraError(AlgebraError):
@@ -193,23 +192,6 @@ def permutation_matrix(perm: tuple) -> Matrix:
     """Columns: new basis vector m is the old basis vector perm[m]."""
     d = len(perm)
     return Matrix.from_entries({(perm[m] - 1, m): Fraction(1) for m in range(d)}, d, d)
-
-
-def real_rigid_complex_split(n: int, s: int) -> Matrix:
-    """Basis change taking complexify(real_rigid(n, s)) to m1(n).
-
-    Per complex-type block the new basis is u = (e_{2i-1} + i e_{2i})/2 and
-    v = (e_{2i-1} - i e_{2i})/2; plain coordinates are untouched.
-    """
-    half = Fraction(1, 2)
-    entries = {}
-    for a in range(0, 2 * s, 2):  # u in column a, v in column a + 1
-        entries[a, a] = entries[a, a + 1] = GaussianRational(half)
-        entries[a + 1, a] = GaussianRational(0, half)
-        entries[a + 1, a + 1] = GaussianRational(0, -half)
-    for j in range(2 * s, n):
-        entries[j, j] = GaussianRational(1)
-    return Matrix.from_entries(entries, n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import scalars
-from .algebra import ASSOC_COMM, LIE, AlgebraError, IdentityError, check_identities
+from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, IdentityError, check_identities
 from .catalog import (
     UnknownAlgebraError,
     catalog_entry,
@@ -188,19 +188,24 @@ def _cmd_analyze(args) -> tuple:
     return EXIT_OK, {"command": "analyze", "ok": True, "data": {"fingerprint": fp}}
 
 
-def _cmd_cohomology(args) -> tuple:
+def _load(args, kind: str) -> Algebra:
+    """The algebra in ``args.file``, which the command needs to be of ``kind``."""
     alg = parse_algebra_file(args.file)
-    if alg.kind != LIE:
-        raise UsageError("cohomology requires a lie algebra file")
+    if alg.kind != kind:
+        article = "an" if kind == ASSOC_COMM else "a"
+        raise UsageError(f"{args.command} requires {article} {kind} algebra file")
+    return alg
+
+
+def _cmd_cohomology(args) -> tuple:
+    alg = _load(args, LIE)
     dims = chevalley_dims(alg, args.degree)
     data = {"name": alg.name, "degree": args.degree, **_dims_dict(dims)}
     return EXIT_OK, {"command": "cohomology", "ok": True, "data": data}
 
 
 def _cmd_harrison(args) -> tuple:
-    alg = parse_algebra_file(args.file)
-    if alg.kind != ASSOC_COMM:
-        raise UsageError("harrison requires an assoc-comm algebra file")
+    alg = _load(args, ASSOC_COMM)
     dims = harrison_h2(alg)
     data = {"name": alg.name, **_dims_dict(dims)}
     return EXIT_OK, {"command": "harrison", "ok": True, "data": data}
@@ -215,9 +220,9 @@ def _cmd_current(args) -> tuple:
 
 
 def _cmd_pierce(args) -> tuple:
-    alg = parse_algebra_file(args.file)
-    if alg.kind != ASSOC_COMM:
-        raise UsageError("pierce requires an assoc-comm algebra file")
+    alg = _load(args, ASSOC_COMM)
+    if args.idempotent in ([], "--"):  # what argparse makes of --idempotent=-- varies by version
+        raise UsageError("argument --idempotent: expected one argument")
     if args.idempotent == "auto":
         e = some_nonzero_idempotent(alg)
         if e is None:
@@ -251,9 +256,7 @@ def _cmd_pierce(args) -> tuple:
 
 
 def _cmd_rigidity(args) -> tuple:
-    alg = parse_algebra_file(args.file)
-    if alg.kind != LIE:
-        raise UsageError("rigidity requires a lie algebra file")
+    alg = _load(args, LIE)
     cert = rigidity_certificate(alg)
     data = {
         "name": alg.name,
@@ -281,9 +284,7 @@ def _cmd_rigid_pq(args) -> tuple:
 
 
 def _cmd_deform(args) -> tuple:
-    alg = parse_algebra_file(args.file)
-    if alg.kind != LIE:
-        raise UsageError("deform requires a lie algebra file")
+    alg = _load(args, LIE)
     cochain = parse_cochain_file(args.cochain)
     if cochain.dim != alg.dim:
         raise UsageError("cochain dimension does not match the algebra")
@@ -346,6 +347,13 @@ _COMMANDS = {
 
 
 def run_command(argv) -> int:
+    # argparse takes a value such as -1/2,0 for an option: join each --idempotent,
+    # or a prefix of it that argparse would accept, to the token after it
+    argv, at = list(argv), 0
+    while at < len(argv) - 1:
+        if len(argv[at]) > 2 and "--idempotent".startswith(argv[at]):
+            argv[at:at + 2] = [argv[at] + "=" + argv[at + 1]]
+        at += 1
     try:
         args = _PARSER.parse_args(argv)
         code, report = _COMMANDS[args.command](args)

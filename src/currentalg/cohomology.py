@@ -56,6 +56,20 @@ def _sort_with_sign(tup):
     return tuple(items), sign
 
 
+def _cochain_data(dim: int, data, key) -> dict:
+    """The nonzero vectors of ``data`` (a mapping or pairs) by the index tuples
+    that ``key`` checks and stores, sorted; a tuple given twice needs one vector."""
+    table = {}
+    for tup, vec in (data.items() if hasattr(data, "items") else data):
+        tup, vec = key(tup), tuple(_entry(x) for x in vec)
+        if len(vec) != dim:
+            raise AlgebraError("cochain values must have the algebra dimension")
+        if tup in table and table[tup] != vec:
+            raise AlgebraError(f"inconsistent duplicate entry at {tup}")
+        table[tup] = vec
+    return {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
+
+
 class ChevalleyCochain:
     """Alternating k-cochain (k <= 3) with coefficients in the algebra.
 
@@ -72,23 +86,17 @@ class ChevalleyCochain:
             raise AlgebraError("supported cochain degrees are 0..3")
         self.degree = degree
         self.dim = dim
-        table = {}
-        items = data.items() if hasattr(data, "items") else data
-        for tup, vec in items:
-            tup = tuple(tup)
-            if len(tup) != degree:
-                raise AlgebraError(f"tuple {tup} has wrong arity for degree {degree}")
-            if any(not 1 <= i <= dim for i in tup):
-                raise AlgebraError(f"tuple {tup} out of range 1..{dim}")
-            if list(tup) != sorted(set(tup)):
-                raise AlgebraError(f"tuple {tup} must be strictly increasing")
-            vec = tuple(_entry(x) for x in vec)
-            if len(vec) != dim:
-                raise AlgebraError("cochain values must have the algebra dimension")
-            if tup in table and table[tup] != vec:
-                raise AlgebraError(f"inconsistent duplicate entry at {tup}")
-            table[tup] = vec
-        self.data = {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
+        self.data = _cochain_data(dim, data, self._key)
+
+    def _key(self, tup) -> tuple:
+        tup = tuple(tup)
+        if len(tup) != self.degree:
+            raise AlgebraError(f"tuple {tup} has wrong arity for degree {self.degree}")
+        if any(not 1 <= i <= self.dim for i in tup):
+            raise AlgebraError(f"tuple {tup} out of range 1..{self.dim}")
+        if list(tup) != sorted(set(tup)):
+            raise AlgebraError(f"tuple {tup} must be strictly increasing")
+        return tup
 
     @classmethod
     def zero(cls, degree: int, dim: int) -> "ChevalleyCochain":
@@ -131,19 +139,13 @@ class SymmetricCochain:
 
     def __init__(self, dim: int, data: Mapping = ()):
         self.dim = dim
-        table = {}
-        items = data.items() if hasattr(data, "items") else data
-        for (i, j), vec in items:
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise AlgebraError(f"pair {(i, j)} out of range 1..{dim}")
-            key = (min(i, j), max(i, j))
-            vec = tuple(_entry(x) for x in vec)
-            if len(vec) != dim:
-                raise AlgebraError("cochain values must have the algebra dimension")
-            if key in table and table[key] != vec:
-                raise AlgebraError(f"inconsistent duplicate entry at {key}")
-            table[key] = vec
-        self.data = {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
+        self.data = _cochain_data(dim, data, self._key)
+
+    def _key(self, pair) -> tuple:
+        i, j = pair
+        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
+            raise AlgebraError(f"pair {(i, j)} out of range 1..{self.dim}")
+        return (min(i, j), max(i, j))
 
     @classmethod
     def zero(cls, dim: int) -> "SymmetricCochain":

@@ -8,24 +8,23 @@ The algebra file is a JSON document:
 
 with 1-based indices, only i < j rows for Lie kind (i <= j for
 assoc-comm), coefficients "p/q" over Q and {"re": "p/q", "im": "p/q"}
-over Qi.  Emission is canonical: sorted keys, sorted index triples,
-lowest-terms coefficients, two-space indent, trailing newline; parsing a
-canonical file and emitting it again reproduces it byte for byte.
+over Qi.  A degree-2 cochain file has i < j rows under "entries".  Both
+kinds pass one header check and one row reader, which differ only in their
+keys and triangle rule.  Emission is canonical: sorted keys, sorted index
+triples, lowest-terms coefficients, two-space indent, trailing newline;
+parsing a canonical file and emitting it again reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from pathlib import Path
-from typing import Union
 
 from . import scalars
 from .algebra import ASSOC_COMM, KINDS, LIE, Algebra
 from .cohomology import ChevalleyCochain
-
-Source = Union[str, Path]
-
 
 class AlgebraFileError(ValueError):
     """Schema violation with a location-carrying message."""
@@ -35,14 +34,71 @@ def _fail(where: str, msg: str):
     raise AlgebraFileError(f"{where}: {msg}")
 
 
-def _index_row(row, dim: int, loc: str) -> list:
-    """An [i, j, k, coeff] row whose indices are integers (not booleans) in 1..dim."""
-    if not isinstance(row, list) or len(row) != 4:
-        _fail(loc, "each entry must be [i, j, k, coeff]")
-    for label, idx in zip("ijk", row):
-        if type(idx) is not int or not 1 <= idx <= dim:
-            _fail(loc, f"index {label}={idx!r} out of range 1..{dim}")
-    return row
+# Header rules (key, required, test(value, dim), message), checked in this
+# order on the keys present; "{dim}" in a message is the document's dim.
+_FIELD = ("field", True, lambda v, dim: v in scalars.FIELDS,
+          f"must be one of {list(scalars.FIELDS)}")
+# true and false are not integers here
+_DIM = ("dim", True, lambda v, dim: type(v) is int and v >= 1, "must be a positive integer")
+_ALGEBRA_KEYS = (
+    ("name", True, lambda v, dim: isinstance(v, str), "must be a string"),
+    ("kind", True, lambda v, dim: v in KINDS, f"must be one of {list(KINDS)}"),
+    _FIELD, _DIM,
+    ("basis", False, lambda v, dim: v is None or (isinstance(v, list) and len(v) == dim
+                                                  and all(isinstance(b, str) for b in v)),
+     "must be a list of {dim} labels"),
+    ("constants", True, lambda v, dim: isinstance(v, list), "must be a list"))
+_COCHAIN_KEYS = (
+    ("name", False, lambda v, dim: True, ""),
+    _FIELD, _DIM,
+    ("degree", False, lambda v, dim: type(v) is int and v == 2,  # 2.0 and true are not 2
+     "only degree-2 cochains are supported"),
+    ("entries", True, lambda v, dim: isinstance(v, list), "must be a list"))
+# The triangle rule of each algebra kind, and its message on (i, j).
+_TRIANGLES = {LIE: (operator.lt, "lower-triangular entry ({},{}) not permitted for lie"),
+              ASSOC_COMM: (operator.le, "entry ({},{}) must have i <= j for assoc-comm")}
+
+
+def _header(doc, where: str, rules) -> None:
+    """An object with only the keys of ``rules``, the required ones, valid values."""
+    if not isinstance(doc, dict):
+        _fail(where, "top-level JSON value must be an object")
+    unknown = set(doc) - {key for key, *_ in rules}
+    if unknown:
+        _fail(where, f"unknown keys {sorted(unknown)}")
+    for key, required, _, _ in rules:
+        if required and key not in doc:
+            _fail(where, f"missing key {key!r}")
+    for key, _, test, msg in rules:
+        if key in doc and not test(doc[key], doc["dim"]):
+            _fail(f"{where}.{key}", msg.format(dim=doc["dim"]))
+
+
+def _rows(doc, where: str, table: str, triangle, message: str) -> dict:
+    """{(i, j): dense vector} from the [i, j, k, coeff] rows of ``doc[table]``,
+    each with ``triangle(i, j)`` (else ``message`` on (i, j) is the error)."""
+    field, dim = doc["field"], doc["dim"]
+    data: dict = {}
+    seen = set()
+    for pos, row in enumerate(doc[table]):
+        loc = f"{where}.{table}[{pos}]"
+        if not isinstance(row, list) or len(row) != 4:
+            _fail(loc, "each entry must be [i, j, k, coeff]")
+        for label, idx in zip("ijk", row):
+            if type(idx) is not int or not 1 <= idx <= dim:  # true and false are not indices
+                _fail(loc, f"index {label}={idx!r} out of range 1..{dim}")
+        i, j, k, coeff = row
+        if not triangle(i, j):
+            _fail(loc, message.format(i, j))
+        if (i, j, k) in seen:
+            _fail(loc, f"duplicate key ({i},{j},{k})")
+        seen.add((i, j, k))
+        try:
+            value = scalars.scalar_from_json(field, coeff)
+        except scalars.ScalarError as exc:
+            _fail(loc, str(exc))
+        data.setdefault((i, j), [scalars.zero(field)] * dim)[k - 1] = value
+    return {key: tuple(vec) for key, vec in data.items()}
 
 
 def _load_document(source) -> tuple:
@@ -62,52 +118,10 @@ def _load_document(source) -> tuple:
 
 
 def algebra_from_dict(doc, where: str = "<doc>") -> Algebra:
-    if not isinstance(doc, dict):
-        _fail(where, "top-level JSON value must be an object")
-    unknown = set(doc) - {"name", "kind", "field", "dim", "basis", "constants"}
-    if unknown:
-        _fail(where, f"unknown keys {sorted(unknown)}")
-    for key in ("name", "kind", "field", "dim", "constants"):
-        if key not in doc:
-            _fail(where, f"missing key {key!r}")
-    name, kind, field, dim = doc["name"], doc["kind"], doc["field"], doc["dim"]
-    if not isinstance(name, str):
-        _fail(f"{where}.name", "must be a string")
-    if kind not in KINDS:
-        _fail(f"{where}.kind", f"must be one of {list(KINDS)}")
-    if field not in scalars.FIELDS:
-        _fail(f"{where}.field", f"must be one of {list(scalars.FIELDS)}")
-    if type(dim) is not int or dim < 1:  # true and false are not integers here
-        _fail(f"{where}.dim", "must be a positive integer")
-    basis = doc.get("basis")
-    if basis is not None:
-        if (not isinstance(basis, list) or len(basis) != dim
-                or not all(isinstance(b, str) for b in basis)):
-            _fail(f"{where}.basis", f"must be a list of {dim} labels")
-    if not isinstance(doc["constants"], list):
-        _fail(f"{where}.constants", "must be a list")
-
-    products: dict = {}
-    seen = set()
-    for pos, row in enumerate(doc["constants"]):
-        loc = f"{where}.constants[{pos}]"
-        i, j, k, coeff = _index_row(row, dim, loc)
-        if kind == LIE and i >= j:
-            _fail(loc, f"lower-triangular entry ({i},{j}) not permitted for lie")
-        if kind == ASSOC_COMM and i > j:
-            _fail(loc, f"entry ({i},{j}) must have i <= j for assoc-comm")
-        if (i, j, k) in seen:
-            _fail(loc, f"duplicate key ({i},{j},{k})")
-        seen.add((i, j, k))
-        try:
-            value = scalars.scalar_from_json(field, coeff)
-        except scalars.ScalarError as exc:
-            _fail(loc, str(exc))
-        vec = products.setdefault((i, j), [scalars.zero(field)] * dim)
-        vec[k - 1] = value
-    return Algebra(name, kind, field, dim,
-                   {key: tuple(vec) for key, vec in products.items()},
-                   basis_labels=basis)
+    _header(doc, where, _ALGEBRA_KEYS)
+    products = _rows(doc, where, "constants", *_TRIANGLES[doc["kind"]])
+    return Algebra(doc["name"], doc["kind"], doc["field"], doc["dim"], products,
+                   basis_labels=doc.get("basis"))
 
 
 def algebra_to_dict(alg: Algebra) -> dict:
@@ -149,41 +163,10 @@ def write_algebra_file(alg: Algebra, target) -> None:
 # -- degree-2 cochain files (used by the deform command) --------------------
 
 def cochain_from_dict(doc, where: str = "<doc>") -> ChevalleyCochain:
-    if not isinstance(doc, dict):
-        _fail(where, "top-level JSON value must be an object")
-    unknown = set(doc) - {"name", "field", "dim", "degree", "entries"}
-    if unknown:
-        _fail(where, f"unknown keys {sorted(unknown)}")
-    for key in ("field", "dim", "entries"):
-        if key not in doc:
-            _fail(where, f"missing key {key!r}")
-    field, dim = doc["field"], doc["dim"]
-    if field not in scalars.FIELDS:
-        _fail(f"{where}.field", f"must be one of {list(scalars.FIELDS)}")
-    if type(dim) is not int or dim < 1:  # true and false are not integers here
-        _fail(f"{where}.dim", "must be a positive integer")
-    degree = doc.get("degree", 2)
-    if type(degree) is not int or degree != 2:  # 2.0 and true are not the int 2
-        _fail(f"{where}.degree", "only degree-2 cochains are supported")
-    if not isinstance(doc["entries"], list):
-        _fail(f"{where}.entries", "must be a list")
-    data: dict = {}
-    seen = set()
-    for pos, row in enumerate(doc["entries"]):
-        loc = f"{where}.entries[{pos}]"
-        i, j, k, coeff = _index_row(row, dim, loc)
-        if i >= j:
-            _fail(loc, f"entry ({i},{j}) must have i < j (alternating cochain)")
-        if (i, j, k) in seen:
-            _fail(loc, f"duplicate key ({i},{j},{k})")
-        seen.add((i, j, k))
-        try:
-            value = scalars.scalar_from_json(field, coeff)
-        except scalars.ScalarError as exc:
-            _fail(loc, str(exc))
-        vec = data.setdefault((i, j), [scalars.zero(field)] * dim)
-        vec[k - 1] = value
-    return ChevalleyCochain(2, dim, {k: tuple(v) for k, v in data.items()})
+    _header(doc, where, _COCHAIN_KEYS)
+    data = _rows(doc, where, "entries", operator.lt,
+                 "entry ({},{}) must have i < j (alternating cochain)")
+    return ChevalleyCochain(2, doc["dim"], data)
 
 
 def parse_cochain_file(source) -> ChevalleyCochain:

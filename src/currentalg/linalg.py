@@ -145,7 +145,7 @@ class Matrix:
         out = [_ZERO] * self.nrows
         for r, row in enumerate(self.sparse_rows):
             for c, x in row.items():
-                if vec[c] != 0:
+                if vec[c]:
                     out[r] += x * vec[c]
         return tuple(out)
 
@@ -177,9 +177,6 @@ class Matrix:
             k >>= 1
         return result
 
-    def trace(self):
-        return sum((row.get(i, _ZERO) for i, row in enumerate(self.sparse_rows)), _ZERO)
-
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
 
@@ -209,7 +206,7 @@ def vec_zero(n):
     return (_ZERO,) * n
 
 def vec_is_zero(u):
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def _primitive(row: dict) -> dict:
@@ -435,11 +432,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return vec_is_zero(self.reduce(v)[1])
 
-    def coordinates(self, v) -> Optional[tuple]:
-        """Coefficients of v in the stored basis, or None if outside."""
-        coords, residue = self.reduce(v)
-        return coords if vec_is_zero(residue) else None
-
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
@@ -463,7 +455,7 @@ class Subspace:
 
 def poly_trim(p: Sequence) -> tuple:
     p = list(p)
-    while p and p[-1] == 0:
+    while p and not p[-1]:
         p.pop()
     return tuple(p)
 

@@ -619,12 +619,42 @@ def min_poly_oracle(M) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Readers and a basis change that src/ no longer needs
+# ---------------------------------------------------------------------------
+
+def matrix_trace(M):
+    """The sum of the diagonal entries of a ``Matrix``."""
+    return sum((row.get(i, 0) for i, row in enumerate(M.sparse_rows)), Fraction(0))
+
+
+def subspace_coordinates(sub, v):
+    """Coefficients of v in the stored basis of ``sub``, or None if v lies outside."""
+    coords, residue = sub.reduce(v)
+    return None if any(residue) else coords
+
+
+def real_rigid_split_columns(n: int, s: int) -> set:
+    """The primitive idempotents of complexify(real_rigid(n, s)) by hand: per
+    complex-type block u, v = (e_{2i-1} +- i e_{2i})/2, then the plain e_j."""
+    half, zero = Fraction(1, 2), ca.GaussianRational(0)
+    cols = set()
+    for a in range(0, 2 * s, 2):
+        for sign in (1, -1):
+            col = [zero] * n
+            col[a], col[a + 1] = ca.GaussianRational(half), ca.GaussianRational(0, sign * half)
+            cols.add(tuple(col))
+    for j in range(2 * s, n):
+        cols.add(tuple(ca.GaussianRational(int(k == j)) for k in range(n)))
+    return cols
+
+
+# ---------------------------------------------------------------------------
 # The idempotent search before it became one split of A / rad A
 # ---------------------------------------------------------------------------
 
 def trace_gram_oracle(A) -> list:
     """Gram rows of T(e_i, e_j) = tr L_{e_i e_j}, one left multiplication each."""
-    return [[A.left_mult_matrix(A.basis_product(i, j)).trace()
+    return [[matrix_trace(A.left_mult_matrix(A.basis_product(i, j)))
              for j in range(1, A.dim + 1)] for i in range(1, A.dim + 1)]
 
 
@@ -686,7 +716,7 @@ class _Restriction:
         return tuple(acc)
 
     def from_ambient(self, vec) -> tuple:
-        coords = self.sub.coordinates(vec)
+        coords = subspace_coordinates(self.sub, vec)
         if coords is None:
             raise ca.AlgebraError("vector lies outside the subalgebra")
         return coords
@@ -701,7 +731,7 @@ def restricted_algebra(parent, sub, name: str) -> _Restriction:
     for i in range(1, m + 1):
         for j in range(i, m + 1):
             w = parent.multiply(sub.basis[i - 1], sub.basis[j - 1])
-            coords = sub.coordinates(w)
+            coords = subspace_coordinates(sub, w)
             if coords is None:
                 raise ca.AlgebraError("subspace is not closed under the product")
             products[(i, j)] = coords

@@ -64,6 +64,7 @@ from conftest import (
     rand_matrix,
     rand_symmetric,
     rank_mod_p,
+    real_rigid_split_columns,
     unimodular_twist,
     with_variants,
 )
@@ -302,9 +303,10 @@ def test_criterion_08_torus_and_real_rigid_suite():
         moved = change_basis(cur,
                              permutation_matrix(ca.toplus_current_permutation(n, s)))
         ok = ok and moved == ca.t_oplus_a(n, s)
-        split = ca.real_rigid_complex_split(n, s)
-        ok = ok and change_basis(complexify(ca.real_rigid(n, s)), split) == \
-            complexify(ca.m1(n))
+        A = complexify(ca.real_rigid(n, s))
+        split = Matrix.from_columns(ca.orthogonal_decomposition(A).idempotents)
+        ok = ok and change_basis(A, split) == complexify(ca.m1(n))
+        ok = ok and set(split.columns()) == real_rigid_split_columns(n, s)
     _verdict(8, "torus families, t_n + a_n identification, complexification",
              ok)
 

@@ -26,7 +26,7 @@ from currentalg import (
     torus_generators,
 )
 
-from conftest import oracle_corpus
+from conftest import oracle_corpus, real_rigid_split_columns
 
 F = Fraction
 
@@ -150,10 +150,13 @@ def test_t_oplus_a_realizes_rotation_torus():
 
 
 def test_complexified_real_rigid_is_split():
+    # P has the computed primitive idempotents as columns: u, v = (e_{2i-1} +- i e_{2i})/2
+    # for each complex-type block, e_j for each plain coordinate
     for (n, s) in ((1, 0), (2, 1), (3, 1), (4, 2), (5, 2)):
-        p = ca.real_rigid_complex_split(n, s)
-        moved = change_basis(complexify(ca.real_rigid(n, s)), p)
-        assert moved == complexify(ca.m1(n))
+        A = complexify(ca.real_rigid(n, s))
+        p = Matrix.from_columns(ca.orthogonal_decomposition(A).idempotents)
+        assert change_basis(A, p) == complexify(ca.m1(n))
+        assert set(p.columns()) == real_rigid_split_columns(n, s)
 
 
 def test_fingerprint_examples():

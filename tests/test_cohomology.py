@@ -75,6 +75,23 @@ def test_cochains_reject_inconsistent_duplicates():
     assert SymmetricCochain(2, [((1, 2), (0, 1)), ((2, 1), (0, 1))]).data == {(1, 2): (0, 1)}
 
 
+def test_cochains_check_their_index_rules():
+    # each class keeps its own index rule; the length check is shared
+    for args, needle in (((2, 3, {(1,): (0, 0, 1)}), "wrong arity"),
+                         ((2, 3, {(1, 4): (0, 0, 1)}), r"tuple \(1, 4\) out of range 1\.\.3"),
+                         ((2, 3, {(2, 2): (0, 0, 1)}), "strictly increasing"),
+                         ((2, 3, {(1, 2): (0, 1)}), "algebra dimension")):
+        with pytest.raises(AlgebraError, match=needle):
+            ChevalleyCochain(*args)
+    for args, needle in (((2, {(1, 3): (0, 1)}), r"pair \(1, 3\) out of range 1\.\.2"),
+                         ((2, {(0, 1): (0, 1)}), r"pair \(0, 1\) out of range"),
+                         ((2, {(1, 2): (0, 1, 0)}), "algebra dimension")):
+        with pytest.raises(AlgebraError, match=needle):
+            SymmetricCochain(*args)
+    assert SymmetricCochain(2, {(2, 1): (0, 1), (2, 2): (1, 0), (1, 1): (0, 0)}).data == \
+        {(1, 2): (0, 1), (2, 2): (1, 0)}
+
+
 def test_delta_on_abelian_vanishes():
     rng = random.Random(2)
     g = ca.abelian(3)

@@ -66,6 +66,8 @@ _coordinate_text = st.text(st.sampled_from(list("0129/+-i ,.eauto")) | st.charac
 @example("1/2,0/11/2i", "real_rigid_2_1_qi.json")
 @example("1," + "9" * 5000, "m1_2.json")
 @example("-1", "m1_2.json")
+@example("--", "m1_2.json")
+@example("-1/2,0", "m1_2.json")
 def test_pierce_idempotent_text_exits_cleanly(text, fixture):
     argv = ["pierce", str(FIXTURES / fixture), "--idempotent", text]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

@@ -56,6 +56,7 @@ def test_parse_error_diagnostics():
         ({**base, "basis": ["a"]}, "basis"),
         ({**base, "dim": True}, "dim"),
         ({**base, "constants": [[True, 2, 2, "1"]]}, "out of range"),
+        ({**base, "constants": [[1, 1, 2, "1"]]}, r"lower-triangular entry \(1,1\)"),
     ]
     for doc, needle in cases:
         with pytest.raises(AlgebraFileError, match=needle):
@@ -74,6 +75,14 @@ def test_cochain_parse_error_diagnostics(fixture_dir, tmp_path, capsys):
         ({**base, "entries": [[2, 1, 1, "1"]]}, "i < j"),
         ({**base, "degree": 2.0}, r"<doc>\.degree: only degree-2 cochains are supported"),
         ({**base, "degree": True}, r"<doc>\.degree: only degree-2 cochains are supported"),
+        ({**base, "entries": [[1, 1, 2, "1"]]}, r"entry \(1,1\) must have i < j"),
+        # the row cases pinned for algebra files, through the same row reader
+        ({**base, "entries": [[1, 2, 3, "1"]]}, r"entries\[0\]: index k=3 out of range 1\.\.2"),
+        ({**base, "entries": [[1, 2, 1, "1/0"]]}, r"entries\[0\]: malformed rational '1/0'"),
+        ({**base, "entries": [[1, 2, 1, "0.5"]]}, r"entries\[0\]: malformed rational '0\.5'"),
+        ({**base, "entries": [[1, 2, 1]]}, r"entries\[0\]: each entry must be \[i, j, k, coeff\]"),
+        ({**base, "entries": [[1, 2, 1, "1"], "1,2,2,1"]},
+         r"entries\[1\]: each entry must be \[i, j, k, coeff\]"),
     ]
     for doc, needle in cases:
         with pytest.raises(AlgebraFileError, match=needle):
@@ -215,6 +224,21 @@ def test_cli_pierce_rejects_malformed_coordinate(fixture_dir, capsys):
     code, _, err = _run(capsys, "pierce", str(fixture_dir / "real_rigid_2_1_qi.json"),
                         "--idempotent", "1/2,0/11/2i")
     assert code == 2 and "malformed Gaussian rational '0/11/2i'" in err
+
+
+def test_cli_pierce_negative_first_coordinate(fixture_dir, capsys):
+    # argparse alone reads "-0,1" after --idempotent as an option; each form takes it as the value
+    m1_2 = str(fixture_dir / "m1_2.json")
+    for argv in (["--idempotent", "-0,1"], ["--idempotent=-0,1"], ["--idem", "-0,1"]):
+        code, out, _ = _run(capsys, "pierce", m1_2, *argv)
+        assert code == 0 and "idempotent: 0, 1" in out
+    for argv in (["--idempotent", "-1/2,0"], ["--idempotent=-1/2,0"]):
+        code, out, _ = _run(capsys, "pierce", m1_2, *argv)
+        assert code == 1 and "not a nonzero idempotent" in out and "-1/2, 0" in out
+    # "--" as the value: argparse gives [] up to Python 3.12 and "--" from 3.13
+    for argv in (["--idempotent", "--"], ["--idempotent=--"]):
+        code, _, err = _run(capsys, "pierce", m1_2, *argv)
+        assert code == 2 and "expected one argument" in err
 
 
 def test_cli_unreadable_inputs_exit_2(fixture_dir, tmp_path, capsys):

@@ -196,10 +196,6 @@ class Algebra:
         return hash((self.kind, self.field, self.dim,
                      tuple(sorted(self.table.items()))))
 
-    def renamed(self, name: str) -> "Algebra":
-        return Algebra(name, self.kind, self.field, self.dim, self.table,
-                       basis_labels=self.basis_labels)
-
     def __repr__(self):
         return (f"Algebra({self.name!r}, kind={self.kind}, field={self.field}, "
                 f"dim={self.dim}, {len(self.table)} products)")

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
-from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, _leibniz_rows
-from .current import current_algebra
+from . import scalars
+from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, _jacobi, _leibniz_rows, _tensor
+from .current import _current_tensor, current_algebra, flat_index
 from .linalg import (
     Matrix,
     Subspace,
@@ -111,14 +112,6 @@ class ChevalleyCochain:
             return vec_zero(self.dim)
         return vec if sign == 1 else vec_scale(-1, vec)
 
-    def eval_mixed(self, first_vec: Sequence, rest: Sequence[int]) -> tuple:
-        """phi(v, e_r1, ..., e_rk-1) for a vector in the first slot."""
-        acc = vec_zero(self.dim)
-        for l, c in enumerate(first_vec, start=1):
-            if c != 0:
-                acc = vec_add(acc, vec_scale(c, self.value((l, *rest))))
-        return acc
-
     def is_zero(self) -> bool:
         return not self.data
 
@@ -153,13 +146,6 @@ class SymmetricCochain:
 
     def value(self, i: int, j: int) -> tuple:
         return self.data.get((min(i, j), max(i, j)), vec_zero(self.dim))
-
-    def eval_mixed(self, first_vec: Sequence, j: int) -> tuple:
-        acc = vec_zero(self.dim)
-        for l, c in enumerate(first_vec, start=1):
-            if c != 0:
-                acc = vec_add(acc, vec_scale(c, self.value(l, j)))
-        return acc
 
     def eval_pair(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear evaluation on two coordinate vectors."""
@@ -349,7 +335,7 @@ def hochschild_delta2(A: Algebra, psi: SymmetricCochain) -> dict:
     n = A.dim
     flat = _hochschild_rows(A).apply(symmetric_to_flat(psi))
     values = (flat[pos * n:(pos + 1) * n] for pos in range(n ** 3))
-    return {t: v for t, v in zip(_all_triples(n), values) if not vec_is_zero(v)}
+    return {t: v for t, v in zip(product(range(1, n + 1), repeat=3), values) if not vec_is_zero(v)}
 
 
 def _hochschild_rows(A: Algebra) -> Matrix:
@@ -364,7 +350,7 @@ def _hochschild_rows(A: Algebra) -> Matrix:
     for pos, (a, b) in enumerate(pairs):
         col[a, b] = col[b, a] = pos * n
     entries = defaultdict(int)
-    for r, (i, j, k) in enumerate(_all_triples(n)):
+    for r, (i, j, k) in enumerate(product(range(1, n + 1), repeat=3)):
         for s in range(n):
             # e_i psi(e_j, e_k) - psi(e_i, e_j) e_k
             for t, c in tensor.get((i, s + 1), ()):
@@ -411,15 +397,19 @@ def harrison_h2(A: Algebra) -> CohomologyDims:
 # ---------------------------------------------------------------------------
 
 class DecomposableDelta:
-    """Verbatim evaluator of the cyclic-sum coboundary expression for
-    psi1 (x) phi2 + phi3 (x) psi4 over g (x) A.
+    """The cyclic-sum coboundary expression for psi1 (x) phi2 + phi3 (x) psi4
+    over g (x) A.
 
     All four blocks are summed with plus signs, exactly as displayed;
     each block is a cyclic sum over simultaneous permutations of the g and
-    A arguments.  Values are flat p*q tensors in the g-major layout.
+    A arguments.  With Psi the flat tensor of psi1 (x) phi2 + phi3 (x) psi4
+    and mu that of g (x) A, the expression at a flat triple is the cyclic
+    term sum of ``algebra._jacobi`` with (Psi, mu) plus the one with
+    (mu, Psi).  The phi3 (x) psi4 block pairs two symmetric cochains, so Psi
+    is alternating only when that block is zero; the expression is then
+    minus the Chevalley coboundary of Psi on g (x) A.  Values are flat p*q
+    tensors in the g-major layout.
     """
-
-    _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
     def __init__(self, g: Algebra, A: Algebra, psi1: ChevalleyCochain,
                  phi2: SymmetricCochain, phi3: SymmetricCochain,
@@ -430,37 +420,32 @@ class DecomposableDelta:
             raise AlgebraError("phi3 must live on g")
         if phi2.dim != A.dim or psi4.dim != A.dim:
             raise AlgebraError("phi2 and psi4 must live on A")
+        if g.field != A.field:
+            raise AlgebraError("factors must share the base field")
         self.g, self.A = g, A
         self.psi1, self.phi2, self.phi3, self.psi4 = psi1, phi2, phi3, psi4
-
-    def _outer(self, xs, ys):
-        return tuple(x * y for x in xs for y in ys)
+        q = A.dim
+        self._mu = _current_tensor(g.tensor, A.tensor, q)
+        self._psi = _current_tensor(_tensor(psi1.data, LIE), _tensor(phi2.data, ASSOC_COMM), q)
+        for key, terms in _current_tensor(_tensor(phi3.data, ASSOC_COMM),
+                                          _tensor(psi4.data, ASSOC_COMM), q).items():
+            self._psi[key] = self._psi.get(key, ()) + terms
 
     def evaluate(self, g_tuple: Sequence[int], a_tuple: Sequence[int]) -> tuple:
         g, A = self.g, self.A
-        total = vec_zero(g.dim * A.dim)
-        for cyc in self._CYCLES:
-            (x1, x2, x3) = (g_tuple[c] for c in cyc)
-            (a1, a2, a3) = (a_tuple[c] for c in cyc)
-            e3, f3 = g.basis_vector(x3), A.basis_vector(a3)
-            blocks = (
-                self._outer(g.multiply(self.psi1.value((x1, x2)), e3),
-                            A.multiply(self.phi2.value(a1, a2), f3)),
-                self._outer(g.multiply(self.phi3.value(x1, x2), e3),
-                            A.multiply(self.psi4.value(a1, a2), f3)),
-                self._outer(self.psi1.eval_mixed(g.basis_product(x1, x2), (x3,)),
-                            self.phi2.eval_mixed(A.basis_product(a1, a2), a3)),
-                self._outer(self.phi3.eval_mixed(g.basis_product(x1, x2), x3),
-                            self.psi4.eval_mixed(A.basis_product(a1, a2), a3)),
-            )
-            for b in blocks:
-                total = vec_add(total, b)
-        return total
+        for i, a in zip(g_tuple, a_tuple):
+            g._check_index(i), A._check_index(a)
+        u, v, w = (flat_index(i, a, A.dim) for i, a in zip(g_tuple, a_tuple))
+        acc = {}
+        _jacobi(self._psi, self._mu, u, v, w, acc)
+        _jacobi(self._mu, self._psi, u, v, w, acc)
+        return tuple(scalars.coerce(g.field, acc.get(s, 0))
+                     for s in range(1, g.dim * A.dim + 1))
 
     def first_nonzero(self) -> Optional[tuple]:
         p, q = self.g.dim, self.A.dim
-        for gt in _all_triples(p):
-            for at in _all_triples(q):
+        for gt in product(range(1, p + 1), repeat=3):
+            for at in product(range(1, q + 1), repeat=3):
                 if not vec_is_zero(self.evaluate(gt, at)):
                     return gt, at
         return None
@@ -469,15 +454,9 @@ class DecomposableDelta:
         return self.first_nonzero() is None
 
 
-def _all_triples(n: int) -> list:
-    return [(i, j, k)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            for k in range(1, n + 1)]
-
-
 class BulletProduct:
-    """mu2 * psi4 as the cyclic trilinear map sum mu2(psi4(a1,a2), a3)."""
+    """mu2 * psi4 as the cyclic trilinear map sum mu2(psi4(a1,a2), a3): the
+    cyclic term sum of ``algebra._jacobi`` with (psi4, mu2)."""
 
     def __init__(self, A: Algebra, psi4: SymmetricCochain):
         if A.kind != ASSOC_COMM:
@@ -485,21 +464,19 @@ class BulletProduct:
         if psi4.dim != A.dim:
             raise AlgebraError("cochain dimension does not match the algebra")
         self.A, self.psi4 = A, psi4
+        self._psi4 = _tensor(psi4.data, ASSOC_COMM)
 
     def evaluate(self, a1: int, a2: int, a3: int) -> tuple:
         A = self.A
-        args = (a1, a2, a3)
-        total = vec_zero(A.dim)
-        for cyc in DecomposableDelta._CYCLES:
-            b1, b2, b3 = (args[c] for c in cyc)
-            total = vec_add(
-                total,
-                A.multiply(self.psi4.value(b1, b2), A.basis_vector(b3)))
-        return total
+        for a in (a1, a2, a3):
+            A._check_index(a)
+        acc = {}
+        _jacobi(self._psi4, A.tensor, a1, a2, a3, acc)
+        return tuple(scalars.coerce(A.field, acc.get(s, 0)) for s in range(1, A.dim + 1))
 
     def is_zero_on_basis(self) -> bool:
         return all(vec_is_zero(self.evaluate(*t))
-                   for t in _all_triples(self.A.dim))
+                   for t in product(range(1, self.A.dim + 1), repeat=3))
 
 
 # ---------------------------------------------------------------------------

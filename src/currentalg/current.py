@@ -21,6 +21,7 @@ from .algebra import (
     ASSOC_COMM,
     Algebra,
     AlgebraError,
+    _jacobi,
     is_derivation,
     require_identities,
 )
@@ -83,6 +84,14 @@ class PQResidual:
         return flat_index(*self.target, q)
 
 
+def _current_tensor(C: dict, D: dict, q: int) -> dict:
+    """The g-major tensor of the product of two factor tensors: the ordered
+    pair (X_i (x) e_a, X_j (x) e_b) maps to the terms C_ij^k D_ab^c at (k, c)."""
+    return {(flat_index(i, a, q), flat_index(j, b, q)):
+            tuple((flat_index(k, c, q), x * y) for k, x in cterms for c, y in dterms)
+            for (i, j), cterms in C.items() for (a, b), dterms in D.items()}
+
+
 def jacobi_pq_residuals(g: Algebra, A: Algebra) -> list[PQResidual]:
     """Evaluate the double-sum Jacobi relations of the product constants.
 
@@ -93,30 +102,25 @@ def jacobi_pq_residuals(g: Algebra, A: Algebra) -> list[PQResidual]:
                 + C_jk^l C_li^s D_bc^r D_ra^t
                 + C_ki^l C_lj^s D_ca^r D_rb^t
 
-    as four nested loops over the two structure tensors per cyclic rotation
-    (no flat algebra is built), and returns the nonzero entries in the order
-    of (u, v, w) and then (s, t).  Inputs need not pass their own identities;
+    as the cyclic term sum of ``algebra._jacobi`` on the product tensor of
+    the two factor tensors, and returns the nonzero entries in the order of
+    (u, v, w) and then (s, t).  Inputs need not pass their own identities;
     the list is empty exactly when the current algebra satisfies Jacobi.
     """
     if g.field != A.field:
         raise AlgebraError("factors must share the base field")
-    C, D, q = g.tensor, A.tensor, A.dim
+    q = A.dim
+    T = _current_tensor(g.tensor, A.tensor, q)
     residuals = []
     for u, v, w in combinations(range(1, g.dim * q + 1), 3):
-        (i, a), (j, b), (k, c) = (unflat_index(x, q) for x in (u, v, w))
         acc = {}
-        for (i1, j1, k1), (a1, b1, c1) in (((i, j, k), (a, b, c)),
-                                           ((j, k, i), (b, c, a)),
-                                           ((k, i, j), (c, a, b))):
-            for l, x in C.get((i1, j1), ()):
-                for s, y in C.get((l, k1), ()):
-                    for r, z in D.get((a1, b1), ()):
-                        for t, e in D.get((r, c1), ()):
-                            acc[s, t] = acc.get((s, t), 0) + x * y * z * e
-        residuals.extend(
-            PQResidual(g_triple=(i, j, k), a_triple=(a, b, c), target=st,
-                       value=scalars.coerce(g.field, acc[st]))
-            for st in sorted(acc) if acc[st] != 0)
+        _jacobi(T, T, u, v, w, acc)
+        for st in sorted(acc):
+            if acc[st] != 0:
+                (i, a), (j, b), (k, c) = (unflat_index(x, q) for x in (u, v, w))
+                residuals.append(PQResidual(
+                    g_triple=(i, j, k), a_triple=(a, b, c), target=unflat_index(st, q),
+                    value=scalars.coerce(g.field, acc[st])))
     return residuals
 
 

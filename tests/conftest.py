@@ -15,6 +15,7 @@ import pytest
 from hypothesis import settings
 
 import currentalg as ca
+from currentalg import scalars
 from currentalg.io import parse_algebra_file
 from currentalg.linalg import (poly_degree, poly_divmod, poly_ext_gcd, poly_mul, poly_trim,
                                vec_add, vec_scale, vec_sub)
@@ -599,6 +600,63 @@ def pq_residuals_oracle(g, A) -> list:
                         if acc != 0:
                             residuals.append(((i, j, k), (a, b, c), (s, t), acc))
     return residuals
+
+
+_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _outer(xs, ys):
+    return [x * y if x and y else 0 for x in xs for y in ys]
+
+
+def _first_slot(v, value):
+    """sum_l v_l value(l): a cochain with the coordinate vector v in its first slot."""
+    acc = [0] * len(v)
+    for l, c in enumerate(v, start=1):
+        if c:
+            for k, x in enumerate(value(l)):
+                if x:
+                    acc[k] += c * x
+    return acc
+
+
+def _summed(zero, vectors) -> tuple:
+    total = [zero] * len(vectors[0])
+    for vec in vectors:
+        for k, x in enumerate(vec):
+            if x:
+                total[k] += x
+    return tuple(total)
+
+
+def decomposable_delta_oracle(g, A, psi1, phi2, phi3, psi4, g_tuple, a_tuple) -> tuple:
+    """The coboundary expression of psi1 (x) phi2 + phi3 (x) psi4 at one pair of
+    basis triples: its four blocks summed verbatim over each cyclic rotation,
+    the products read from the stored tables only, in field scalars."""
+    blocks = []
+    for cyc in _CYCLES:
+        x1, x2, x3 = (g_tuple[c] for c in cyc)
+        a1, a2, a3 = (a_tuple[c] for c in cyc)
+        gx, ga = table_product(g, x1, x2), table_product(A, a1, a2)
+        blocks += (
+            _outer(_first_slot(psi1.value((x1, x2)), lambda l: table_product(g, l, x3)),
+                   _first_slot(phi2.value(a1, a2), lambda l: table_product(A, l, a3))),
+            _outer(_first_slot(phi3.value(x1, x2), lambda l: table_product(g, l, x3)),
+                   _first_slot(psi4.value(a1, a2), lambda l: table_product(A, l, a3))),
+            _outer(_first_slot(gx, lambda l: psi1.value((l, x3))),
+                   _first_slot(ga, lambda l: phi2.value(l, a3))),
+            _outer(_first_slot(gx, lambda l: phi3.value(l, x3)),
+                   _first_slot(ga, lambda l: psi4.value(l, a3))),
+        )
+    return _summed(scalars.zero(g.field), blocks)
+
+
+def bullet_oracle(A, psi4, args) -> tuple:
+    """sum over cyclic rotations of mu2(psi4(a1, a2), a3), the products read from
+    the stored table only, in field scalars."""
+    return _summed(scalars.zero(A.field), [
+        _first_slot(psi4.value(args[c1], args[c2]), lambda l: table_product(A, l, args[c3]))
+        for c1, c2, c3 in _CYCLES])
 
 
 def min_poly_oracle(M) -> tuple:

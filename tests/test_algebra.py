@@ -180,7 +180,7 @@ def test_complexify_preserves_identity_outcomes():
 
 
 def test_equality_ignores_name():
-    assert ca.r2().renamed("other") == ca.r2()
+    assert Algebra("other", ca.LIE, ca.Q, 2, ca.r2().table) == ca.r2()
     assert ca.r2() != ca.abelian(2)
 
 

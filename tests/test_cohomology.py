@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -32,9 +32,11 @@ from currentalg.cohomology import _chevalley_rows, cochain_from_flat, cochain_to
 
 from conftest import (
     P998,
+    bullet_oracle,
     catalog_assoc_algebras,
     catalog_lie_algebras,
     chevalley_columns_oracle,
+    decomposable_delta_oracle,
     hochschild_columns_oracle,
     oracle_corpus,
     rand_chevalley,
@@ -354,6 +356,65 @@ def test_bullet_reduction_identity():
                             lx * by for lx in left_factor
                             for by in bmap.evaluate(a1, a2, a3))
                         assert ev.evaluate((x, x, x), (a1, a2, a3)) == expected
+
+
+# Four pairs with a non-abelian g, nil parts included (null2, M1^1 + null1).
+_DECOMPOSABLE_PAIRS = [
+    (ca.r2(), ca.m1(2)), (ca.sl2(), ca.m1(2)), (ca.heisenberg(3), ca.null_algebra(2)),
+    (ca.r2(), ca.direct_sum(ca.m1(1), ca.null_algebra(1))),
+]
+
+
+def test_decomposable_evaluators_match_verbatim_oracles():
+    # Every basis triple pair, values and scalar types, over Q and Q(i).
+    rng = random.Random(31)
+    pairs = _DECOMPOSABLE_PAIRS + [(ca.abelian(2), ca.m1(2))]
+    pairs += [(ca.complexify(g), ca.complexify(A)) for g, A in pairs]
+    evaluations = 0
+    for _ in range(9):
+        for g, A in pairs:
+            p, q = g.dim, A.dim
+            cochains = (rand_chevalley(rng, p, 2), rand_symmetric(rng, q),
+                        rand_symmetric(rng, p), rand_symmetric(rng, q))
+            ev = DecomposableDelta(g, A, *cochains)
+            for gt in product(range(1, p + 1), repeat=3):
+                for at in product(range(1, q + 1), repeat=3):
+                    got = ev.evaluate(gt, at)
+                    want = decomposable_delta_oracle(g, A, *cochains, gt, at)
+                    assert got == want
+                    assert [type(x) for x in got] == [type(x) for x in want]
+                    evaluations += 1
+            bmap = BulletProduct(A, cochains[3])
+            for at in product(range(1, q + 1), repeat=3):
+                got, want = bmap.evaluate(*at), bullet_oracle(A, cochains[3], at)
+                assert got == want
+                assert [type(x) for x in got] == [type(x) for x in want]
+    assert evaluations >= 10 ** 4, evaluations
+
+
+def test_decomposable_psi1_phi2_block_is_minus_the_flat_coboundary():
+    # With phi3 = psi4 = 0, Psi = psi1 (x) phi2 is an alternating 2-cochain on
+    # g (x) A and the expression is -d Psi at every increasing flat triple.
+    rng = random.Random(37)
+    pairs = _DECOMPOSABLE_PAIRS + [(ca.complexify(g), ca.complexify(A))
+                                   for g, A in _DECOMPOSABLE_PAIRS]
+    nonzero = 0
+    for g, A in pairs:
+        p, q = g.dim, A.dim
+        psi1, phi2 = rand_chevalley(rng, p, 2), rand_symmetric(rng, q)
+        ev = DecomposableDelta(g, A, psi1, phi2, SymmetricCochain.zero(p),
+                               SymmetricCochain.zero(q))
+        flat = ChevalleyCochain(2, p * q, {
+            (u, v): tuple(x * y for x in psi1.value((i, j)) for y in phi2.value(a, b))
+            for u, v in combinations(range(1, p * q + 1), 2)
+            for (i, a), (j, b) in [(ca.unflat_index(u, q), ca.unflat_index(v, q))]})
+        d = chevalley_delta(ca.current_algebra(g, A), flat)
+        for triple in combinations(range(1, p * q + 1), 3):
+            g_tuple, a_tuple = zip(*(ca.unflat_index(u, q) for u in triple))
+            got = ev.evaluate(g_tuple, a_tuple)
+            assert got == tuple(-x for x in d.value(triple))
+            nonzero += any(got)
+    assert nonzero >= 40, nonzero
 
 
 def test_h1_formula_listed_pairs():

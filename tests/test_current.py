@@ -118,6 +118,7 @@ def test_pq_residuals_match_product_form_oracle():
         got = [(r.g_triple, r.a_triple, r.target, r.value)
                for r in jacobi_pq_residuals(g, A)]
         assert got == pq_residuals_oracle(g, A)
+        assert {type(value) for *_, value in got} <= {type(ca.scalars.zero(g.field))}
         nonempty += bool(got)
     assert nonempty >= 30, nonempty
 

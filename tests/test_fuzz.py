@@ -20,27 +20,58 @@ _json = st.recursive(
     max_leaves=8)
 _junk = st.sampled_from([None, True, 2.0, -1, 0, "", "x", [], {}, [1], {"re": "1"}])
 
-# Rows of an i, j, k, coefficient table: near-valid, so most reach the scalar parser.
-_index = st.integers(-1, 5) | _junk
-_coeff = (st.sampled_from(["1", "-1/2", "0", "2/4", "1/0", "1.5", "i", "", "1e3", "+3"])
-          | st.dictionaries(st.sampled_from(["re", "im", "x"]),
-                            st.sampled_from(["1", "-2/3", "0", "i", "1/0"]) | _junk, max_size=3)
-          | _junk)
-_rows = st.lists(st.tuples(_index, _index, _index, _coeff).map(list) | _junk, max_size=6)
+
+def _mostly(common, *rare):
+    """``common`` in three draws of four, else one of ``rare``."""
+    return st.sampled_from([common] * 3 + [st.one_of(rare)]).flatmap(lambda s: s)
 
 
-def _documents(header, table):
-    """A well-formed header with fuzzed rows, a fuzzed header (keys missing,
-    wrong or unknown), or any JSON value."""
+# Rows of an i, j, k, coefficient table: near-valid, so most reach the scalar
+# parser, with indices mostly in 1..2 so that the triangle rules and a repeated
+# (i, j, k) come up too.
+_index = _mostly(st.integers(1, 2), st.integers(-1, 5), _junk)
+_coeff = _mostly(st.sampled_from(["1", "-1/2", "0", "2/4", "1/0", "1.5", "i", "", "1e3", "+3"]),
+                 st.dictionaries(st.sampled_from(["re", "im", "x"]),
+                                 st.sampled_from(["1", "-2/3", "0", "i", "1/0"]) | _junk,
+                                 max_size=3),
+                 _junk)
+_row = st.tuples(_index, _index, _index, _coeff).map(list)
+
+
+def _repeat_first(rows, again, coeff):
+    """``rows`` with, if ``again``, its first row repeated next under ``coeff``."""
+    if again and rows and isinstance(rows[0], list):
+        return rows[:1] + [rows[0][:3] + [coeff]] + rows[1:]
+    return rows
+
+
+_rows = st.builds(_repeat_first, st.lists(_mostly(_row, _junk), max_size=6), st.booleans(), _coeff)
+
+# Basis labels of a document of dimension dim: absent, one label each, one label
+# too many, or labels that are not text.
+_BASES = (None, None, lambda dim: [f"e{k}" for k in range(1, dim + 1)],
+          lambda dim: [f"e{k}" for k in range(1, dim + 1)],
+          lambda dim: ["x"] * (dim + 1), lambda dim: [None] * dim)
+
+
+def _labelled(doc, basis):
+    return doc if basis is None else {**doc, "basis": basis(doc["dim"])}
+
+
+def _documents(header, table, bases=(None,)):
+    """A well-formed header, its basis drawn from ``bases``, with fuzzed rows
+    (three draws in four), a fuzzed header (keys missing, wrong or unknown), or
+    any JSON value."""
     good = {k: st.sampled_from(v) for k, v in header.items()}
-    rows = st.fixed_dictionaries({**good, table: _rows})
+    rows = st.builds(_labelled, st.fixed_dictionaries({**good, table: _rows}),
+                     st.sampled_from(bases))
     loose = st.fixed_dictionaries({}, optional={
         **{k: v | _junk for k, v in good.items()}, table: _rows | _junk, "extra": _junk})
-    return rows | loose | _json
+    return _mostly(rows, loose, _json)
 
 
 _algebra_docs = _documents({"name": ["a"], "kind": ["lie", "assoc-comm"], "field": ["Q", "Qi"],
-                            "dim": [1, 2, 3, 4]}, "constants")
+                            "dim": [1, 2, 3, 4]}, "constants", _BASES)
 _cochain_docs = _documents({"field": ["Q", "Qi"], "dim": [1, 2, 3, 4], "degree": [2]}, "entries")
 
 

@@ -172,6 +172,23 @@ def test_cli_cohomology_and_harrison(fixture_dir, capsys):
     assert json.loads(out)["data"]["dim_H"] == 1
 
 
+def test_cli_cohomology_and_harrison_require_identities(fixture_dir, tmp_path, capsys):
+    # Tables that fail their identities exit 1 before any rank is taken: a
+    # non-Lie table whose H^2 would read 0, and two corrupt fixtures whose
+    # ranks give inconsistent dimensions.
+    bad = tmp_path / "bad3.json"
+    write_algebra_file(ca.Algebra("bad3", ca.LIE, ca.Q, 3, {
+        (1, 2): (-1, 1, 0), (1, 3): (1, 1, 1), (2, 3): (-1, -1, 1)}), bad)
+    cases = [("cohomology", "--degree", "2", str(bad))]
+    cases += [("cohomology", "--degree", d, str(fixture_dir / "r2_corrupt3.json"))
+              for d in ("1", "2")]
+    cases += [("harrison", str(fixture_dir / "m1_2_corrupt.json"))]
+    for argv in cases:
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("identity check failed: ") and " first (" in err, argv
+
+
 def test_cli_current_pipe(fixture_dir, tmp_path, capsys):
     out_file = tmp_path / "cur.json"
     code, _, _ = _run(capsys, "current", str(fixture_dir / "r2.json"),

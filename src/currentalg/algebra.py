@@ -81,9 +81,10 @@ class Algebra:
     e_i * e_j.  Entries may be given in any order; the constructor folds them
     onto the symmetry-reduced key set and rejects inconsistent duplicates.
     Instances are immutable by convention; all operations return new values.
+    ``_passed`` remembers that :func:`require_identities` has passed.
     """
 
-    __slots__ = ("name", "kind", "field", "dim", "table", "tensor", "basis_labels")
+    __slots__ = ("name", "kind", "field", "dim", "table", "tensor", "basis_labels", "_passed")
 
     def __init__(self, name: str, kind: str, field: str, dim: int,
                  products: Mapping[tuple, Sequence] = (),
@@ -123,6 +124,7 @@ class Algebra:
             table[key] = val
         self.table = {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
         self.tensor = _tensor(self.table, kind)
+        self._passed = False
 
     def _check_index(self, i):
         if not isinstance(i, int) or not 1 <= i <= self.dim:
@@ -260,12 +262,18 @@ def check_identities(alg: Algebra) -> IdentityReport:
 
 
 def require_identities(alg: Algebra) -> None:
+    """Raise ``IdentityError`` unless alg passes :func:`check_identities`.  A
+    pass is remembered on alg, so each algebra is checked once; a failure is
+    found again on every call."""
+    if alg._passed:
+        return
     report = check_identities(alg)
     if not report.passed:
         raise IdentityError(
             f"{alg.name}: defining identities fail at {len(report.violations)} "
             f"tuples, first {report.violations[0]}"
         )
+    alg._passed = True
 
 
 def change_basis(alg: Algebra, f: Matrix) -> Algebra:
@@ -281,7 +289,9 @@ def change_basis(alg: Algebra, f: Matrix) -> Algebra:
                 continue
             w = alg.multiply(cols[i - 1], cols[j - 1])
             products[(i, j)] = f_inv.apply(w)
-    return Algebra(alg.name, alg.kind, alg.field, alg.dim, products)
+    out = Algebra(alg.name, alg.kind, alg.field, alg.dim, products)
+    out._passed = alg._passed  # the identities do not depend on the basis
+    return out
 
 
 def direct_sum(a: Algebra, b: Algebra, name: Optional[str] = None) -> Algebra:
@@ -304,7 +314,9 @@ def complexify(alg: Algebra) -> Algebra:
     """Scalar extension Q -> Q(i): identical table, field tag widened."""
     if alg.field == scalars.QI:
         raise AlgebraError(f"{alg.name} is already over Qi")
-    return Algebra(alg.name, alg.kind, scalars.QI, alg.dim, alg.table)
+    out = Algebra(alg.name, alg.kind, scalars.QI, alg.dim, alg.table)
+    out._passed = alg._passed
+    return out
 
 
 def is_derivation(alg: Algebra, f: Matrix) -> bool:

@@ -252,8 +252,7 @@ class Fingerprint:
 
 def fingerprint(alg: Algebra) -> Fingerprint:
     """All invariants the other modules compute, in one deterministic record."""
-    from .cohomology import _chevalley_dims, _leibniz_rows, harrison_h2
-    from .linalg import rank
+    from .cohomology import _chevalley_dims, _leibniz_is_minus_d1, _leibniz_rows, harrison_h2
     from .structure import (
         center,
         find_idempotents,
@@ -265,19 +264,17 @@ def fingerprint(alg: Algebra) -> Fingerprint:
     require_identities(alg)
     if alg.kind == LIE:
         rep = series(alg)
-        h1, h2 = _chevalley_dims(alg, 0, 2)
-        # Der through the Leibniz system and Z^1 through d^1: two assemblers.
-        der_dim = alg.dim ** 2 - rank(_leibniz_rows(alg))
-        if der_dim != h1.dim_Z:
-            raise AssertionError(
-                "Leibniz kernel and Z^1 disagree; this is a bug in an assembler")
+        (h1, h2), ds = _chevalley_dims(alg, 2)
+        # Der is the kernel of the Leibniz system and Z^1 that of d^1: two
+        # assemblers of one operator up to sign and column order.
+        _leibniz_is_minus_d1(_leibniz_rows(alg), ds[1], alg.dim)
         return Fingerprint(
             dim=alg.dim,
             kind=alg.kind,
             center_dim=center(alg).dim,
             is_solvable=rep.is_solvable,
             is_nilpotent=rep.is_nilpotent,
-            der_dim=der_dim,
+            der_dim=h1.dim_Z,
             h1_dim=h1.dim_H,
             h2_dim=h2.dim_H,
         )

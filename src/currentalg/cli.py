@@ -15,8 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import scalars
-from .algebra import (ASSOC_COMM, LIE, Algebra, AlgebraError, IdentityError, check_identities,
-                      require_identities)
+from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, IdentityError, check_identities
 from .catalog import (
     UnknownAlgebraError,
     catalog_entry,
@@ -200,7 +199,6 @@ def _load(args, kind: str) -> Algebra:
 
 def _cmd_cohomology(args) -> tuple:
     alg = _load(args, LIE)
-    require_identities(alg)
     dims = chevalley_dims(alg, args.degree)
     data = {"name": alg.name, "degree": args.degree, **_dims_dict(dims)}
     return EXIT_OK, {"command": "cohomology", "ok": True, "data": data}
@@ -208,7 +206,6 @@ def _cmd_cohomology(args) -> tuple:
 
 def _cmd_harrison(args) -> tuple:
     alg = _load(args, ASSOC_COMM)
-    require_identities(alg)
     dims = harrison_h2(alg)
     data = {"name": alg.name, **_dims_dict(dims)}
     return EXIT_OK, {"command": "harrison", "ok": True, "data": data}

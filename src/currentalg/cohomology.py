@@ -23,12 +23,14 @@ from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from . import scalars
-from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, _jacobi, _leibniz_rows, _tensor
+from .algebra import (ASSOC_COMM, LIE, Algebra, AlgebraError, _jacobi, _leibniz_rows, _tensor,
+                      require_identities)
 from .current import _current_tensor, current_algebra, flat_index
 from .linalg import (
     Matrix,
     Subspace,
     _entry,
+    _rank,
     kernel_basis,
     rank,
     vec_add,
@@ -195,14 +197,16 @@ def _chevalley_rows(g: Algebra, k: int) -> Matrix:
     n, tensor = g.dim, g.tensor
     sources, targets = increasing_tuples(n, k), increasing_tuples(n, k + 1)
     col = {tup: pos * n for pos, tup in enumerate(sources)}
+    ad = defaultdict(list)  # x -> the nonzero terms (s, t, c) of [e_x, e_s]
+    for (x, s), terms in tensor.items():
+        ad[x] += ((s, t, c) for t, c in terms)
     entries = defaultdict(int)
     for r, tup in enumerate(targets):
         for p in range(k + 1):
             # (-1)^p [x_p, phi(..., x_p omitted, ...)]
-            rest, sign_p = col[tup[:p] + tup[p + 1:]], -1 if p & 1 else 1
-            for s in range(n):
-                for t, c in tensor.get((tup[p], s + 1), ()):
-                    entries[r * n + t - 1, rest + s] += sign_p * c
+            rest, sign_p = col[tup[:p] + tup[p + 1:]] - 1, -1 if p & 1 else 1
+            for s, t, c in ad[tup[p]]:
+                entries[r * n + t - 1, rest + s] += sign_p * c
             # (-1)^(p+q) phi([x_p, x_q], ..., x_p, x_q omitted, ...)
             for q in range(p + 1, k + 1):
                 sign_pq = -sign_p if q & 1 else sign_p
@@ -220,8 +224,14 @@ def chevalley_delta(g: Algebra, c: ChevalleyCochain) -> ChevalleyCochain:
     """Adjoint-coefficient coboundary, degrees 0 -> 1 -> 2 -> 3."""
     if c.dim != g.dim:
         raise AlgebraError("cochain dimension does not match the algebra")
-    return cochain_from_flat(c.degree + 1, g.dim,
-                             _chevalley_rows(g, c.degree).apply(cochain_to_flat(c)))
+    flat = scalars.coerce_vector(g.field, cochain_to_flat(c))
+    return cochain_from_flat(c.degree + 1, g.dim, _chevalley_rows(g, c.degree).apply(flat))
+
+
+def _cochain_tensor(field: str, c, kind: str) -> dict:
+    """The structure tensor of a cochain's values read in ``field``, so that a
+    value outside the field raises ``ScalarError`` before any evaluation."""
+    return _tensor({k: scalars.coerce_vector(field, v) for k, v in c.data.items()}, kind)
 
 
 def cochain_to_flat(c: ChevalleyCochain) -> tuple:
@@ -259,19 +269,36 @@ class CohomologyDims:
 
 
 def chevalley_dims(g: Algebra, k: int) -> CohomologyDims:
-    """dim Z^k, dim B^k, dim H^k for k in {1, 2}, by exact rank."""
+    """dim Z^k, dim B^k, dim H^k for k in {1, 2}, by exact rank.  Raises
+    ``IdentityError`` when g fails Jacobi."""
     if k not in (1, 2):
         raise AlgebraError("chevalley_dims supports k in {1, 2}")
-    return _chevalley_dims(g, k - 1, k)[0]
+    return _chevalley_dims(g, k)[0][k - 1]
 
 
-def _chevalley_dims(g: Algebra, low: int, high: int) -> list:
-    """Dimensions for k = low + 1 .. high, each of d^low .. d^high assembled
-    and ranked once."""
-    ds = [_chevalley_rows(g, k) for k in range(low, high + 1)]
-    ranks = [rank(d) for d in ds]
-    return [CohomologyDims(dim_Z=d.ncols - r, dim_B=b, dim_H=d.ncols - r - b)
-            for d, r, b in zip(ds[1:], ranks[1:], ranks)]
+def _chevalley_dims(g: Algebra, high: int) -> tuple[list, list]:
+    """(dimensions for k = 1 .. high, operators d^0 .. d^high), each operator
+    assembled and ranked once.  Since d^k d^(k-1) = 0 once g passes Jacobi,
+    rank d^k <= ncols(d^k) - rank d^(k-1), and the elimination of d^k stops
+    at that ceiling, which it meets exactly when H^k = 0."""
+    ds = [_chevalley_rows(g, k) for k in range(high + 1)]
+    require_identities(g)
+    ranks = [0]
+    for d in ds:
+        ranks.append(_rank(d, d.ncols - ranks[-1]))
+    return ([CohomologyDims(dim_Z=d.ncols - r, dim_B=b, dim_H=d.ncols - r - b)
+             for d, r, b in zip(ds[1:], ranks[2:], ranks[1:])], ds)
+
+
+def _leibniz_is_minus_d1(leibniz: Matrix, d1: Matrix, n: int) -> None:
+    """The Leibniz system of a Lie algebra is -d^1 with the column of f[r][c]
+    at (r-1)n + (c-1) there and at (c-1)n + (r-1) in d^1.  The two come from
+    different assemblers and are compared entry by entry; any difference is
+    a bug in one of them and raises."""
+    if leibniz.sparse_rows != tuple({k % n * n + k // n: -x for k, x in row.items()}
+                                    for row in d1.sparse_rows):
+        raise AssertionError(
+            "Leibniz system and d^1 disagree; this is a bug in an assembler")
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +409,17 @@ def harrison_h2(A: Algebra) -> CohomologyDims:
 
     Coboundaries of 1-cochains are automatically symmetric over a
     commutative algebra, so no intersection step is needed.  B^2 is the
-    image of d^1, which is minus the Leibniz system and has the same rank.
+    image of d^1, which is minus the Leibniz system and has the same rank;
+    it is ranked first, and since d^2 d^1 = 0 once A passes associativity,
+    the elimination of d^2 stops at ncols - dim B^2.  Raises
+    ``IdentityError`` when A fails associativity.
     """
     if A.kind != ASSOC_COMM:
         raise AlgebraError("harrison_h2 needs an assoc-comm algebra")
-    d2 = _hochschild_rows(A)
-    z = d2.ncols - rank(d2)
+    require_identities(A)
     b = rank(_leibniz_rows(A))
+    d2 = _hochschild_rows(A)
+    z = d2.ncols - _rank(d2, d2.ncols - b)
     return CohomologyDims(dim_Z=z, dim_B=b, dim_H=z - b)
 
 
@@ -424,11 +455,12 @@ class DecomposableDelta:
             raise AlgebraError("factors must share the base field")
         self.g, self.A = g, A
         self.psi1, self.phi2, self.phi3, self.psi4 = psi1, phi2, phi3, psi4
-        q = A.dim
+        q, field = A.dim, g.field
         self._mu = _current_tensor(g.tensor, A.tensor, q)
-        self._psi = _current_tensor(_tensor(psi1.data, LIE), _tensor(phi2.data, ASSOC_COMM), q)
-        for key, terms in _current_tensor(_tensor(phi3.data, ASSOC_COMM),
-                                          _tensor(psi4.data, ASSOC_COMM), q).items():
+        self._psi = _current_tensor(_cochain_tensor(field, psi1, LIE),
+                                    _cochain_tensor(field, phi2, ASSOC_COMM), q)
+        for key, terms in _current_tensor(_cochain_tensor(field, phi3, ASSOC_COMM),
+                                          _cochain_tensor(field, psi4, ASSOC_COMM), q).items():
             self._psi[key] = self._psi.get(key, ()) + terms
 
     def evaluate(self, g_tuple: Sequence[int], a_tuple: Sequence[int]) -> tuple:
@@ -464,7 +496,7 @@ class BulletProduct:
         if psi4.dim != A.dim:
             raise AlgebraError("cochain dimension does not match the algebra")
         self.A, self.psi4 = A, psi4
-        self._psi4 = _tensor(psi4.data, ASSOC_COMM)
+        self._psi4 = _cochain_tensor(A.field, psi4, ASSOC_COMM)
 
     def evaluate(self, a1: int, a2: int, a3: int) -> tuple:
         A = self.A

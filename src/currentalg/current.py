@@ -64,7 +64,9 @@ def current_algebra(g: Algebra, A: Algebra, name: str | None = None) -> Algebra:
                 for c, dc in aterms:
                     w[flat_index(k, c, q) - 1] = ck * dc
             products[(flat_index(i, a, q), flat_index(j, b, q))] = tuple(w)
-    return Algebra(name or f"{g.name}(x){A.name}", LIE, g.field, dim, products)
+    out = Algebra(name or f"{g.name}(x){A.name}", LIE, g.field, dim, products)
+    out._passed = True
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 Every row reduction is one fraction-free Gauss-Jordan, :func:`_rref`, on the
 ``{col: x}`` rows of a :class:`Matrix`, over Z only.  Each row is
-scaled to a primitive integer row, reduced on its leading column by integral
-row operations and divided by its content, so no ``Fraction`` or
-``GaussianRational`` is built while eliminating; :func:`rank` runs only the
-forward phase.  Entries may be ``int``, ``Fraction`` or ``GaussianRational``.
-An operator assembled from an integral table over Q has only ``int``
-entries; its rows enter as they are, with no denominators to clear, and are
-only divided by their content.  Gaussian rows enter as integer triples
+scaled to an integer row, and the rows are fed sparsest first and reduced on
+their leading columns by integral row operations, so no ``Fraction`` or
+``GaussianRational`` is built while eliminating.  A row is divided by its
+content only when it lands as a pivot and once more after back-substitution;
+:func:`rank` runs only the forward phase, and :func:`_rank` stops it once a
+proven bound on the rank is reached.  Entries may be ``int``, ``Fraction`` or
+``GaussianRational``.  An operator assembled from an integral table over Q
+has only ``int`` entries; its rows enter as they are, with no denominators to
+clear.  Gaussian rows enter as integer triples
 (x, y, d), scaled by the lcm of their d.  When some entry has an imaginary
 part, each row v enters as the two integer rows of v and i*v, coordinate c
 split into its real part at column 2c and its imaginary part at 2c + 1.  That real span is
@@ -216,12 +218,11 @@ def _primitive(row: dict) -> dict:
 
 
 def _integral(rows) -> tuple[list, bool, bool]:
-    """The nonempty sparse rows as primitive integer rows, each scaled by the
-    lcm of its denominators; whether any entry is Gaussian; and whether the
-    rows are realified, as they are when some entry has an imaginary part.
-    When every entry is a plain int, as in an operator assembled from an
-    integral structure tensor, the rows are only copied and divided by their
-    content.
+    """The nonempty sparse rows as integer rows, each scaled by the lcm of its
+    denominators; whether any entry is Gaussian; and whether the rows are
+    realified, as they are when some entry has an imaginary part.  When every
+    entry is a plain int, as in an operator assembled from an integral
+    structure tensor, the rows are only copied.
 
     A realified row v = x + y*i (x, y integer rows) enters as the two rows of
     v and i*v over Z: coordinate c goes to column 2c (real part) and 2c + 1
@@ -247,7 +248,6 @@ def _integral(rows) -> tuple[list, bool, bool]:
         else:
             m = lcm(*(x.denominator for x in row.values()))
             row = {c: x.numerator * (m // x.denominator) for c, x in row.items()}
-        row = _primitive(row)
         out.append(row)
         if pairs:  # i*v: (x, y) at (2c, 2c + 1) becomes (-y, x)
             out.append({k ^ 1: -x if k & 1 else x for k, x in row.items()})
@@ -256,8 +256,9 @@ def _integral(rows) -> tuple[list, bool, bool]:
 
 def _eliminate(row: dict, c: int, pivot: dict) -> dict:
     """row - f*pivot when f = row[c] / pivot[c] is integral, else a*row - b*pivot
-    divided by its content, with a = pivot[c] and b = row[c] first divided by
-    their gcd; either way column c drops out."""
+    with a = pivot[c] and b = row[c] first divided by their gcd; either way
+    column c drops out.  The content is left in: the pivots are fixed
+    primitive rows, so each step adds at most the bits of one pivot row."""
     a, b = pivot[c], row[c]
     if b % a:
         g = gcd(a, b)
@@ -271,18 +272,29 @@ def _eliminate(row: dict, c: int, pivot: dict) -> dict:
             row[k] = z
         else:
             del row[k]
-    return _primitive(row) if row else row
+    return row
 
 
-def _echelon(rows: list) -> dict:
-    """Forward phase on integral rows: pivot column -> the row leading there."""
+def _echelon(rows: list, ceiling: Optional[int] = None) -> dict:
+    """Forward phase on integral rows: pivot column -> the primitive row
+    leading there.  Rows are fed sparsest first (a stable sort), a row that
+    reaches a longer pivot takes its place and the old pivot is reduced
+    further, and a row is divided by its content when it lands; the span,
+    and so the reduced form, is that of the given order.  Once ``ceiling``
+    pivots are held, a proven bound on the rank, every other row lies in
+    their span and is skipped."""
     echelon = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
+        if len(echelon) == ceiling:
+            break
         while row:
             c = min(row)
-            if c not in echelon:
-                echelon[c] = row
+            pivot = echelon.get(c)
+            if pivot is None:
+                echelon[c] = _primitive(row)
                 break
+            if len(row) < len(pivot):
+                echelon[c], row = _primitive(row), pivot
             row = _eliminate(row, c, echelon[c])
     return echelon
 
@@ -294,7 +306,7 @@ def _back_substitute(echelon: dict) -> dict:
         row = echelon[c]
         for k in [k for k in row if k != c and k in echelon]:
             row = _eliminate(row, k, echelon[k])
-        echelon[c] = row
+        echelon[c] = _primitive(row)
     return echelon
 
 
@@ -342,8 +354,16 @@ def rref(rows) -> tuple[list, list]:
 def rank(M) -> int:
     """Rank of a Matrix, from the forward phase alone (half the rank over Q of
     realified rows)."""
+    return _rank(M)
+
+
+def _rank(M, ceiling: Optional[int] = None) -> int:
+    """:func:`rank`, stopped once ``ceiling`` pivots are found; valid only when
+    rank M <= ceiling is known, as d o d = 0 proves for a coboundary."""
     integral, _, pairs = _integral(M.sparse_rows)
-    return len(_echelon(integral)) >> pairs
+    if ceiling is not None:
+        ceiling <<= pairs
+    return len(_echelon(integral, ceiling)) >> pairs
 
 
 def kernel_basis(M) -> list[tuple]:
@@ -402,6 +422,15 @@ class Subspace:
         self.ambient = ambient
         self.basis = tuple(rows)
         self.pivots = tuple(pivots)
+
+    @classmethod
+    def _of(cls, ambient: int, rows) -> "Subspace":
+        """The span of ``{col: x}`` rows, reduced as they are."""
+        out, pivots = _rref(rows)
+        sub = object.__new__(cls)
+        sub.ambient, sub.pivots = ambient, tuple(pivots)
+        sub.basis = tuple(tuple(row.get(k, _ZERO) for k in range(ambient)) for row in out)
+        return sub
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":

@@ -19,24 +19,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .algebra import (
-    ASSOC_COMM,
-    LIE,
-    Algebra,
-    AlgebraError,
-    _jacobi,
-    _leibniz_rows,
-    _tensor,
-    require_identities,
-)
+from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, _jacobi, _leibniz_rows
 from .cohomology import (
     ChevalleyCochain,
     CohomologyDims,
+    _chevalley_dims,
+    _cochain_tensor,
+    _leibniz_is_minus_d1,
     chevalley_delta,
     chevalley_dims,
     harrison_h2,
 )
-from .linalg import rank
 
 RIGID_BY_H2_ZERO = "RigidByH2Zero"
 INCONCLUSIVE = "Inconclusive"
@@ -53,19 +46,17 @@ def rigidity_certificate(g: Algebra) -> RigidityCertificate:
     """H^2-based certificate plus the orbit dimension n^2 - dim Der.
 
     Der is both the kernel of the Leibniz system and Z^1, the kernel of d^1,
-    so the Leibniz rank must equal dim B^2, the rank of d^1; the two
-    operators come from different assemblers, and a disagreement raises.
+    and the Leibniz system is -d^1 up to a permutation of its columns.  The
+    two operators come from different assemblers and are compared entry by
+    entry, so the orbit dimension is dim B^2, the rank of d^1; a difference
+    raises.  Raises ``IdentityError`` when g fails Jacobi.
     """
     if g.kind != LIE:
         raise AlgebraError("rigidity_certificate needs a Lie algebra")
-    require_identities(g)
-    h2 = chevalley_dims(g, 2)
-    orbit = rank(_leibniz_rows(g))  # n^2 - dim Der, Der the kernel of the Leibniz system
-    if orbit != h2.dim_B:
-        raise AssertionError(
-            "Leibniz rank and rank of d^1 disagree; this is a bug in an assembler")
+    (_, h2), ds = _chevalley_dims(g, 2)
+    _leibniz_is_minus_d1(_leibniz_rows(g), ds[1], g.dim)
     verdict = RIGID_BY_H2_ZERO if h2.dim_H == 0 else INCONCLUSIVE
-    return RigidityCertificate(verdict=verdict, h2_dims=h2, orbit_dim=orbit)
+    return RigidityCertificate(verdict=verdict, h2_dims=h2, orbit_dim=h2.dim_B)
 
 
 @dataclass(frozen=True)
@@ -80,8 +71,6 @@ class LpqCertificate:
 def rigid_in_Lpq(g: Algebra, A: Algebra) -> LpqCertificate:
     if g.kind != LIE or A.kind != ASSOC_COMM:
         raise AlgebraError("rigid_in_Lpq needs a (Lie, assoc-comm) pair")
-    require_identities(g)
-    require_identities(A)
     h2_lie = chevalley_dims(g, 2)
     h2_har = harrison_h2(A)
     verdict = (RIGID_BY_H2_ZERO
@@ -100,8 +89,8 @@ def infinitesimal_check(g: Algebra, phi: ChevalleyCochain) -> bool:
         raise AlgebraError("infinitesimal_check needs a Lie algebra")
     if phi.degree != 2 or phi.dim != g.dim:
         raise AlgebraError("phi must be a degree-2 cochain on g")
+    mu, t = g.tensor, _cochain_tensor(g.field, phi, LIE)
     d = chevalley_delta(g, phi)
-    mu, t = g.tensor, _tensor(phi.data, LIE)
     for i, j, k in combinations(range(1, g.dim + 1), 3):
         t1 = {}
         _jacobi(mu, t, i, j, k, t1)
@@ -147,7 +136,8 @@ def truncated_deformation_check(d: TruncatedDeformation) -> DeformationReport:
     kept, so only m <= min(N, 2L) with m_1, m - m_1 <= L can contribute.
     """
     N = d.order
-    terms = [d.base.tensor] + [_tensor(phi.data, LIE) for phi in d.cochains[:N]]
+    terms = [d.base.tensor] + [_cochain_tensor(d.base.field, phi, LIE)
+                               for phi in d.cochains[:N]]
     L = len(terms) - 1
     # Order-major scan: the first nonzero coefficient is the least
     # (order, triple) pair, the first obstruction.

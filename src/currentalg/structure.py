@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, count
+from itertools import combinations, count, product
 from math import comb, gcd, isqrt, lcm
 from random import Random
 from typing import Callable, Optional, Sequence
@@ -78,9 +78,18 @@ def center(g: Algebra) -> Subspace:
 
 
 def subspace_product(alg: Algebra, u: Subspace, v: Subspace) -> Subspace:
-    """span{ x*y : x in u basis, y in v basis }."""
-    vecs = [alg.multiply(x, y) for x in u.basis for y in v.basis]
-    return Subspace(alg.dim, vecs)
+    """span{ x*y : x in u basis, y in v basis }, each product summed on the
+    structure tensor as a sparse row."""
+    ys, rows = [[(j, b) for j, b in enumerate(y, start=1) if b] for y in v.basis], []
+    for x in u.basis:
+        xs = [(i, a) for i, a in enumerate(x, start=1) if a]
+        for y in ys:
+            row = {}
+            for (i, a), (j, b) in product(xs, y):
+                for k, c in alg.tensor.get((i, j), ()):
+                    row[k - 1] = row.get(k - 1, 0) + a * b * c
+            rows.append({k: z for k, z in row.items() if z})
+    return Subspace._of(alg.dim, rows)
 
 
 @dataclass(frozen=True)

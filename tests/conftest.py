@@ -5,10 +5,11 @@ from __future__ import annotations
 import operator
 import os
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,96 @@ def rank_mod_p(rows, p: int = P61) -> int:
     return len(pivots)
 
 
+# The given-order kernel: rows eliminated in the order given, each divided by
+# its content after every step, with no stop.  ``given_order_kernel`` runs the
+# public linear algebra on it, so tests compare it with the package's
+# sparsest-first kernel through the same calls.
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return row if g == 1 else {k: x // g for k, x in row.items()}
+
+
+def _given_order_integral(rows):
+    sparse = [r for r in rows if r]
+    types = set().union(*(map(type, r.values()) for r in sparse))
+    gaussian, ints = ca.GaussianRational in types, types == {int}
+    pairs = gaussian and any(scalars._parts(x)[1] for r in sparse for x in r.values())
+    out = []
+    for row in sparse:
+        if gaussian:
+            parts = {c: scalars._parts(x) for c, x in row.items()}
+            m = lcm(*(d for _, _, d in parts.values()))
+            row = ({k: p for c, (x, y, d) in parts.items()
+                    for k, p in ((2 * c, x * (m // d)), (2 * c + 1, y * (m // d))) if p}
+                   if pairs else {c: x * (m // d) for c, (x, _, d) in parts.items()})
+        elif ints:
+            row = dict(row)
+        else:
+            m = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (m // x.denominator) for c, x in row.items()}
+        row = _primitive(row)
+        out.append(row)
+        if pairs:
+            out.append({k ^ 1: -x if k & 1 else x for k, x in row.items()})
+    return out, bool(gaussian), pairs
+
+
+def _given_order_eliminate(row, c, pivot):
+    a, b = pivot[c], row[c]
+    if b % a:
+        g = gcd(a, b)
+        a, f = a // g, b // g
+        row = {k: a * x for k, x in row.items()}
+    else:
+        f = b // a
+    for k, y in pivot.items():
+        z = row.get(k, 0) - f * y
+        if z:
+            row[k] = z
+        else:
+            del row[k]
+    return _primitive(row) if row else row
+
+
+def _given_order_echelon(rows, ceiling=None):
+    """The full forward phase in the given order; a ceiling is not used."""
+    echelon = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            if c not in echelon:
+                echelon[c] = row
+                break
+            row = _given_order_eliminate(row, c, echelon[c])
+    return echelon
+
+
+def _given_order_back_substitute(echelon):
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in echelon]:
+            row = _given_order_eliminate(row, k, echelon[k])
+        echelon[c] = row
+    return echelon
+
+
+@contextmanager
+def given_order_kernel():
+    """``currentalg.linalg`` with the given-order kernel in place of its own."""
+    linalg = ca.linalg
+    swaps = {"_integral": _given_order_integral, "_eliminate": _given_order_eliminate,
+             "_echelon": _given_order_echelon, "_back_substitute": _given_order_back_substitute}
+    saved = {name: getattr(linalg, name) for name in swaps}
+    try:
+        for name, fn in swaps.items():
+            setattr(linalg, name, fn)
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(linalg, name, fn)
+
+
 def table_product(alg, i, j):
     """e_i * e_j read from the stored symmetry-reduced table only."""
     zero = (Fraction(0),) * alg.dim
@@ -463,8 +554,11 @@ def unimodular_twist(n, seed):
 
 
 def fixture_algebras():
-    return [parse_algebra_file(p) for p in sorted(FIXTURES.glob("*.json"))
-            if not p.name.startswith("cochain")]
+    """The algebra fixtures up to dim 8; the larger ones are paper-scale
+    inputs for the command line, beyond what the corpus oracles can afford."""
+    algebras = [parse_algebra_file(p) for p in sorted(FIXTURES.glob("*.json"))
+                if not p.name.startswith("cochain")]
+    return [a for a in algebras if a.dim <= 8]
 
 
 def with_variants(algebras):

@@ -29,8 +29,10 @@ from currentalg import (
     multiplication_cochain,
 )
 from currentalg.cohomology import _chevalley_rows, cochain_from_flat, cochain_to_flat
+from currentalg.io import parse_algebra_file
 
 from conftest import (
+    FIXTURES,
     P998,
     bullet_oracle,
     catalog_assoc_algebras,
@@ -47,6 +49,8 @@ from conftest import (
     scaled_corpus,
     table_mult,
     table_product,
+    unimodular_twist,
+    with_variants,
 )
 
 F = Fraction
@@ -539,3 +543,75 @@ def test_infinitesimal_check_routes_agree_on_corpus():
     for g in oracle_corpus(ca.LIE):
         for _ in range(3):
             ca.infinitesimal_check(g, rand_chevalley2(rng, g.dim))
+
+
+def _identity_failures():
+    """The non-Lie 3-dim table, a corrupt Lie fixture and a corrupt assoc-comm one."""
+    bad3 = ca.Algebra("bad3", ca.LIE, ca.Q, 3, {
+        (1, 2): (-1, 1, 0), (1, 3): (1, 1, 1), (2, 3): (-1, -1, 1)})
+    r2_corrupt = parse_algebra_file(FIXTURES / "r2_corrupt3.json")
+    m1_corrupt = parse_algebra_file(FIXTURES / "m1_2_corrupt.json")
+    return bad3, r2_corrupt, m1_corrupt
+
+
+def test_dimensions_require_identities_on_every_call():
+    # The ceilinged ranks are exact only when d o d = 0, so a table that
+    # fails its identities raises instead of giving numbers, every time,
+    # also after a change of basis or a complexification.
+    algebras = with_variants(_identity_failures())
+    calls = [lambda g=g, k=k: chevalley_dims(g, k) for g in algebras if g.kind == ca.LIE
+             for k in (1, 2)]
+    calls += [lambda A=A: harrison_h2(A) for A in algebras if A.kind == ca.ASSOC_COMM]
+    assert len(calls) == 2 * 6 + 3
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(ca.IdentityError, match="first"):
+                call()
+
+
+def test_identity_check_runs_once_per_algebra(monkeypatch):
+    seen = []
+    check = ca.algebra.check_identities
+    monkeypatch.setattr(ca.algebra, "check_identities", lambda alg: seen.append(alg) or check(alg))
+    g, A = ca.sl2(), ca.m1(2)
+    flat = ca.current_algebra(g, A)
+    assert seen == [g, A]  # the factors; the current algebra passes with them
+    twisted = ca.change_basis(flat, unimodular_twist(flat.dim, 3))
+    for alg in (flat, twisted, ca.complexify(twisted)):
+        ca.rigidity_certificate(alg)
+        ca.chevalley_dims(alg, 1)
+        ca.fingerprint(alg)
+    ca.rigid_in_Lpq(g, A)
+    ca.h1_current_formula(g, A)
+    assert len(seen) == 2
+    r2 = ca.r2()
+    for _ in range(3):
+        ca.rigidity_certificate(r2)
+    assert len(seen) == 3
+    # a failure is not remembered
+    bad3 = _identity_failures()[0]
+    for _ in range(2):
+        with pytest.raises(ca.IdentityError):
+            ca.rigidity_certificate(bad3)
+    assert len(seen) == 5
+
+
+def test_cochain_values_outside_the_field_raise_up_front():
+    # A Q(i) value on an algebra over Q is refused before any evaluation;
+    # over Q(i) the same cochain is in the field.
+    g, A = ca.sl2(), ca.m1(2)
+    phi = ChevalleyCochain(2, 3, {(1, 2): (ca.scalars.I, 0, 0)})
+    zero_g, zero_A = SymmetricCochain(3), SymmetricCochain(2)
+    calls = [
+        lambda: chevalley_delta(g, phi),
+        lambda: ca.infinitesimal_check(g, phi),
+        lambda: ca.truncated_deformation_check(ca.TruncatedDeformation(g, (phi,), 1)),
+        lambda: DecomposableDelta(g, A, phi, zero_A, zero_g, zero_A),
+        lambda: BulletProduct(A, SymmetricCochain(2, {(1, 2): (0, ca.scalars.I)})),
+    ]
+    for call in calls:
+        with pytest.raises(ca.ScalarError):
+            call()
+    gc = ca.complexify(g)
+    assert chevalley_delta(gc, phi).data == {(1, 2, 3): (2 * ca.scalars.I, 0, 0)}
+    assert not ca.infinitesimal_check(gc, phi)

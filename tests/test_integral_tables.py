@@ -128,3 +128,32 @@ def test_fingerprint_compares_derivations_with_z1(monkeypatch):
     monkeypatch.setattr(ca.cohomology, "_leibniz_rows", _drop_last_row(_leibniz_rows))
     with pytest.raises(AssertionError, match="disagree"):
         ca.fingerprint(g)
+
+
+def _flip_first_entry(assembler, degree=None):
+    """assembler with the sign of one entry changed (of d^degree only, if given)."""
+    def patched(alg, *k):
+        m = assembler(alg, *k)
+        if degree is not None and k != (degree,):
+            return m
+        rows = [dict(r) for r in m.sparse_rows]
+        row = next(r for r in rows if r)
+        row[min(row)] = -row[min(row)]
+        return Matrix._of(rows, m.ncols)
+    return patched
+
+
+@pytest.mark.parametrize("flip", ["leibniz", "d1"])
+def test_one_flipped_entry_in_either_assembler_raises(monkeypatch, flip):
+    # rigidity_certificate and fingerprint compare the Leibniz system with
+    # -d^1 entry by entry, so a single wrong sign in either one is caught.
+    algebras = [ca.r2(), ca.sl2(), ca.heisenberg(3), ca.current_algebra(ca.r2(), ca.m1(2))]
+    if flip == "leibniz":
+        for module in (ca.rigidity, ca.cohomology):
+            monkeypatch.setattr(module, "_leibniz_rows", _flip_first_entry(_leibniz_rows))
+    else:
+        monkeypatch.setattr(ca.cohomology, "_chevalley_rows", _flip_first_entry(_chevalley_rows, 1))
+    for g in algebras:
+        for check in (ca.rigidity_certificate, ca.fingerprint):
+            with pytest.raises(AssertionError, match="disagree"):
+                check(g)

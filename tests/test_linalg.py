@@ -1,6 +1,7 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -18,11 +19,12 @@ from currentalg import (
     rank,
     solve,
 )
-from currentalg.cohomology import _chevalley_rows
+from currentalg.cohomology import _chevalley_rows, _hochschild_rows, _leibniz_rows
 from currentalg.linalg import (
     _back_substitute,
     _echelon,
     _integral,
+    _rank,
     poly_degree,
     poly_ext_gcd,
     poly_gcd,
@@ -30,8 +32,8 @@ from currentalg.linalg import (
     rref,
 )
 
-from conftest import (P998, dense_rref, min_poly_oracle, quotient_algebra, rand_matrix, rank_mod_p,
-                      subspace_coordinates)
+from conftest import (P998, dense_rref, given_order_kernel, min_poly_oracle, quotient_algebra,
+                      rand_matrix, rank_mod_p, scaled_corpus, subspace_coordinates)
 
 F = Fraction
 
@@ -418,3 +420,70 @@ def test_quotient_projection_matches_solve_oracle(field, data):
     x = _oracle_solve(basis[:len(pivots)] + units, v)
     assert proj(v) == x[len(pivots):]
     assert proj(lift(x[len(pivots):])) == x[len(pivots):]
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the given-order kernel (conftest.given_order_kernel)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _kernel_inputs(draw, field):
+    """(Matrix, dense rows, right-hand side).  Over Q the Matrix at times holds
+    the int rows of an integral operator; over Q(i) most rows are realified."""
+    ncols, rows = draw(_matrices(field) if field == ca.Q
+                       else st.one_of(_matrices(field), _gaussian_matrices()))
+    M = Matrix(rows) if rows else Matrix._of((), ncols)
+    if field == ca.Q and draw(st.booleans()):
+        rows = [tuple(x * lcm(*(y.denominator for y in r)) for x in r) for r in rows]
+        M = Matrix._of([{c: int(x) for c, x in enumerate(r) if x} for r in rows], ncols)
+    x = draw(st.lists(_ENTRIES[field], min_size=ncols, max_size=ncols))
+    b = M.apply(x)
+    if draw(st.booleans()):
+        b = tuple(v + draw(_ENTRIES[field]) for v in b)
+    return M, rows, b
+
+
+def _kernel_results(M, rows, b):
+    try:
+        inv = inverse(M).sparse_rows
+    except SingularMatrixError:
+        inv = None
+    sub = Subspace(M.ncols, rows)
+    return (rank(M), kernel_basis(M), solve(M, b), inv, rref(rows), sub.basis, sub.pivots)
+
+
+@_FIELDS
+@given(data=st.data())
+def test_kernel_matches_given_order_kernel(field, data):
+    # Sorting the rows, swapping in shorter pivots and dividing by the content
+    # only when a row lands change no result, not even a scalar type.
+    M, rows, b = data.draw(_kernel_inputs(field))
+    got = _kernel_results(M, rows, b)
+    with given_order_kernel():
+        want = _kernel_results(M, rows, b)
+    assert got == want and repr(got) == repr(want)
+    r = got[0]
+    assert [_rank(M, c) for c in range(r + 3)] == list(range(r)) + [r] * 3
+    assert all(gcd(*row.values()) == 1 for row in _echelon(_integral(M.sparse_rows)[0]).values())
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+def test_ceilinged_ranks_match_given_order_kernel(kind):
+    # d^k d^(k-1) = 0 bounds rank d^k by ncols - rank d^(k-1); the elimination
+    # stopped there must give the full rank of the given-order kernel.  For
+    # Harrison, d^1 is minus the Leibniz system and d^2 the Hochschild rows.
+    algebras = [a for a in scaled_corpus(kind) if ca.check_identities(a).passed]
+    assert {a.field for a in algebras} == {ca.Q, ca.QI}
+    for alg in algebras:
+        ops = ([_chevalley_rows(alg, k) for k in (0, 1, 2)] if kind == ca.LIE
+               else [_leibniz_rows(alg), _hochschild_rows(alg)])
+        with given_order_kernel():
+            want = [rank(d) for d in ops]
+        prev = 0
+        for d, r in zip(ops, want):
+            assert _rank(d, d.ncols - prev) == r, alg
+            prev = r
+        dims = [ca.CohomologyDims(d.ncols - r, b, d.ncols - r - b)
+                for d, r, b in zip(ops[1:], want[1:], want)]
+        assert dims == ([ca.chevalley_dims(alg, k) for k in (1, 2)] if kind == ca.LIE
+                        else [ca.harrison_h2(alg)]), alg

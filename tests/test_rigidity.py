@@ -26,6 +26,7 @@ from conftest import (
     oracle_corpus,
     rand_chevalley2,
     rand_invertible,
+    unimodular_twist,
 )
 
 F = Fraction
@@ -49,6 +50,18 @@ def test_certificate_rejects_bad_input():
                      {(1, 2): (1, 0, 0), (1, 3): (0, 1, 0)})
     with pytest.raises(IdentityError):
         rigidity_certificate(bad)
+
+
+@pytest.mark.parametrize("name, q", [("sl2", 3), ("r2", 6)])
+def test_paper_scale_rungs_in_a_twisted_basis(name, q):
+    # In a generic basis the coboundaries fill in; the sparsest-first order
+    # and the stop at ncols - rank d^1 keep these at a fraction of a second.
+    flat = ca.current_algebra(ca.make(name), ca.m1(q))
+    twisted = change_basis(flat, unimodular_twist(flat.dim, 7))
+    cert = rigidity_certificate(twisted)
+    assert cert.verdict == RIGID_BY_H2_ZERO
+    assert cert.h2_dims == rigidity_certificate(flat).h2_dims
+    assert cert.orbit_dim == cert.h2_dims.dim_B
 
 
 def test_products_of_r2_are_rigid():

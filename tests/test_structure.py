@@ -47,6 +47,7 @@ from conftest import (
     oracle_corpus,
     q_factor_oracle,
     qi_factor_oracle,
+    rand_vector,
     random_assoc_comm_algebras,
     recursive_decomposition_oracle,
     table_mult,
@@ -90,6 +91,19 @@ def test_series_chains_decrease():
             for a, b in zip(chain, chain[1:]):
                 assert b.dim < a.dim
                 assert all(a.contains(v) for v in b.basis)
+
+
+def test_subspace_product_matches_table_oracle():
+    # Products are summed as sparse rows on the structure tensor; the oracle
+    # multiplies dense vectors through the stored table.
+    rng = random.Random(5)
+    for alg in oracle_corpus(ca.LIE) + oracle_corpus(ca.ASSOC_COMM):
+        n = alg.dim
+        full = Subspace.full(n)
+        u = Subspace(n, [rand_vector(rng, n) for _ in range(rng.randint(1, n))])
+        for a, b in ((full, full), (u, full), (full, u), (u, u)):
+            want = Subspace(n, [table_mult(alg, x, y) for x in a.basis for y in b.basis])
+            assert structure.subspace_product(alg, a, b) == want, alg
 
 
 def test_is_nilalgebra_examples():

@@ -1,9 +1,10 @@
 """Finite-dimensional algebras presented by structure constants.
 
 Two kinds are supported: Lie algebras (antisymmetric bracket) and
-associative commutative algebras.  Tables are stored symmetry-reduced:
-only i < j entries for Lie, only i <= j for assoc-comm.  Basis indices are
-1-based throughout; vector coordinates are 0-based tuples.
+associative commutative algebras.  Tables are read symmetry-reduced (only
+i < j entries for Lie, only i <= j for assoc-comm) and stored as one sparse
+tensor.  Basis indices are 1-based throughout; vector coordinates are
+0-based tuples.
 
 Passing :func:`check_identities` is deliberately *not* a construction
 invariant: deformed or corrupted candidates are representable, and the
@@ -34,27 +35,29 @@ class IdentityError(AlgebraError):
     """An operation required the defining identities and they fail."""
 
 
+def _term(c):
+    """A constant in the tensor's normal form: an integral ``Fraction`` as its
+    ``int``, so that integer tables over Q are summed as ints by every
+    assembler and residual and reach :func:`linalg._integral` as int rows;
+    anything else as it is (:meth:`Algebra.basis_product` coerces back)."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _tensor(table: Mapping, kind: str) -> dict:
     """Sparse structure tensor of a symmetry-reduced table: every ordered pair
-    (i, j) with a nonzero product maps to the nonzero terms (k, c) of e_i * e_j.
-
-    An integral ``Fraction`` c is stored as the ``int`` c.numerator, so a
-    table with integer constants over Q is read and summed as plain ints by
-    every assembler and residual sum, and its operators reach
-    :func:`linalg._integral` as int rows.  Other ``Fraction``s and every
-    Gaussian value are stored as they are; :meth:`Algebra.basis_product`
-    coerces back to the field.
+    (i, j) with a nonzero product maps to the nonzero terms (k, c) of e_i * e_j,
+    each c read through :func:`_term`.
 
     Also reads the ``data`` of a degree-2 cochain, stored on i < j like a
     Lie table.
     """
     tensor = {}
     for (i, j), vec in table.items():
-        terms = tuple((k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-                      for k, c in enumerate(vec, start=1) if c)
-        tensor[(j, i)] = (terms if kind == ASSOC_COMM
-                          else tuple((k, -c) for k, c in terms))
-        tensor[(i, j)] = terms
+        terms = tuple((k, _term(c)) for k, c in enumerate(vec, start=1) if c)
+        if terms:
+            tensor[(j, i)] = (terms if kind == ASSOC_COMM
+                              else tuple((k, -c) for k, c in terms))
+            tensor[(i, j)] = terms
     return tensor
 
 
@@ -75,16 +78,16 @@ def _jacobi(lo: Mapping, hi: Mapping, i: int, j: int, k: int, acc: dict) -> None
 
 
 class Algebra:
-    """An algebra over Q or Q(i) given by its structure constant table.
+    """An algebra over Q or Q(i) given by its structure constants.
 
     ``products`` maps 1-based index pairs (i, j) to coefficient vectors of
     e_i * e_j.  Entries may be given in any order; the constructor folds them
-    onto the symmetry-reduced key set and rejects inconsistent duplicates.
-    Instances are immutable by convention; all operations return new values.
+    onto the symmetry-reduced key set, rejects inconsistent duplicates and
+    stores only the sparse ``tensor``.  Instances are immutable by convention.
     ``_passed`` remembers that :func:`require_identities` has passed.
     """
 
-    __slots__ = ("name", "kind", "field", "dim", "table", "tensor", "basis_labels", "_passed")
+    __slots__ = ("name", "kind", "field", "dim", "tensor", "basis_labels", "_passed")
 
     def __init__(self, name: str, kind: str, field: str, dim: int,
                  products: Mapping[tuple, Sequence] = (),
@@ -122,9 +125,17 @@ class Algebra:
             if key in table and table[key] != val:
                 raise AlgebraError(f"inconsistent duplicate entry for product {key}")
             table[key] = val
-        self.table = {k: v for k, v in sorted(table.items()) if not vec_is_zero(v)}
-        self.tensor = _tensor(self.table, kind)
+        self.tensor = _tensor(dict(sorted(table.items())), kind)
         self._passed = False
+
+    @classmethod
+    def _of(cls, name, kind, field, dim, tensor: dict, passed: bool) -> "Algebra":
+        """``tensor`` stored as given: its terms already through :func:`_term`,
+        and every Q(i) value a ``GaussianRational``."""
+        alg = object.__new__(cls)
+        alg.name, alg.kind, alg.field, alg.dim = name, kind, field, dim
+        alg.tensor, alg.basis_labels, alg._passed = tensor, None, passed
+        return alg
 
     def _check_index(self, i):
         if not isinstance(i, int) or not 1 <= i <= self.dim:
@@ -183,11 +194,11 @@ class Algebra:
             raise AlgebraError("ad is defined for Lie kind")
         return self.left_mult_matrix(x)
 
-    # -- equality is structural on canonical tables; names are labels only --
+    # -- equality is structural on the tensor; names are labels only --------
 
     def same_constants(self, other: "Algebra") -> bool:
-        return (self.kind, self.field, self.dim, self.table) == (
-            other.kind, other.field, other.dim, other.table)
+        return (self.kind, self.field, self.dim, self.tensor) == (
+            other.kind, other.field, other.dim, other.tensor)
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -196,11 +207,11 @@ class Algebra:
 
     def __hash__(self):
         return hash((self.kind, self.field, self.dim,
-                     tuple(sorted(self.table.items()))))
+                     tuple(sorted(self.tensor.items()))))
 
     def __repr__(self):
         return (f"Algebra({self.name!r}, kind={self.kind}, field={self.field}, "
-                f"dim={self.dim}, {len(self.table)} products)")
+                f"dim={self.dim}, {sum(i <= j for i, j in self.tensor)} products)")
 
 
 def _leibniz_rows(alg: Algebra) -> Matrix:
@@ -300,23 +311,21 @@ def direct_sum(a: Algebra, b: Algebra, name: Optional[str] = None) -> Algebra:
         raise AlgebraError("direct_sum needs matching kinds")
     if a.field != b.field:
         raise AlgebraError("direct_sum needs matching fields")
-    dim = a.dim + b.dim
-    zero = scalars.zero(a.field)
-    products = {}
-    for (i, j), vec in a.table.items():
-        products[(i, j)] = vec + (zero,) * b.dim
-    for (i, j), vec in b.table.items():
-        products[(i + a.dim, j + a.dim)] = (zero,) * a.dim + vec
-    return Algebra(name or f"{a.name}+{b.name}", a.kind, a.field, dim, products)
+    n = a.dim
+    tensor = dict(a.tensor)
+    tensor.update({(i + n, j + n): tuple((k + n, c) for k, c in terms)
+                   for (i, j), terms in b.tensor.items()})
+    return Algebra._of(name or f"{a.name}+{b.name}", a.kind, a.field, n + b.dim, tensor,
+                       a._passed and b._passed)
 
 
 def complexify(alg: Algebra) -> Algebra:
-    """Scalar extension Q -> Q(i): identical table, field tag widened."""
+    """Scalar extension Q -> Q(i): the same constants, read in Q(i)."""
     if alg.field == scalars.QI:
         raise AlgebraError(f"{alg.name} is already over Qi")
-    out = Algebra(alg.name, alg.kind, scalars.QI, alg.dim, alg.table)
-    out._passed = alg._passed
-    return out
+    tensor = {key: tuple((k, scalars.coerce(scalars.QI, c)) for k, c in terms)
+              for key, terms in alg.tensor.items()}
+    return Algebra._of(alg.name, alg.kind, scalars.QI, alg.dim, tensor, alg._passed)
 
 
 def is_derivation(alg: Algebra, f: Matrix) -> bool:

@@ -171,13 +171,13 @@ def bracket_cochain(g: Algebra) -> ChevalleyCochain:
     """The multiplication of a Lie algebra as a degree-2 cochain."""
     if g.kind != LIE:
         raise AlgebraError("bracket_cochain needs a Lie algebra")
-    return ChevalleyCochain(2, g.dim, dict(g.table))
+    return ChevalleyCochain(2, g.dim, {(i, j): g.basis_product(i, j) for i, j in g.tensor if i < j})
 
 def multiplication_cochain(A: Algebra) -> SymmetricCochain:
     """The multiplication of a commutative algebra as a symmetric cochain."""
     if A.kind != ASSOC_COMM:
         raise AlgebraError("multiplication_cochain needs an assoc-comm algebra")
-    return SymmetricCochain(A.dim, dict(A.table))
+    return SymmetricCochain(A.dim, {(i, j): A.basis_product(i, j) for i, j in A.tensor if i <= j})
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,8 @@ def chevalley_delta(g: Algebra, c: ChevalleyCochain) -> ChevalleyCochain:
     if c.dim != g.dim:
         raise AlgebraError("cochain dimension does not match the algebra")
     flat = scalars.coerce_vector(g.field, cochain_to_flat(c))
-    return cochain_from_flat(c.degree + 1, g.dim, _chevalley_rows(g, c.degree).apply(flat))
+    image = _chevalley_rows(g, c.degree).apply(flat)
+    return cochain_from_flat(c.degree + 1, g.dim, scalars.coerce_vector(g.field, image))
 
 
 def _cochain_tensor(field: str, c, kind: str) -> dict:
@@ -344,7 +345,7 @@ def hochschild_delta1(A: Algebra, f: Matrix) -> SymmetricCochain:
     if f.shape != (A.dim, A.dim):
         raise AlgebraError("operator shape does not match algebra dimension")
     n = A.dim
-    flat = _leibniz_rows(A).apply(f.flatten())
+    flat = scalars.coerce_vector(A.field, _leibniz_rows(A).apply(f.flatten()))
     return SymmetricCochain(n, {
         pair: tuple(-x for x in flat[pos * n:(pos + 1) * n])
         for pos, pair in enumerate(combinations_with_diag(n))})
@@ -360,7 +361,7 @@ def hochschild_delta2(A: Algebra, psi: SymmetricCochain) -> dict:
     if psi.dim != A.dim:
         raise AlgebraError("cochain dimension does not match the algebra")
     n = A.dim
-    flat = _hochschild_rows(A).apply(symmetric_to_flat(psi))
+    flat = scalars.coerce_vector(A.field, _hochschild_rows(A).apply(symmetric_to_flat(psi)))
     values = (flat[pos * n:(pos + 1) * n] for pos in range(n ** 3))
     return {t: v for t, v in zip(product(range(1, n + 1), repeat=3), values) if not vec_is_zero(v)}
 

@@ -22,10 +22,11 @@ from .algebra import (
     Algebra,
     AlgebraError,
     _jacobi,
+    _term,
     is_derivation,
     require_identities,
 )
-from .linalg import Matrix, vec_add, vec_is_zero, vec_zero
+from .linalg import Matrix, vec_add, vec_is_zero
 
 
 def flat_index(i: int, a: int, q: int) -> int:
@@ -39,7 +40,8 @@ def unflat_index(u: int, q: int) -> tuple[int, int]:
 
 
 def current_algebra(g: Algebra, A: Algebra, name: str | None = None) -> Algebra:
-    """g (x) A with constants C_ij^k * D_ab^c on the flat basis.
+    """g (x) A with constants C_ij^k * D_ab^c on the flat basis: the product
+    tensor of the two factor tensors.
 
     Both inputs must pass their defining identities; the result then passes
     Jacobi automatically (Lie tensor Com gives Lie).
@@ -52,21 +54,8 @@ def current_algebra(g: Algebra, A: Algebra, name: str | None = None) -> Algebra:
         raise AlgebraError("factors must share the base field")
     require_identities(g)
     require_identities(A)
-    q = A.dim
-    dim = g.dim * q
-    products = {}
-    for (i, j), gterms in g.tensor.items():
-        if i > j:
-            continue
-        for (a, b), aterms in A.tensor.items():
-            w = list(vec_zero(dim))
-            for k, ck in gterms:
-                for c, dc in aterms:
-                    w[flat_index(k, c, q) - 1] = ck * dc
-            products[(flat_index(i, a, q), flat_index(j, b, q))] = tuple(w)
-    out = Algebra(name or f"{g.name}(x){A.name}", LIE, g.field, dim, products)
-    out._passed = True
-    return out
+    return Algebra._of(name or f"{g.name}(x){A.name}", LIE, g.field, g.dim * A.dim,
+                       _current_tensor(g.tensor, A.tensor, A.dim), True)
 
 
 @dataclass(frozen=True)
@@ -88,9 +77,10 @@ class PQResidual:
 
 def _current_tensor(C: dict, D: dict, q: int) -> dict:
     """The g-major tensor of the product of two factor tensors: the ordered
-    pair (X_i (x) e_a, X_j (x) e_b) maps to the terms C_ij^k D_ab^c at (k, c)."""
+    pair (X_i (x) e_a, X_j (x) e_b) maps to the terms C_ij^k D_ab^c at (k, c),
+    each read through :func:`algebra._term`."""
     return {(flat_index(i, a, q), flat_index(j, b, q)):
-            tuple((flat_index(k, c, q), x * y) for k, x in cterms for c, y in dterms)
+            tuple((flat_index(k, c, q), _term(x * y)) for k, x in cterms for c, y in dterms)
             for (i, j), cterms in C.items() for (a, b), dterms in D.items()}
 
 

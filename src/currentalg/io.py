@@ -125,11 +125,8 @@ def algebra_from_dict(doc, where: str = "<doc>") -> Algebra:
 
 
 def algebra_to_dict(alg: Algebra) -> dict:
-    constants = []
-    for (i, j), vec in sorted(alg.table.items()):
-        for k, c in enumerate(vec, start=1):
-            if c != 0:
-                constants.append([i, j, k, scalars.scalar_to_json(alg.field, c)])
+    constants = [[i, j, k, scalars.scalar_to_json(alg.field, c)]
+                 for (i, j), terms in sorted(alg.tensor.items()) if i <= j for k, c in terms]
     doc = {
         "name": alg.name,
         "kind": alg.kind,

@@ -13,7 +13,7 @@ from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import currentalg as ca
 from currentalg import scalars
@@ -424,34 +424,96 @@ def given_order_kernel():
             setattr(linalg, name, fn)
 
 
-def table_product(alg, i, j):
-    """e_i * e_j read from the stored symmetry-reduced table only."""
-    zero = (Fraction(0),) * alg.dim
-    if alg.kind == ca.LIE and i == j:
-        return zero
-    if alg.kind == ca.LIE and i > j:
-        return tuple(-x for x in alg.table.get((j, i), zero))
-    return alg.table.get((min(i, j), max(i, j)), zero)
+def dense_products(alg):
+    """The reduced products e_i * e_j (i < j for Lie, i <= j otherwise) as
+    dense vectors read through ``basis_product``, zero vectors included."""
+    pairs = (combinations if alg.kind == ca.LIE else combinations_with_replacement)(
+        range(1, alg.dim + 1), 2)
+    return {(i, j): alg.basis_product(i, j) for i, j in pairs}
+
+
+def typed_terms(alg):
+    """The structure tensor with the type of each constant beside it, so that
+    an ``int`` and an equal ``Fraction`` compare unequal."""
+    return {key: tuple((k, c, type(c)) for k, c in terms) for key, terms in alg.tensor.items()}
+
+
+def current_algebra_oracle(g, A):
+    """g (x) A through the public constructor on dense product vectors of
+    length p*q: [X_i (x) e_a, X_j (x) e_b] for i < j is the outer product of
+    [X_i, X_j] and e_a e_b, which puts C_ij^k D_ab^c at the g-major flat
+    index of (k, c)."""
+    q = A.dim
+    products = {}
+    for i, j in combinations(range(1, g.dim + 1), 2):
+        gij = g.basis_product(i, j)
+        for a, b in product(range(1, q + 1), repeat=2):
+            products[((i - 1) * q + a, (j - 1) * q + b)] = tuple(
+                x * y for x in gij for y in A.basis_product(a, b))
+    return ca.Algebra(f"{g.name}(x){A.name}", ca.LIE, g.field, g.dim * q, products)
+
+
+def direct_sum_oracle(a, b):
+    """a + b through the public constructor: a's products padded with b.dim
+    zeros, b's moved up by a.dim and padded in front with a.dim zeros."""
+    zero = scalars.zero(a.field)
+    products = {key: v + (zero,) * b.dim for key, v in dense_products(a).items()}
+    products.update({(i + a.dim, j + a.dim): (zero,) * a.dim + v
+                     for (i, j), v in dense_products(b).items()})
+    return ca.Algebra(f"{a.name}+{b.name}", a.kind, a.field, a.dim + b.dim, products)
+
+
+def small_scalars(field):
+    """Small ints and Fractions and, over Q(i), Gaussian rationals built from them."""
+    rational = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3),
+                                                       st.integers(1, 3)))
+    if field == ca.Q:
+        return rational
+    return st.one_of(rational, st.builds(scalars.GaussianRational, rational, rational))
+
+
+@st.composite
+def lawful_algebras(draw, kind, field):
+    """Small algebras of ``kind`` over ``field`` that pass their identities:
+    a 2-dim Lie or 1-dim commutative table with random constants (each is
+    lawful whatever its constants), or a catalog algebra of dim <= 3 in the
+    random basis L U (L unit lower, U upper with a nonzero diagonal)."""
+    entry = small_scalars(field)
+    if draw(st.booleans()):
+        if kind == ca.LIE:
+            return ca.Algebra("free", kind, field, 2, {(1, 2): (draw(entry), draw(entry))})
+        return ca.Algebra("free", kind, field, 1, {(1, 1): (draw(entry),)})
+    catalog = catalog_lie_algebras() if kind == ca.LIE else catalog_assoc_algebras()
+    alg = draw(st.sampled_from([a for a in catalog if a.dim <= 3]))
+    if field == ca.QI:
+        alg = ca.complexify(alg)
+    n, nonzero = alg.dim, entry.filter(bool)
+    lower = ca.Matrix([[1 if i == j else draw(entry) if i > j else 0 for j in range(n)]
+                       for i in range(n)])
+    upper = ca.Matrix([[draw(nonzero) if i == j else draw(entry) if i < j else 0
+                        for j in range(n)] for i in range(n)])
+    return ca.change_basis(alg, lower @ upper)
 
 
 def table_mult(alg, x, y):
+    """x * y as the bilinear sum over basis pairs of ``basis_product``."""
     out = [Fraction(0)] * alg.dim
     for i, xi in enumerate(x, 1):
         for j, yj in enumerate(y, 1):
             if xi != 0 and yj != 0:
-                for k, c in enumerate(table_product(alg, i, j)):
+                for k, c in enumerate(alg.basis_product(i, j)):
                     out[k] += xi * yj * c
     return tuple(out)
 
 
 def derivation_oracle(alg, f):
     """The Leibniz rule f(e_i e_j) = f(e_i) e_j + e_i f(e_j) pair by pair, on
-    reduced pairs, the products read from the stored table only."""
+    reduced pairs, the products read through ``basis_product``."""
     n = alg.dim
     e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     pairs = (combinations if alg.kind == ca.LIE else combinations_with_replacement)(range(n), 2)
     for i, j in pairs:
-        lhs = f.apply(table_product(alg, i + 1, j + 1))
+        lhs = f.apply(alg.basis_product(i + 1, j + 1))
         rhs = vec_add(table_mult(alg, f.apply(e[i]), e[j]), table_mult(alg, e[i], f.apply(e[j])))
         if any(x != 0 for x in vec_sub(lhs, rhs)):
             return False
@@ -465,9 +527,10 @@ def nilpotent_ops_oracle(ops, n):
 
 
 # Column-by-column oracles of the assembled operators: each column is the
-# image of one basis cochain, from the formula and the stored table only (no
-# tensor, multiply or basis_product).  Returned as Matrix objects, whose
-# constructor turns every entry into a field scalar.
+# image of one basis cochain, from the formula and the products e_i * e_j of
+# ``basis_product`` (no tensor terms or multiply); a test in test_algebra.py
+# ties those products to the constructor input.  Returned as Matrix objects,
+# whose constructor turns every entry into a field scalar.
 
 def chevalley_columns_oracle(g, k):
     """Chevalley d^k of g: column (S, s) is d of the cochain phi(e_S) = e_s."""
@@ -486,11 +549,11 @@ def chevalley_columns_oracle(g, k):
                 val = [Fraction(0)] * n
                 for p in range(k + 1):  # (-1)^p [x_p, phi(..., x_p omitted, ...)]
                     sign = phi(T[:p] + T[p + 1:])
-                    for t, c in enumerate(table_product(g, T[p], s) if sign else ()):
+                    for t, c in enumerate(g.basis_product(T[p], s) if sign else ()):
                         val[t] += (-1) ** p * sign * c
                 for p, q in combinations(range(k + 1), 2):
                     rest = tuple(x for m, x in enumerate(T) if m not in (p, q))
-                    for l, w in enumerate(table_product(g, T[p], T[q]), 1):
+                    for l, w in enumerate(g.basis_product(T[p], T[q]), 1):
                         val[s - 1] += (-1) ** (p + q) * w * phi((l,) + rest)
                 col.extend(val)
             cols.append(tuple(col))
@@ -509,11 +572,11 @@ def leibniz_columns_oracle(alg):
         col = []
         for i, j in pairs:
             val = [Fraction(0)] * n
-            val[r - 1] += table_product(alg, i, j)[c - 1]
+            val[r - 1] += alg.basis_product(i, j)[c - 1]
             if i == c:
-                val = [x - y for x, y in zip(val, table_product(alg, r, j))]
+                val = [x - y for x, y in zip(val, alg.basis_product(r, j))]
             if j == c:
-                val = [x - y for x, y in zip(val, table_product(alg, i, r))]
+                val = [x - y for x, y in zip(val, alg.basis_product(i, r))]
             col.extend(val)
         cols.append(tuple(col))
     return ca.Matrix.from_columns(cols)
@@ -535,10 +598,10 @@ def hochschild_columns_oracle(A):
         for i, j, k in product(range(1, n + 1), repeat=3):
             # e_i psi(e_j, e_k) - psi(e_i e_j, e_k) + psi(e_i, e_j e_k) - psi(e_i, e_j) e_k
             val = [psi(j, k) * x - psi(i, j) * y for x, y in zip(
-                table_product(A, i, s), table_product(A, s, k))]
+                A.basis_product(i, s), A.basis_product(s, k))]
             val[s - 1] += (
-                sum(w * psi(i, l) for l, w in enumerate(table_product(A, j, k), 1))
-                - sum(w * psi(l, k) for l, w in enumerate(table_product(A, i, j), 1)))
+                sum(w * psi(i, l) for l, w in enumerate(A.basis_product(j, k), 1))
+                - sum(w * psi(l, k) for l, w in enumerate(A.basis_product(i, j), 1)))
             col.extend(val)
         cols.append(tuple(col))
     return ca.Matrix.from_columns(cols)
@@ -599,13 +662,13 @@ def _triples(n: int):
 
 def deformation_oracle(d):
     """(ok_up_to, first_obstruction) of a TruncatedDeformation, from dense
-    bracket polynomials per triple, the base read through ``table_product``."""
+    bracket polynomials per triple, the base read through ``basis_product``."""
     g = d.base
     n, N = g.dim, d.order
     zero = (Fraction(0),) * n
 
     def bracket_poly(i: int, j: int) -> list:
-        coeffs = [table_product(g, i, j)]
+        coeffs = [g.basis_product(i, j)]
         for m, phi in enumerate(d.cochains, start=1):
             if m > N:
                 break
@@ -651,15 +714,15 @@ def deformation_oracle(d):
 def pq_residuals_oracle(g, A) -> list:
     """(g_triple, a_triple, target, value) of every nonzero product-form
     Jacobi residual, in flat-triple then target order, by the seven-deep loop
-    over both factor tables read through ``table_product``."""
+    over both factors read through ``basis_product``."""
     p, q = g.dim, A.dim
     zero = Fraction(0)
 
     def C(i, j):
-        return table_product(g, i, j)
+        return g.basis_product(i, j)
 
     def D(a, b):
-        return table_product(A, a, b)
+        return A.basis_product(a, b)
 
     residuals = []
     dim = p * q
@@ -726,17 +789,17 @@ def _summed(zero, vectors) -> tuple:
 def decomposable_delta_oracle(g, A, psi1, phi2, phi3, psi4, g_tuple, a_tuple) -> tuple:
     """The coboundary expression of psi1 (x) phi2 + phi3 (x) psi4 at one pair of
     basis triples: its four blocks summed verbatim over each cyclic rotation,
-    the products read from the stored tables only, in field scalars."""
+    the products read through ``basis_product``, in field scalars."""
     blocks = []
     for cyc in _CYCLES:
         x1, x2, x3 = (g_tuple[c] for c in cyc)
         a1, a2, a3 = (a_tuple[c] for c in cyc)
-        gx, ga = table_product(g, x1, x2), table_product(A, a1, a2)
+        gx, ga = g.basis_product(x1, x2), A.basis_product(a1, a2)
         blocks += (
-            _outer(_first_slot(psi1.value((x1, x2)), lambda l: table_product(g, l, x3)),
-                   _first_slot(phi2.value(a1, a2), lambda l: table_product(A, l, a3))),
-            _outer(_first_slot(phi3.value(x1, x2), lambda l: table_product(g, l, x3)),
-                   _first_slot(psi4.value(a1, a2), lambda l: table_product(A, l, a3))),
+            _outer(_first_slot(psi1.value((x1, x2)), lambda l: g.basis_product(l, x3)),
+                   _first_slot(phi2.value(a1, a2), lambda l: A.basis_product(l, a3))),
+            _outer(_first_slot(phi3.value(x1, x2), lambda l: g.basis_product(l, x3)),
+                   _first_slot(psi4.value(a1, a2), lambda l: A.basis_product(l, a3))),
             _outer(_first_slot(gx, lambda l: psi1.value((l, x3))),
                    _first_slot(ga, lambda l: phi2.value(l, a3))),
             _outer(_first_slot(gx, lambda l: phi3.value(l, x3)),
@@ -746,10 +809,10 @@ def decomposable_delta_oracle(g, A, psi1, phi2, phi3, psi4, g_tuple, a_tuple) ->
 
 
 def bullet_oracle(A, psi4, args) -> tuple:
-    """sum over cyclic rotations of mu2(psi4(a1, a2), a3), the products read from
-    the stored table only, in field scalars."""
+    """sum over cyclic rotations of mu2(psi4(a1, a2), a3), the products read
+    through ``basis_product``, in field scalars."""
     return _summed(scalars.zero(A.field), [
-        _first_slot(psi4.value(args[c1], args[c2]), lambda l: table_product(A, l, args[c3]))
+        _first_slot(psi4.value(args[c1], args[c2]), lambda l: A.basis_product(l, args[c3]))
         for c1, c2, c3 in _CYCLES])
 
 

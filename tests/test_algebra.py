@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 import currentalg as ca
+from currentalg import scalars
 from currentalg import (
     Algebra,
     AlgebraError,
@@ -21,12 +23,16 @@ from currentalg import (
 from conftest import (
     catalog_assoc_algebras,
     catalog_lie_algebras,
+    dense_products,
     derivation_oracle,
+    direct_sum_oracle,
+    lawful_algebras,
     oracle_corpus,
     rand_invertible,
     scaled_corpus,
+    small_scalars,
     table_mult,
-    table_product,
+    typed_terms,
 )
 
 F = Fraction
@@ -75,21 +81,21 @@ def test_check_identities_corrupt_witness():
 
 
 def _identity_violations_oracle(alg):
-    """Residual loops through products of basis vectors, on the stored table only."""
+    """Residual loops through products of basis vectors, read through ``basis_product``."""
     n = alg.dim
     e = [None] + [tuple(F(int(k == i)) for k in range(1, n + 1)) for i in range(1, n + 1)]
     violations = []
     if alg.kind == ca.LIE:
         for i, j, k in combinations(range(1, n + 1), 3):
-            terms = [table_mult(alg, table_product(alg, a, b), e[c])
+            terms = [table_mult(alg, alg.basis_product(a, b), e[c])
                      for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
             jac = [x + y + z for x, y, z in zip(*terms)]
             violations.extend((i, j, k, s) for s, c in enumerate(jac, 1) if c != 0)
     else:
         for i, j, k in product(range(1, n + 1), repeat=3):
             assoc = [x - y for x, y in zip(
-                table_mult(alg, table_product(alg, i, j), e[k]),
-                table_mult(alg, e[i], table_product(alg, j, k)))]
+                table_mult(alg, alg.basis_product(i, j), e[k]),
+                table_mult(alg, e[i], alg.basis_product(j, k)))]
             violations.extend((i, j, k, s) for s, c in enumerate(assoc, 1) if c != 0)
     return tuple(violations)
 
@@ -179,8 +185,91 @@ def test_complexify_preserves_identity_outcomes():
         assert check_identities(complexify(alg)).passed
 
 
+@st.composite
+def _spelled_tables(draw, field, kind):
+    """A random dense table and a spelling of it for the public constructor.
+
+    Returns (n, table, spelled): ``table`` maps some reduced pairs (i < j for
+    Lie, i <= j otherwise) to a vector, at times the zero vector; ``spelled``
+    gives each as (i, j) or as (j, i) (negated for Lie) or both ways, a
+    consistent duplicate, in a random order, plus for Lie at times a zero
+    vector on (i, i)."""
+    n = draw(st.integers(1, 4))
+    entry = small_scalars(field)
+    pairs = (combinations if kind == ca.LIE else combinations_with_replacement)(
+        range(1, n + 1), 2)
+    table, spelled = {}, []
+    for i, j in pairs:
+        given_as = draw(st.sampled_from(("absent", "zero", "vector")))
+        if given_as == "absent":
+            continue
+        vec = table[(i, j)] = (tuple(draw(entry) for _ in range(n)) if given_as == "vector"
+                               else (0,) * n)
+        swapped = ((j, i), tuple(-x for x in vec) if kind == ca.LIE else vec)
+        spelled += draw(st.sampled_from(([((i, j), vec)], [swapped], [((i, j), vec), swapped])))
+    if kind == ca.LIE:
+        spelled += [((i, i), (0,) * n) for i in range(1, n + 1) if draw(st.booleans())]
+    return n, table, draw(st.permutations(spelled))
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+@pytest.mark.parametrize("field", [ca.Q, ca.QI])
+@given(data=st.data())
+def test_basis_product_returns_the_given_table(field, kind, data):
+    # The one check that the tensor holds the constructor input: the
+    # "stored table" oracles of conftest.py read basis_product.
+    n, table, spelled = data.draw(_spelled_tables(field, kind))
+    alg = Algebra("t", kind, field, n, spelled)
+    scalar = Fraction if field == ca.Q else GaussianRational
+    for i, j in product(range(1, n + 1), repeat=2):
+        if (i, j) in table:
+            want = table[(i, j)]
+        elif (j, i) in table:
+            want = tuple(-x if kind == ca.LIE else x for x in table[(j, i)])
+        else:
+            want = (0,) * n
+        got = alg.basis_product(i, j)
+        assert got == scalars.coerce_vector(field, want), (i, j)
+        assert all(type(x) is scalar for x in got)
+
+
+def _random_algebras(kind, field):
+    """Lawful algebras, or random tables that mostly fail the identities."""
+    return st.one_of(lawful_algebras(kind, field), _spelled_tables(field, kind).map(
+        lambda t: Algebra("rand", kind, field, t[0], t[2])))
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+@pytest.mark.parametrize("field", [ca.Q, ca.QI])
+@given(data=st.data())
+def test_direct_sum_matches_dense_oracle(field, kind, data):
+    # direct_sum moves b's tensor up by a.dim; the oracle pads dense vectors
+    # and goes through the public constructor.  Same constants, same hash, the
+    # same normal form term by term, and the identities hold exactly when
+    # they hold on both summands (so the pass that direct_sum hands on is sound).
+    a, b = data.draw(_random_algebras(kind, field)), data.draw(_random_algebras(kind, field))
+    total, want = direct_sum(a, b), direct_sum_oracle(a, b)
+    assert total == want and hash(total) == hash(want)
+    assert typed_terms(total) == typed_terms(want)
+    assert repr(total) == repr(want)
+    assert check_identities(total).passed == (check_identities(a).passed
+                                              and check_identities(b).passed)
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+@given(data=st.data())
+def test_complexify_matches_the_constructor(kind, data):
+    # complexify reads each term in Q(i); the public constructor, given the
+    # same dense table over Q(i), stores the same values and types.
+    alg = data.draw(_random_algebras(kind, ca.Q))
+    wide = complexify(alg)
+    want = Algebra(alg.name, kind, ca.QI, alg.dim, dense_products(alg))
+    assert wide == want and hash(wide) == hash(want)
+    assert typed_terms(wide) == typed_terms(want)
+
+
 def test_equality_ignores_name():
-    assert Algebra("other", ca.LIE, ca.Q, 2, ca.r2().table) == ca.r2()
+    assert Algebra("other", ca.LIE, ca.Q, 2, dense_products(ca.r2())) == ca.r2()
     assert ca.r2() != ca.abelian(2)
 
 
@@ -200,7 +289,7 @@ def test_complex_split_example():
 def test_is_derivation_matches_pair_oracle(kind):
     # Derivations, integer combinations of them and random integer operators
     # (mostly not derivations) over the scaled corpus, against the Leibniz
-    # rule evaluated pair by pair from the stored table.
+    # rule evaluated pair by pair through basis_product.
     rng = random.Random(71)
     verdicts = set()
     for alg in scaled_corpus(kind):

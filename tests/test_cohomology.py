@@ -48,7 +48,6 @@ from conftest import (
     rank_mod_p,
     scaled_corpus,
     table_mult,
-    table_product,
     unimodular_twist,
     with_variants,
 )
@@ -257,6 +256,25 @@ def test_derivation_kills_unit():
             continue
         for f in derivations(A):
             assert all(c == 0 for c in f.apply(u))
+
+
+@pytest.mark.parametrize("field", [ca.Q, ca.QI])
+def test_coboundary_values_are_field_scalars(field):
+    # Matrix.apply starts each coordinate at the Fraction zero; the
+    # coboundaries hand back every value in the algebra's field, as
+    # basis_product does, so no Fraction sits beside a Gaussian value.
+    scalar = F if field == ca.Q else ca.GaussianRational
+    rng = random.Random(29)
+    lift = (lambda a: a) if field == ca.Q else ca.complexify
+    g, A = lift(ca.sl2()), lift(ca.real_rigid(3, 1))
+    cochains = [ChevalleyCochain(2, 3, {(1, 2): (ca.GaussianRational(0, 1), 0, 0)})] * (
+        field == ca.QI)
+    cochains += [rand_chevalley(rng, 3, degree) for degree in (0, 1, 2) for _ in range(3)]
+    values = [x for c in cochains for v in chevalley_delta(g, c).data.values() for x in v]
+    for _ in range(3):
+        values += [x for v in hochschild_delta1(A, rand_matrix(rng, 3)).data.values() for x in v]
+        values += [x for v in hochschild_delta2(A, rand_symmetric(rng, 3)).values() for x in v]
+    assert values and all(type(x) is scalar for x in values)
 
 
 def test_hochschild_delta_squared_zero():
@@ -479,8 +497,8 @@ def test_cochain_flat_round_trip():
 
 # ---------------------------------------------------------------------------
 # Independent oracle: coboundaries column by column on basis cochains, from
-# the formulas and the stored table only (no tensor, multiply, basis_product);
-# the column oracles live in conftest.py
+# the formulas and the products of basis_product (no tensor terms or
+# multiply); the column oracles live in conftest.py
 # ---------------------------------------------------------------------------
 
 def _unit(n, s, c=1):
@@ -525,7 +543,7 @@ def test_hochschild_deltas_match_formula_oracle():
                 ei, ej = _unit(n, i), _unit(n, j)
                 expected = [x - y + z for x, y, z in zip(
                     table_mult(A, ei, f.apply(ej)),
-                    f.apply(table_product(A, i, j)),
+                    f.apply(A.basis_product(i, j)),
                     table_mult(A, f.apply(ei), ej))]
                 assert d1.value(i, j) == tuple(expected), (A, r, c, i, j)
         pairs = combinations_with_replacement(range(1, n + 1), 2)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import currentalg as ca
 from currentalg import (
@@ -17,14 +18,18 @@ from currentalg import (
     unflat_index,
 )
 
-from currentalg.io import parse_algebra_file
+from currentalg.io import emit_algebra, parse_algebra_file
 
 from conftest import (
     FIXTURES,
     catalog_assoc_algebras,
     catalog_lie_algebras,
+    current_algebra_oracle,
+    dense_products,
+    lawful_algebras,
     pq_residuals_oracle,
     rand_matrix,
+    typed_terms,
 )
 
 
@@ -54,6 +59,20 @@ def test_current_abelian_is_abelian():
     for p, A in ((2, ca.m1(2)), (3, ca.real_rigid(2, 1))):
         cur = current_algebra(ca.abelian(p), A)
         assert cur == ca.abelian(p * A.dim)
+
+
+@pytest.mark.parametrize("field", [ca.Q, ca.QI])
+@given(data=st.data())
+def test_current_algebra_matches_dense_oracle(field, data):
+    # The product of the two factor tensors against dense product vectors of
+    # length p*q through the public constructor: same constants, same hash,
+    # the same normal form term by term and the same file text.
+    g = data.draw(lawful_algebras(ca.LIE, field))
+    A = data.draw(lawful_algebras(ca.ASSOC_COMM, field))
+    flat, want = current_algebra(g, A), current_algebra_oracle(g, A)
+    assert flat == want and hash(flat) == hash(want)
+    assert typed_terms(flat) == typed_terms(want)
+    assert emit_algebra(flat) == emit_algebra(want) and repr(flat) == repr(want)
 
 
 def test_current_validates_inputs():
@@ -87,7 +106,7 @@ def test_pq_residuals_match_flat_violations():
     A = ca.m1(1)
     residuals = jacobi_pq_residuals(bad, A)
     assert residuals
-    flat_bad = ca.Algebra("flat", ca.LIE, ca.Q, 3, bad.table)
+    flat_bad = ca.Algebra("flat", ca.LIE, ca.Q, 3, dense_products(bad))
     expected = set(check_identities(flat_bad).violations)
     got = {(*r.flat_triple(1), r.flat_target(1)) for r in residuals}
     assert got == expected
@@ -95,7 +114,7 @@ def test_pq_residuals_match_flat_violations():
 
 def _corrupted(g, rng):
     """g with one seeded structure constant moved by +-1."""
-    table = {k: list(v) for k, v in g.table.items()}
+    table = {k: list(v) for k, v in dense_products(g).items()}
     pairs = [(i, j) for i in range(1, g.dim + 1) for j in range(i + 1, g.dim + 1)]
     vec = table.setdefault(rng.choice(pairs), [0] * g.dim)
     vec[rng.randrange(g.dim)] += rng.choice((-1, 1))
@@ -104,7 +123,7 @@ def _corrupted(g, rng):
 
 def test_pq_residuals_match_product_form_oracle():
     # Full lists (triples, targets, values, order) against the seven-deep
-    # loop over the stored tables, on catalog pairs and corrupted factors.
+    # loop over basis_product, on catalog pairs and corrupted factors.
     rng = random.Random(67)
     gs = [g for g in catalog_lie_algebras() if g.dim <= 3]
     gs += [parse_algebra_file(FIXTURES / "r2_corrupt3.json")]

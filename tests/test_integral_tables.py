@@ -19,6 +19,7 @@ from currentalg.linalg import kernel_basis, rank
 
 from conftest import (
     FIXTURES,
+    dense_products,
     hochschild_columns_oracle,
     leibniz_columns_oracle,
     oracle_corpus,
@@ -42,7 +43,7 @@ def tensor_values(alg):
 
 def is_integral(alg):
     return alg.field == ca.Q and all(x.denominator == 1
-                                     for vec in alg.table.values() for x in vec)
+                                     for vec in dense_products(alg).values() for x in vec)
 
 
 @pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])

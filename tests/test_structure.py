@@ -51,7 +51,6 @@ from conftest import (
     random_assoc_comm_algebras,
     recursive_decomposition_oracle,
     table_mult,
-    table_product,
     trace_gram_oracle,
     unimodular_twist,
 )
@@ -95,7 +94,7 @@ def test_series_chains_decrease():
 
 def test_subspace_product_matches_table_oracle():
     # Products are summed as sparse rows on the structure tensor; the oracle
-    # multiplies dense vectors through the stored table.
+    # multiplies dense vectors through basis_product.
     rng = random.Random(5)
     for alg in oracle_corpus(ca.LIE) + oracle_corpus(ca.ASSOC_COMM):
         n = alg.dim
@@ -117,9 +116,9 @@ def test_is_nilalgebra_examples():
 
 
 def _right_mult_oracle(alg):
-    """Rows (j, k) of x -> (x e_j)_k from the stored table, rank by the dense oracle."""
+    """Rows (j, k) of x -> (x e_j)_k from basis_product, rank by the dense oracle."""
     n = alg.dim
-    return [[table_product(alg, i, j)[k] for i in range(1, n + 1)]
+    return [[alg.basis_product(i, j)[k] for i in range(1, n + 1)]
             for j in range(1, n + 1) for k in range(n)]
 
 

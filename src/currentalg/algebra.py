@@ -77,6 +77,24 @@ def _jacobi(lo: Mapping, hi: Mapping, i: int, j: int, k: int, acc: dict) -> None
     _products(lo, hi, k, i, j, acc)
 
 
+def _sparse(vec: Sequence) -> dict:
+    return {i: x for i, x in enumerate(vec, start=1) if x}
+
+
+def _product(tensor: Mapping, x: Mapping, y: Mapping) -> dict:
+    """x * y as ``{k: z}`` for sparse vectors ``{i: x_i}``, 1-based like the
+    tensor; x_i y_j is formed once per pair (i, j) that has a product."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            terms = tensor.get((i, j))
+            if terms:
+                ab = a * b
+                for k, c in terms:
+                    out[k] = out[k] + ab * c if k in out else ab * c
+    return out
+
+
 class Algebra:
     """An algebra over Q or Q(i) given by its structure constants.
 
@@ -153,19 +171,12 @@ class Algebra:
         return tuple(out)
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
-        """Bilinear extension of the structure constants."""
-        x, y = self._vector(x), self._vector(y)
-        acc = [scalars.zero(self.field)] * self.dim
-        for i, xi in enumerate(x, start=1):
-            if not xi:
-                continue
-            for j, yj in enumerate(y, start=1):
-                terms = self.tensor.get((i, j))
-                if terms and yj:
-                    xy = xi * yj
-                    for k, c in terms:
-                        acc[k - 1] += xy * c
-        return tuple(acc)
+        """Bilinear extension of the structure constants, by :func:`_product`."""
+        out = [scalars.zero(self.field)] * self.dim
+        for k, z in _product(self.tensor, _sparse(self._vector(x)),
+                             _sparse(self._vector(y))).items():
+            out[k - 1] = z
+        return tuple(out)
 
     def _vector(self, x: Sequence) -> tuple:
         if len(x) != self.dim:
@@ -288,21 +299,19 @@ def require_identities(alg: Algebra) -> None:
 
 
 def change_basis(alg: Algebra, f: Matrix) -> Algebra:
-    """Transport of structure: mu_f(x, y) = f^{-1}(mu(f x, f y))."""
-    if f.shape != (alg.dim, alg.dim):
+    """Transport of structure: mu_f(x, y) = f^{-1}(mu(f x, f y)) by :func:`_product` on
+    the columns of f, read in the field and in the tensor's normal form.  The
+    identities do not depend on the basis: a pass is handed on."""
+    n, field = alg.dim, alg.field
+    if f.shape != (n, n):
         raise AlgebraError("basis-change matrix has the wrong shape")
     f_inv = inverse(f)
-    cols = f.columns()
-    products = {}
-    for i in range(1, alg.dim + 1):
-        for j in range(i, alg.dim + 1):
-            if alg.kind == LIE and i == j:
-                continue
-            w = alg.multiply(cols[i - 1], cols[j - 1])
-            products[(i, j)] = f_inv.apply(w)
-    out = Algebra(alg.name, alg.kind, alg.field, alg.dim, products)
-    out._passed = alg._passed  # the identities do not depend on the basis
-    return out
+    cols = [_sparse(map(_term, scalars.coerce_vector(field, col))) for col in f.columns()]
+    table, ks = {}, range(1, n + 1)
+    for i, j in (combinations if alg.kind == LIE else combinations_with_replacement)(ks, 2):
+        w = _product(alg.tensor, cols[i - 1], cols[j - 1])
+        table[i, j] = scalars.coerce_vector(field, f_inv.apply([w.get(k, 0) for k in ks]))
+    return Algebra._of(alg.name, alg.kind, field, n, _tensor(table, alg.kind), alg._passed)
 
 
 def direct_sum(a: Algebra, b: Algebra, name: Optional[str] = None) -> Algebra:

@@ -177,13 +177,13 @@ def _cmd_validate(args) -> tuple:
 
 def _cmd_analyze(args) -> tuple:
     alg = parse_algebra_file(args.file)
-    report = check_identities(alg)
-    if not report.passed:
+    try:  # fingerprint checks the identities first; the report is built on failure
+        fp = {k: v for k, v in asdict(fingerprint(alg)).items() if v is not None}
+    except IdentityError:
         data = {"name": alg.name, "passed": False,
-                "violations": [list(v) for v in report.violations]}
+                "violations": [list(v) for v in check_identities(alg).violations]}
         return EXIT_MATH_FAIL, {"command": "analyze", "ok": False,
                                 "data": {"fingerprint": data}}
-    fp = {k: v for k, v in asdict(fingerprint(alg)).items() if v is not None}
     fp["name"] = alg.name
     return EXIT_OK, {"command": "analyze", "ok": True, "data": {"fingerprint": fp}}
 

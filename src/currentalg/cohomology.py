@@ -184,8 +184,9 @@ def multiplication_cochain(A: Algebra) -> SymmetricCochain:
 # Chevalley coboundary and dimensions
 # ---------------------------------------------------------------------------
 
-def _chevalley_rows(g: Algebra, k: int) -> Matrix:
-    """The operator d: C^k -> C^(k+1), read off the formula.
+def chevalley_delta_matrix(g: Algebra, k: int) -> Matrix:
+    """Matrix of the degree-k coboundary d: C^k -> C^(k+1), read off the
+    formula; a map into the zero space has no rows and keeps its column count.
 
     Row (T, t) is coordinate t of (d phi)(e_T) on an increasing tuple T;
     column (S, s) is coordinate s of phi(e_S).
@@ -225,7 +226,7 @@ def chevalley_delta(g: Algebra, c: ChevalleyCochain) -> ChevalleyCochain:
     if c.dim != g.dim:
         raise AlgebraError("cochain dimension does not match the algebra")
     flat = scalars.coerce_vector(g.field, cochain_to_flat(c))
-    image = _chevalley_rows(g, c.degree).apply(flat)
+    image = chevalley_delta_matrix(g, c.degree).apply(flat)
     return cochain_from_flat(c.degree + 1, g.dim, scalars.coerce_vector(g.field, image))
 
 
@@ -252,12 +253,6 @@ def cochain_from_flat(degree: int, dim: int, flat: Sequence) -> ChevalleyCochain
     return ChevalleyCochain(degree, dim, data)
 
 
-def chevalley_delta_matrix(g: Algebra, k: int) -> Matrix:
-    """Matrix of the degree-k coboundary in the ordered tuple bases; a map
-    into the zero space has no rows and keeps its column count."""
-    return _chevalley_rows(g, k)
-
-
 @dataclass(frozen=True)
 class CohomologyDims:
     dim_Z: int
@@ -277,16 +272,22 @@ def chevalley_dims(g: Algebra, k: int) -> CohomologyDims:
     return _chevalley_dims(g, k)[0][k - 1]
 
 
+def _complex_ranks(ds: list) -> list:
+    """0, then the rank of each d^k of a complex whose identities have passed:
+    d^k d^(k-1) = 0 gives rank d^k <= ncols(d^k) - rank d^(k-1) for k > 0, and
+    the elimination of d^k stops at that ceiling, met exactly when H^k = 0."""
+    ranks = [0, rank(ds[0])]
+    for d in ds[1:]:
+        ranks.append(_rank(d, d.ncols - ranks[-1]))
+    return ranks
+
+
 def _chevalley_dims(g: Algebra, high: int) -> tuple[list, list]:
     """(dimensions for k = 1 .. high, operators d^0 .. d^high), each operator
-    assembled and ranked once.  Since d^k d^(k-1) = 0 once g passes Jacobi,
-    rank d^k <= ncols(d^k) - rank d^(k-1), and the elimination of d^k stops
-    at that ceiling, which it meets exactly when H^k = 0."""
-    ds = [_chevalley_rows(g, k) for k in range(high + 1)]
+    assembled and ranked once."""
+    ds = [chevalley_delta_matrix(g, k) for k in range(high + 1)]
     require_identities(g)
-    ranks = [0]
-    for d in ds:
-        ranks.append(_rank(d, d.ncols - ranks[-1]))
+    ranks = _complex_ranks(ds)
     return ([CohomologyDims(dim_Z=d.ncols - r, dim_B=b, dim_H=d.ncols - r - b)
              for d, r, b in zip(ds[1:], ranks[2:], ranks[1:])], ds)
 
@@ -313,14 +314,12 @@ def derivations(alg: Algebra) -> list:
     independent code path (no coboundary matrices involved).
     Operators are flattened row-major: unknown (r, c) at (r-1)*n + (c-1).
     """
-    n = alg.dim
-    basis = kernel_basis(_leibniz_rows(alg))
-    return [Matrix.from_flat(v, n, n) for v in basis]
+    return [Matrix.from_flat(v, alg.dim, alg.dim) for v in kernel_basis(_leibniz_rows(alg))]
 
 
 def derivation_space(alg: Algebra) -> Subspace:
     """The derivations as a subspace of flattened operators."""
-    return Subspace(alg.dim ** 2, [m.flatten() for m in derivations(alg)])
+    return Subspace(alg.dim ** 2, kernel_basis(_leibniz_rows(alg)))
 
 
 def inner_derivations(g: Algebra) -> Subspace:
@@ -411,17 +410,15 @@ def harrison_h2(A: Algebra) -> CohomologyDims:
     Coboundaries of 1-cochains are automatically symmetric over a
     commutative algebra, so no intersection step is needed.  B^2 is the
     image of d^1, which is minus the Leibniz system and has the same rank;
-    it is ranked first, and since d^2 d^1 = 0 once A passes associativity,
-    the elimination of d^2 stops at ncols - dim B^2.  Raises
+    the two are ranked as a complex (:func:`_complex_ranks`).  Raises
     ``IdentityError`` when A fails associativity.
     """
     if A.kind != ASSOC_COMM:
         raise AlgebraError("harrison_h2 needs an assoc-comm algebra")
     require_identities(A)
-    b = rank(_leibniz_rows(A))
     d2 = _hochschild_rows(A)
-    z = d2.ncols - _rank(d2, d2.ncols - b)
-    return CohomologyDims(dim_Z=z, dim_B=b, dim_H=z - b)
+    _, b, r = _complex_ranks([_leibniz_rows(A), d2])
+    return CohomologyDims(dim_Z=d2.ncols - r, dim_B=b, dim_H=d2.ncols - r - b)
 
 
 # ---------------------------------------------------------------------------

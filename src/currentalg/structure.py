@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, count, product
+from itertools import combinations, count
 from math import comb, gcd, isqrt, lcm
 from random import Random
 from typing import Callable, Optional, Sequence
 
 from . import scalars
-from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError
+from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, _product, _sparse
 from .linalg import (
     Matrix,
     Subspace,
@@ -78,18 +78,12 @@ def center(g: Algebra) -> Subspace:
 
 
 def subspace_product(alg: Algebra, u: Subspace, v: Subspace) -> Subspace:
-    """span{ x*y : x in u basis, y in v basis }, each product summed on the
-    structure tensor as a sparse row."""
-    ys, rows = [[(j, b) for j, b in enumerate(y, start=1) if b] for y in v.basis], []
-    for x in u.basis:
-        xs = [(i, a) for i, a in enumerate(x, start=1) if a]
-        for y in ys:
-            row = {}
-            for (i, a), (j, b) in product(xs, y):
-                for k, c in alg.tensor.get((i, j), ()):
-                    row[k - 1] = row.get(k - 1, 0) + a * b * c
-            rows.append({k: z for k, z in row.items() if z})
-    return Subspace._of(alg.dim, rows)
+    """span{ x*y : x in u basis, y in v basis }, each product a sparse row by
+    :func:`algebra._product`."""
+    ys = [_sparse(y) for y in v.basis]
+    return Subspace._of(alg.dim, [
+        {k - 1: z for k, z in _product(alg.tensor, x, y).items() if z}
+        for x in map(_sparse, u.basis) for y in ys])
 
 
 @dataclass(frozen=True)

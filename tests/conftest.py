@@ -476,8 +476,8 @@ def small_scalars(field):
 def lawful_algebras(draw, kind, field):
     """Small algebras of ``kind`` over ``field`` that pass their identities:
     a 2-dim Lie or 1-dim commutative table with random constants (each is
-    lawful whatever its constants), or a catalog algebra of dim <= 3 in the
-    random basis L U (L unit lower, U upper with a nonzero diagonal)."""
+    lawful whatever its constants), or a catalog algebra of dim <= 3 in a
+    dense random basis (:func:`bases`)."""
     entry = small_scalars(field)
     if draw(st.booleans()):
         if kind == ca.LIE:
@@ -487,23 +487,95 @@ def lawful_algebras(draw, kind, field):
     alg = draw(st.sampled_from([a for a in catalog if a.dim <= 3]))
     if field == ca.QI:
         alg = ca.complexify(alg)
-    n, nonzero = alg.dim, entry.filter(bool)
+    return ca.change_basis(alg, draw(bases(field, alg.dim, "dense")))
+
+
+@st.composite
+def spelled_tables(draw, field, kind):
+    """A random dense table and a spelling of it for the public constructor.
+
+    Returns (n, table, spelled): ``table`` maps some reduced pairs (i < j for
+    Lie, i <= j otherwise) to a vector, at times the zero vector; ``spelled``
+    gives each as (i, j) or as (j, i) (negated for Lie) or both ways, a
+    consistent duplicate, in a random order, plus for Lie at times a zero
+    vector on (i, i)."""
+    n = draw(st.integers(1, 4))
+    entry = small_scalars(field)
+    pairs = (combinations if kind == ca.LIE else combinations_with_replacement)(
+        range(1, n + 1), 2)
+    table, spelled = {}, []
+    for i, j in pairs:
+        given_as = draw(st.sampled_from(("absent", "zero", "vector")))
+        if given_as == "absent":
+            continue
+        vec = table[(i, j)] = (tuple(draw(entry) for _ in range(n)) if given_as == "vector"
+                               else (0,) * n)
+        swapped = ((j, i), tuple(-x for x in vec) if kind == ca.LIE else vec)
+        spelled += draw(st.sampled_from(([((i, j), vec)], [swapped], [((i, j), vec), swapped])))
+    if kind == ca.LIE:
+        spelled += [((i, i), (0,) * n) for i in range(1, n + 1) if draw(st.booleans())]
+    return n, table, draw(st.permutations(spelled))
+
+
+def random_algebras(kind, field):
+    """Lawful algebras, or random tables that mostly fail the identities."""
+    return st.one_of(lawful_algebras(kind, field), spelled_tables(field, kind).map(
+        lambda t: ca.Algebra("rand", kind, field, t[0], t[2])))
+
+
+@st.composite
+def vectors(draw, field, n):
+    """A vector of length n, sparse (mostly zeros) or dense, its entries ints,
+    Fractions and, over Q(i), Gaussian rationals."""
+    entry = small_scalars(field)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), entry)
+    return tuple(draw(entry) for _ in range(n))
+
+
+@st.composite
+def bases(draw, field, n, shape):
+    """An invertible n x n matrix L U (L unit lower, U upper): "unimodular" with
+    entries 0 and +-1 beside a unit diagonal, "gaussian" the same with +-i among
+    them, "dense" with small scalars of ``field`` everywhere and a nonzero
+    diagonal in U."""
+    units = {"unimodular": (1, -1), "gaussian": (1, -1, scalars.GaussianRational(0, 1),
+                                                 scalars.GaussianRational(0, -1))}
+    if shape == "dense":
+        entry = small_scalars(field)
+        diagonal = entry.filter(bool)
+    else:
+        entry, diagonal = st.sampled_from((0,) + units[shape]), st.just(1)
     lower = ca.Matrix([[1 if i == j else draw(entry) if i > j else 0 for j in range(n)]
                        for i in range(n)])
-    upper = ca.Matrix([[draw(nonzero) if i == j else draw(entry) if i < j else 0
+    upper = ca.Matrix([[draw(diagonal) if i == j else draw(entry) if i < j else 0
                         for j in range(n)] for i in range(n)])
-    return ca.change_basis(alg, lower @ upper)
+    return lower @ upper
 
 
-def table_mult(alg, x, y):
-    """x * y as the bilinear sum over basis pairs of ``basis_product``."""
-    out = [Fraction(0)] * alg.dim
+def multiply_oracle(alg, x, y):
+    """x * y by the dense loop over all basis pairs, each product read through
+    ``basis_product``: the vectors are read in the algebra's field and every
+    coordinate starts at the field's zero, so the values are field scalars."""
+    x, y = scalars.coerce_vector(alg.field, x), scalars.coerce_vector(alg.field, y)
+    out = [scalars.zero(alg.field)] * alg.dim
     for i, xi in enumerate(x, 1):
         for j, yj in enumerate(y, 1):
             if xi != 0 and yj != 0:
                 for k, c in enumerate(alg.basis_product(i, j)):
                     out[k] += xi * yj * c
     return tuple(out)
+
+
+def change_basis_oracle(alg, f):
+    """mu_f(e_i, e_j) = f^{-1}(f e_i * f e_j) on the reduced pairs, the
+    products by :func:`multiply_oracle`, through the public constructor."""
+    f_inv, cols = ca.inverse(f), f.columns()
+    pairs = (combinations if alg.kind == ca.LIE else combinations_with_replacement)(
+        range(1, alg.dim + 1), 2)
+    products = {(i, j): f_inv.apply(multiply_oracle(alg, cols[i - 1], cols[j - 1]))
+                for i, j in pairs}
+    return ca.Algebra(alg.name, alg.kind, alg.field, alg.dim, products)
 
 
 def derivation_oracle(alg, f):
@@ -514,7 +586,8 @@ def derivation_oracle(alg, f):
     pairs = (combinations if alg.kind == ca.LIE else combinations_with_replacement)(range(n), 2)
     for i, j in pairs:
         lhs = f.apply(alg.basis_product(i + 1, j + 1))
-        rhs = vec_add(table_mult(alg, f.apply(e[i]), e[j]), table_mult(alg, e[i], f.apply(e[j])))
+        rhs = vec_add(multiply_oracle(alg, f.apply(e[i]), e[j]),
+                      multiply_oracle(alg, e[i], f.apply(e[j])))
         if any(x != 0 for x in vec_sub(lhs, rhs)):
             return False
     return True

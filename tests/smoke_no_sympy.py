@@ -3,10 +3,12 @@
     PYTHONPATH=src python3 tests/smoke_no_sympy.py   # from a checkout
     python3 tests/smoke_no_sympy.py                  # against an installed package
 
-Runs the benchmark warm-up, a Pierce decomposition over Q(i) and
-``currentalg analyze`` on an associative commutative file, then checks that
-no sympy module was loaded.  Exits nonzero on any failure.  The tier-1 suite
-runs it in a child process; CI also runs it against a plain ``pip install .``.
+Runs the benchmark warm-up, a Pierce decomposition over Q(i), sl2 (x) M1^2
+and M1^3 in a unimodular basis (rigidity certificate, the way back to the
+canonical basis, the idempotent split) and ``currentalg analyze`` on an
+associative commutative file, then checks that no sympy module was loaded.
+Exits nonzero on any failure.  The tier-1 suite runs it in a child process;
+CI also runs it against a plain ``pip install .``.
 """
 
 import sys
@@ -20,6 +22,25 @@ from currentalg.cli import run_command  # noqa: E402
 ca.find_idempotents(ca.real_rigid(2, 1))
 ca.rigidity_certificate(ca.current_algebra(ca.r2(), ca.m1(1)))
 assert len(ca.orthogonal_decomposition(ca.complexify(ca.real_rigid(4, 2))).idempotents) == 4
+
+
+def unimodular(n):
+    """L U with unit diagonals, alternating +-1 just below that of L and 1 just
+    above that of U."""
+    lower = ca.Matrix([[1 if i == j else (-1) ** i if i == j + 1 else 0 for j in range(n)]
+                       for i in range(n)])
+    upper = ca.Matrix([[1 if i == j else 1 if j == i + 1 else 0 for j in range(n)]
+                       for i in range(n)])
+    return lower @ upper
+
+
+g = ca.current_algebra(ca.sl2(), ca.m1(2))
+f = unimodular(g.dim)
+twisted = ca.change_basis(g, f)
+assert twisted != g
+assert ca.rigidity_certificate(twisted).verdict == ca.RIGID_BY_H2_ZERO
+assert ca.change_basis(twisted, ca.inverse(f)) == g
+assert len(ca.orthogonal_decomposition(ca.change_basis(ca.m1(3), unimodular(3))).idempotents) == 3
 fixture = Path(__file__).resolve().parent.parent / "fixtures" / "real_rigid_3_1.json"
 assert run_command(["analyze", str(fixture)]) == 0
 loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "sympy" and mod is not None)

@@ -49,7 +49,7 @@ from currentalg import (
     rigidity_certificate,
     truncated_deformation_check,
 )
-from currentalg.cohomology import _chevalley_rows, _hochschild_rows, _leibniz_rows
+from currentalg.cohomology import _hochschild_rows, _leibniz_rows
 from currentalg.io import emit_algebra, parse_algebra_file
 from currentalg.structure import _right_mult_system
 
@@ -156,7 +156,7 @@ def test_criterion_03_products_rigid_with_oracle():
     for alg in with_variants(fixture_algebras()):
         ops = [_leibniz_rows(alg), _right_mult_system(alg)]
         if alg.kind == ca.LIE:
-            ops += [_chevalley_rows(alg, k) for k in (0, 1, 2)]
+            ops += [chevalley_delta_matrix(alg, k) for k in (0, 1, 2)]
         else:
             ops.append(_hochschild_rows(alg))
         for op in ops:
@@ -168,7 +168,7 @@ def test_criterion_03_products_rigid_with_oracle():
         flat = ca.current_algebra(g, A)
         flat = change_basis(flat, unimodular_twist(flat.dim, 7))
         for k in (1, 2):
-            op = _chevalley_rows(flat, k)
+            op = chevalley_delta_matrix(flat, k)
             ok = ok and ca.rank(op) == bareiss_rank(dense_view(op))
             operators += 1
     elapsed = time.time() - t0
@@ -368,7 +368,7 @@ def test_criterion_11_paper_scale_rigidity_with_modular_oracle():
         ok = ok and (dims.dim_Z, dims.dim_B, dims.dim_H) == want
         # rank_p <= rank_Q, and d2 d1 = 0 gives rank d1 <= dim Z2 = dim C2 - rank d2,
         # so rank_p d1 + rank_p d2 = dim C2 makes both ranks exact and H2 = 0
-        d1, d2 = _chevalley_rows(flat, 1), _chevalley_rows(flat, 2)
+        d1, d2 = chevalley_delta_matrix(flat, 1), chevalley_delta_matrix(flat, 2)
         for row in d2.sparse_rows:
             composite = {}
             for c, x in row.items():

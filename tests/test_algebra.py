@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,28 +12,35 @@ from currentalg import (
     Algebra,
     AlgebraError,
     GaussianRational,
+    IdentityError,
     Matrix,
+    ScalarError,
     change_basis,
     check_identities,
     complexify,
     derivations,
     direct_sum,
     is_derivation,
+    require_identities,
 )
+from currentalg.io import emit_algebra
 
 from conftest import (
+    bases,
     catalog_assoc_algebras,
     catalog_lie_algebras,
+    change_basis_oracle,
     dense_products,
     derivation_oracle,
     direct_sum_oracle,
-    lawful_algebras,
+    multiply_oracle,
     oracle_corpus,
     rand_invertible,
+    random_algebras,
     scaled_corpus,
-    small_scalars,
-    table_mult,
+    spelled_tables,
     typed_terms,
+    vectors,
 )
 
 F = Fraction
@@ -87,15 +95,15 @@ def _identity_violations_oracle(alg):
     violations = []
     if alg.kind == ca.LIE:
         for i, j, k in combinations(range(1, n + 1), 3):
-            terms = [table_mult(alg, alg.basis_product(a, b), e[c])
+            terms = [multiply_oracle(alg, alg.basis_product(a, b), e[c])
                      for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
             jac = [x + y + z for x, y, z in zip(*terms)]
             violations.extend((i, j, k, s) for s, c in enumerate(jac, 1) if c != 0)
     else:
         for i, j, k in product(range(1, n + 1), repeat=3):
             assoc = [x - y for x, y in zip(
-                table_mult(alg, alg.basis_product(i, j), e[k]),
-                table_mult(alg, e[i], alg.basis_product(j, k)))]
+                multiply_oracle(alg, alg.basis_product(i, j), e[k]),
+                multiply_oracle(alg, e[i], alg.basis_product(j, k)))]
             violations.extend((i, j, k, s) for s, c in enumerate(assoc, 1) if c != 0)
     return tuple(violations)
 
@@ -115,7 +123,7 @@ def test_left_mult_matrix_matches_table_oracle():
     rng = random.Random(3)
     for alg in oracle_corpus(ca.LIE) + oracle_corpus(ca.ASSOC_COMM):
         a = tuple(F(rng.randint(-2, 2)) for _ in range(alg.dim))
-        cols = [table_mult(alg, a, tuple(F(int(k == j)) for k in range(alg.dim)))
+        cols = [multiply_oracle(alg, a, tuple(F(int(k == j)) for k in range(alg.dim)))
                 for j in range(alg.dim)]
         assert alg.left_mult_matrix(a) == Matrix.from_columns(cols), alg
     with pytest.raises(AlgebraError):
@@ -185,40 +193,13 @@ def test_complexify_preserves_identity_outcomes():
         assert check_identities(complexify(alg)).passed
 
 
-@st.composite
-def _spelled_tables(draw, field, kind):
-    """A random dense table and a spelling of it for the public constructor.
-
-    Returns (n, table, spelled): ``table`` maps some reduced pairs (i < j for
-    Lie, i <= j otherwise) to a vector, at times the zero vector; ``spelled``
-    gives each as (i, j) or as (j, i) (negated for Lie) or both ways, a
-    consistent duplicate, in a random order, plus for Lie at times a zero
-    vector on (i, i)."""
-    n = draw(st.integers(1, 4))
-    entry = small_scalars(field)
-    pairs = (combinations if kind == ca.LIE else combinations_with_replacement)(
-        range(1, n + 1), 2)
-    table, spelled = {}, []
-    for i, j in pairs:
-        given_as = draw(st.sampled_from(("absent", "zero", "vector")))
-        if given_as == "absent":
-            continue
-        vec = table[(i, j)] = (tuple(draw(entry) for _ in range(n)) if given_as == "vector"
-                               else (0,) * n)
-        swapped = ((j, i), tuple(-x for x in vec) if kind == ca.LIE else vec)
-        spelled += draw(st.sampled_from(([((i, j), vec)], [swapped], [((i, j), vec), swapped])))
-    if kind == ca.LIE:
-        spelled += [((i, i), (0,) * n) for i in range(1, n + 1) if draw(st.booleans())]
-    return n, table, draw(st.permutations(spelled))
-
-
 @pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
 @pytest.mark.parametrize("field", [ca.Q, ca.QI])
 @given(data=st.data())
 def test_basis_product_returns_the_given_table(field, kind, data):
     # The one check that the tensor holds the constructor input: the
     # "stored table" oracles of conftest.py read basis_product.
-    n, table, spelled = data.draw(_spelled_tables(field, kind))
+    n, table, spelled = data.draw(spelled_tables(field, kind))
     alg = Algebra("t", kind, field, n, spelled)
     scalar = Fraction if field == ca.Q else GaussianRational
     for i, j in product(range(1, n + 1), repeat=2):
@@ -233,12 +214,6 @@ def test_basis_product_returns_the_given_table(field, kind, data):
         assert all(type(x) is scalar for x in got)
 
 
-def _random_algebras(kind, field):
-    """Lawful algebras, or random tables that mostly fail the identities."""
-    return st.one_of(lawful_algebras(kind, field), _spelled_tables(field, kind).map(
-        lambda t: Algebra("rand", kind, field, t[0], t[2])))
-
-
 @pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
 @pytest.mark.parametrize("field", [ca.Q, ca.QI])
 @given(data=st.data())
@@ -247,7 +222,7 @@ def test_direct_sum_matches_dense_oracle(field, kind, data):
     # and goes through the public constructor.  Same constants, same hash, the
     # same normal form term by term, and the identities hold exactly when
     # they hold on both summands (so the pass that direct_sum hands on is sound).
-    a, b = data.draw(_random_algebras(kind, field)), data.draw(_random_algebras(kind, field))
+    a, b = data.draw(random_algebras(kind, field)), data.draw(random_algebras(kind, field))
     total, want = direct_sum(a, b), direct_sum_oracle(a, b)
     assert total == want and hash(total) == hash(want)
     assert typed_terms(total) == typed_terms(want)
@@ -261,11 +236,89 @@ def test_direct_sum_matches_dense_oracle(field, kind, data):
 def test_complexify_matches_the_constructor(kind, data):
     # complexify reads each term in Q(i); the public constructor, given the
     # same dense table over Q(i), stores the same values and types.
-    alg = data.draw(_random_algebras(kind, ca.Q))
+    alg = data.draw(random_algebras(kind, ca.Q))
     wide = complexify(alg)
     want = Algebra(alg.name, kind, ca.QI, alg.dim, dense_products(alg))
     assert wide == want and hash(wide) == hash(want)
     assert typed_terms(wide) == typed_terms(want)
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+@pytest.mark.parametrize("field", [ca.Q, ca.QI])
+@given(data=st.data())
+def test_multiply_matches_the_dense_loop(field, kind, data):
+    # multiply sums x_i y_j c_ij^k over the pairs that have a product; the
+    # oracle loops over every basis pair through basis_product.  Same values,
+    # each a field scalar, for sparse and dense vectors, in the drawn basis
+    # and in a unimodular or dense change of it.
+    alg = data.draw(random_algebras(kind, field))
+    shape = data.draw(st.sampled_from((None, "unimodular", "dense")))
+    if shape:
+        alg = change_basis(alg, data.draw(bases(field, alg.dim, shape)))
+    x, y = data.draw(vectors(field, alg.dim)), data.draw(vectors(field, alg.dim))
+    got, want = alg.multiply(x, y), multiply_oracle(alg, x, y)
+    scalar = Fraction if field == ca.Q else GaussianRational
+    assert got == want and [type(z) for z in got] == [scalar] * alg.dim
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+@pytest.mark.parametrize("field", [ca.Q, ca.QI])
+@given(data=st.data())
+def test_change_basis_matches_the_constructor(field, kind, data):
+    # change_basis builds the tensor from products of sparse columns; the
+    # oracle multiplies dense columns and goes through the public constructor.
+    # Same constants, hash, repr, file text and normal form term by term; a
+    # Gaussian basis of an algebra over Q raises on both.
+    alg = data.draw(random_algebras(kind, field))
+    f = data.draw(bases(field, alg.dim, data.draw(
+        st.sampled_from(("unimodular", "gaussian", "dense")))))
+    try:
+        want = change_basis_oracle(alg, f)
+    except ScalarError:
+        with pytest.raises(ScalarError, match="imaginary"):
+            change_basis(alg, f)
+        return
+    got = change_basis(alg, f)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want) and emit_algebra(got) == emit_algebra(want)
+    assert typed_terms(got) == typed_terms(want)
+
+
+def test_change_basis_reads_the_basis_in_the_field():
+    # A basis with an imaginary entry raises over Q, even when every product
+    # it forms vanishes; one with real Gaussian entries gives constants over Q.
+    i = GaussianRational(0, 1)
+    for alg in (ca.sl2(), ca.abelian(2), ca.m1(2), ca.r2()):
+        n = alg.dim
+        f = Matrix([[i if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)])
+        with pytest.raises(ScalarError, match="imaginary"):
+            change_basis(alg, f)
+        assert change_basis(complexify(alg), f) == change_basis_oracle(complexify(alg), f)
+        real = Matrix([[GaussianRational(r + 1) if r <= c else 0 for c in range(n)]
+                       for r in range(n)])
+        assert typed_terms(change_basis(alg, real)) == typed_terms(change_basis_oracle(alg, real))
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+@given(data=st.data())
+def test_change_basis_hands_on_the_identity_pass(kind, data):
+    # The identities do not depend on the basis: a table that fails them
+    # still raises after change_basis, and one that has passed is not
+    # checked again.
+    alg = data.draw(random_algebras(kind, ca.Q))
+    f = data.draw(bases(ca.Q, alg.dim, data.draw(st.sampled_from(("unimodular", "dense")))))
+    passed = check_identities(alg).passed
+    if passed:
+        require_identities(alg)
+    with mock.patch.object(ca.algebra, "check_identities", wraps=check_identities) as spy:
+        moved = change_basis(alg, f)
+        if passed:
+            require_identities(moved)
+        else:
+            with pytest.raises(IdentityError):
+                require_identities(moved)
+    assert spy.call_count == (0 if passed else 1)
+    assert check_identities(moved).passed == passed
 
 
 def test_equality_ignores_name():

@@ -13,7 +13,7 @@ import pytest
 
 import currentalg as ca
 from currentalg import GaussianRational, Matrix, jacobi_pq_residuals
-from currentalg.cohomology import _chevalley_rows, _hochschild_rows, _leibniz_rows
+from currentalg.cohomology import _hochschild_rows, _leibniz_rows, chevalley_delta_matrix
 from currentalg.io import parse_algebra_file
 from currentalg.linalg import kernel_basis, rank
 
@@ -31,7 +31,7 @@ from conftest import (
 def assemblies(alg):
     """(name, assembled operator) for every assembler."""
     if alg.kind == ca.LIE:
-        out = [(f"d{k}", _chevalley_rows(alg, k)) for k in (0, 1, 2)]
+        out = [(f"d{k}", chevalley_delta_matrix(alg, k)) for k in (0, 1, 2)]
     else:
         out = [("hochschild", _hochschild_rows(alg))]
     return out + [("leibniz", _leibniz_rows(alg))]
@@ -153,7 +153,8 @@ def test_one_flipped_entry_in_either_assembler_raises(monkeypatch, flip):
         for module in (ca.rigidity, ca.cohomology):
             monkeypatch.setattr(module, "_leibniz_rows", _flip_first_entry(_leibniz_rows))
     else:
-        monkeypatch.setattr(ca.cohomology, "_chevalley_rows", _flip_first_entry(_chevalley_rows, 1))
+        monkeypatch.setattr(ca.cohomology, "chevalley_delta_matrix",
+                            _flip_first_entry(chevalley_delta_matrix, 1))
     for g in algebras:
         for check in (ca.rigidity_certificate, ca.fingerprint):
             with pytest.raises(AssertionError, match="disagree"):

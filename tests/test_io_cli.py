@@ -328,6 +328,31 @@ def test_cli_analyze(fixture_dir, capsys):
     assert code == 1
 
 
+def test_cli_analyze_checks_the_identities_once(fixture_dir, capsys, monkeypatch):
+    # fingerprint checks the identities first; the failure report is built
+    # from a second check only when that one raises.
+    check, calls = ca.algebra.check_identities, []
+
+    def counted(alg):
+        calls.append(alg.name)
+        return check(alg)
+
+    for module in (ca.algebra, ca.cli):
+        monkeypatch.setattr(module, "check_identities", counted)
+    code, _, _ = _run(capsys, "analyze", str(fixture_dir / "sl2.json"))
+    assert code == 0 and calls == ["sl2"]
+
+    corrupt = str(fixture_dir / "r2_corrupt3.json")
+    code, out, _ = _run(capsys, "--json", "analyze", corrupt)
+    assert code == 1 and json.loads(out) == {
+        "command": "analyze", "ok": False,
+        "data": {"fingerprint": {"name": "r2-corrupt3", "passed": False,
+                                 "violations": [[1, 2, 3, 2]]}}}
+    code, out, _ = _run(capsys, "analyze", corrupt)
+    assert code == 1 and out == ("command: analyze\nfingerprint: name=r2-corrupt3, "
+                                 "passed=no, violations=(1, 2, 3, 2)\n")
+
+
 def test_cli_catalog(capsys, tmp_path):
     code, out, _ = _run(capsys, "catalog", "list")
     assert code == 0

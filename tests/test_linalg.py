@@ -19,7 +19,7 @@ from currentalg import (
     rank,
     solve,
 )
-from currentalg.cohomology import _chevalley_rows, _hochschild_rows, _leibniz_rows
+from currentalg.cohomology import _hochschild_rows, _leibniz_rows, chevalley_delta_matrix
 from currentalg.linalg import (
     _back_substitute,
     _echelon,
@@ -352,7 +352,7 @@ def test_gaussian_echelon_entries_stay_small():
     upper = Matrix([[1 if i == j else entry() if i < j else 0 for j in range(n)] for i in range(n)])
     h = ca.change_basis(ca.complexify(ca.t_oplus_a(2, 1)), lower @ upper)
     for k in (1, 2):
-        for row in _echelon(_integral(_chevalley_rows(h, k).sparse_rows)[0]).values():
+        for row in _echelon(_integral(chevalley_delta_matrix(h, k).sparse_rows)[0]).values():
             assert max(abs(x) for x in row.values()).bit_length() < 64
 
 
@@ -475,7 +475,7 @@ def test_ceilinged_ranks_match_given_order_kernel(kind):
     algebras = [a for a in scaled_corpus(kind) if ca.check_identities(a).passed]
     assert {a.field for a in algebras} == {ca.Q, ca.QI}
     for alg in algebras:
-        ops = ([_chevalley_rows(alg, k) for k in (0, 1, 2)] if kind == ca.LIE
+        ops = ([chevalley_delta_matrix(alg, k) for k in (0, 1, 2)] if kind == ca.LIE
                else [_leibniz_rows(alg), _hochschild_rows(alg)])
         with given_order_kernel():
             want = [rank(d) for d in ops]

@@ -39,20 +39,23 @@ from currentalg.structure import (
 )
 
 from conftest import (
+    bases,
     bezout_idempotent_oracle,
     catalog_assoc_algebras,
     catalog_lie_algebras,
     dense_rref,
+    multiply_oracle,
     nilpotent_ops_oracle,
     oracle_corpus,
     q_factor_oracle,
     qi_factor_oracle,
     rand_vector,
+    random_algebras,
     random_assoc_comm_algebras,
     recursive_decomposition_oracle,
-    table_mult,
     trace_gram_oracle,
     unimodular_twist,
+    vectors,
 )
 
 F = Fraction
@@ -101,8 +104,29 @@ def test_subspace_product_matches_table_oracle():
         full = Subspace.full(n)
         u = Subspace(n, [rand_vector(rng, n) for _ in range(rng.randint(1, n))])
         for a, b in ((full, full), (u, full), (full, u), (u, u)):
-            want = Subspace(n, [table_mult(alg, x, y) for x in a.basis for y in b.basis])
+            want = Subspace(n, [multiply_oracle(alg, x, y) for x in a.basis for y in b.basis])
             assert structure.subspace_product(alg, a, b) == want, alg
+
+
+@pytest.mark.parametrize("kind", [ca.LIE, ca.ASSOC_COMM])
+@pytest.mark.parametrize("field", [ca.Q, ca.QI])
+@given(data=st.data())
+def test_subspace_product_is_the_span_of_the_dense_products(field, kind, data):
+    # subspace_product forms each x*y as a sparse row on the tensor; the
+    # oracle spans the dense products of the two bases.  Same subspace, same
+    # scalar type in its canonical basis, in the drawn basis and in a
+    # unimodular or dense change of it.
+    alg = data.draw(random_algebras(kind, field))
+    shape = data.draw(st.sampled_from((None, "unimodular", "dense")))
+    if shape:
+        alg = ca.change_basis(alg, data.draw(bases(field, alg.dim, shape)))
+    n = alg.dim
+    u, v = (Subspace(n, data.draw(st.lists(vectors(field, n), min_size=1, max_size=n)))
+            for _ in range(2))
+    got = structure.subspace_product(alg, u, v)
+    want = Subspace(n, [multiply_oracle(alg, x, y) for x in u.basis for y in v.basis])
+    assert got == want
+    assert [type(c) for w in got.basis for c in w] == [type(c) for w in want.basis for c in w]
 
 
 def test_is_nilalgebra_examples():
@@ -127,14 +151,14 @@ def test_center_and_unit_match_table_oracle():
         units = Matrix.identity(g.dim).rows
         z = center(g)
         assert z.dim == g.dim - len(dense_rref(_right_mult_oracle(g))[1]), g
-        assert all(not any(table_mult(g, x, e)) for x in z.basis for e in units), g
+        assert all(not any(multiply_oracle(g, x, e)) for x in z.basis for e in units), g
     for A in oracle_corpus(ca.ASSOC_COMM):
         units = Matrix.identity(A.dim).rows
         rhs = [x for e in units for x in e]
         aug = [row + [b] for row, b in zip(_right_mult_oracle(A), rhs)]
         u = find_unit(A)
         assert (u is None) == (A.dim in dense_rref(aug)[1]), A
-        assert u is None or all(table_mult(A, u, e) == e for e in units), A
+        assert u is None or all(multiply_oracle(A, u, e) == e for e in units), A
 
 
 def test_find_unit_examples():

@@ -225,6 +225,13 @@ class Algebra:
                 f"dim={self.dim}, {sum(i <= j for i, j in self.tensor)} products)")
 
 
+def _pairs(kind: str, n: int) -> list:
+    """The reduced basis pairs in lexicographic order: i < j for Lie, i <= j
+    for assoc-comm.  Every operator and cochain stored on pairs uses this order."""
+    return list((combinations if kind == LIE else combinations_with_replacement)(
+        range(1, n + 1), 2))
+
+
 def _leibniz_rows(alg: Algebra) -> Matrix:
     """The operator f -> f(e_i e_j) - f(e_i) e_j - e_i f(e_j).
 
@@ -232,8 +239,7 @@ def _leibniz_rows(alg: Algebra) -> Matrix:
     of f(e_c)) sits in column (r-1)*n + (c-1).
     """
     n, tensor = alg.dim, alg.tensor
-    pairs = list((combinations if alg.kind == LIE else combinations_with_replacement)(
-        range(1, n + 1), 2))
+    pairs = _pairs(alg.kind, n)
     entries = defaultdict(int)
     for pos, (i, j) in enumerate(pairs):
         for c0, w in tensor.get((i, j), ()):
@@ -308,7 +314,7 @@ def change_basis(alg: Algebra, f: Matrix) -> Algebra:
     f_inv = inverse(f)
     cols = [_sparse(map(_term, scalars.coerce_vector(field, col))) for col in f.columns()]
     table, ks = {}, range(1, n + 1)
-    for i, j in (combinations if alg.kind == LIE else combinations_with_replacement)(ks, 2):
+    for i, j in _pairs(alg.kind, n):
         w = _product(alg.tensor, cols[i - 1], cols[j - 1])
         table[i, j] = scalars.coerce_vector(field, f_inv.apply([w.get(k, 0) for k in ks]))
     return Algebra._of(alg.name, alg.kind, field, n, _tensor(table, alg.kind), alg._passed)

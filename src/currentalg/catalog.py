@@ -26,6 +26,11 @@ class UnknownAlgebraError(AlgebraError):
     """Catalog name or parameters not recognised."""
 
 
+def _unit(n: int, k: int, c=1) -> tuple:
+    """c e_k in K^n, k 1-based."""
+    return tuple(c if i == k else 0 for i in range(1, n + 1))
+
+
 def r2() -> Algebra:
     """The nonabelian 2-dimensional Lie algebra, [X1, X2] = X2."""
     return Algebra("r2", LIE, scalars.Q, 2, {(1, 2): (0, 1)})
@@ -42,9 +47,7 @@ def heisenberg(n: int = 3) -> Algebra:
     """Heisenberg algebra of odd dimension n: [X_{2i-1}, X_{2i}] = X_n."""
     if n < 3 or n % 2 == 0:
         raise UnknownAlgebraError("heisenberg requires odd n >= 3")
-    last = [0] * n
-    last[n - 1] = 1
-    products = {(2 * i - 1, 2 * i): tuple(last) for i in range(1, n // 2 + 1)}
+    products = {(2 * i - 1, 2 * i): _unit(n, n) for i in range(1, n // 2 + 1)}
     return Algebra(f"heisenberg{n}", LIE, scalars.Q, n, products)
 
 
@@ -61,11 +64,7 @@ def m1(q: int) -> Algebra:
     """M1^q: orthogonal idempotents e_i^2 = e_i, e_i e_j = 0 for i != j."""
     if q < 1:
         raise UnknownAlgebraError("M1 requires q >= 1")
-    products = {}
-    for i in range(1, q + 1):
-        vec = [0] * q
-        vec[i - 1] = 1
-        products[(i, i)] = tuple(vec)
+    products = {(i, i): _unit(q, i) for i in range(1, q + 1)}
     return Algebra(f"M1^{q}", ASSOC_COMM, scalars.Q, q, products)
 
 
@@ -86,19 +85,13 @@ def real_rigid(n: int, s: int) -> Algebra:
     if not (0 <= 2 * s <= n):
         raise UnknownAlgebraError("real_rigid requires 0 <= 2s <= n")
     products = {}
-
-    def unit(k, coeff=1):
-        vec = [0] * n
-        vec[k - 1] = coeff
-        return tuple(vec)
-
     for i in range(1, s + 1):
         a, b = 2 * i - 1, 2 * i
-        products[(a, a)] = unit(a)
-        products[(a, b)] = unit(b)
-        products[(b, b)] = unit(a, -1)
+        products[(a, a)] = _unit(n, a)
+        products[(a, b)] = _unit(n, b)
+        products[(b, b)] = _unit(n, a, -1)
     for j in range(2 * s + 1, n + 1):
-        products[(j, j)] = unit(j)
+        products[(j, j)] = _unit(n, j)
     return Algebra(f"realRigid({n},{s})", ASSOC_COMM, scalars.Q, n, products)
 
 
@@ -148,21 +141,15 @@ def t_oplus_a(n: int, s: int) -> Algebra:
     if not (0 <= 2 * s <= n):
         raise UnknownAlgebraError("t_oplus_a requires 0 <= 2s <= n")
     dim = 2 * n
-
-    def x_unit(j, coeff=1):
-        vec = [0] * dim
-        vec[n + j - 1] = coeff
-        return tuple(vec)
-
     products = {}
     for i in range(1, s + 1):
         a, b = 2 * i - 1, 2 * i
-        products[(a, n + a)] = x_unit(b, -1)
-        products[(a, n + b)] = x_unit(a)
-        products[(b, n + a)] = x_unit(a)
-        products[(b, n + b)] = x_unit(b)
+        products[(a, n + a)] = _unit(dim, n + b, -1)
+        products[(a, n + b)] = _unit(dim, n + a)
+        products[(b, n + a)] = _unit(dim, n + a)
+        products[(b, n + b)] = _unit(dim, n + b)
     for j in range(2 * s + 1, n + 1):
-        products[(j, n + j)] = x_unit(j)
+        products[(j, n + j)] = _unit(dim, n + j)
     return Algebra(f"t{n}+a{n}(s={s})", LIE, scalars.Q, dim, products)
 
 
@@ -252,14 +239,8 @@ class Fingerprint:
 
 def fingerprint(alg: Algebra) -> Fingerprint:
     """All invariants the other modules compute, in one deterministic record."""
-    from .cohomology import _chevalley_dims, _leibniz_is_minus_d1, _leibniz_rows, harrison_h2
-    from .structure import (
-        center,
-        find_idempotents,
-        find_unit,
-        is_nilalgebra,
-        series,
-    )
+    from .cohomology import _chevalley_dims, _leibniz_is_minus_d1, harrison_h2
+    from .structure import find_idempotents, find_unit, is_nilalgebra, series
 
     require_identities(alg)
     if alg.kind == LIE:
@@ -267,11 +248,11 @@ def fingerprint(alg: Algebra) -> Fingerprint:
         (h1, h2), ds = _chevalley_dims(alg, 2)
         # Der is the kernel of the Leibniz system and Z^1 that of d^1: two
         # assemblers of one operator up to sign and column order.
-        _leibniz_is_minus_d1(_leibniz_rows(alg), ds[1], alg.dim)
+        _leibniz_is_minus_d1(alg, ds[1])
         return Fingerprint(
             dim=alg.dim,
             kind=alg.kind,
-            center_dim=center(alg).dim,
+            center_dim=alg.dim - h1.dim_B,  # Z(g) = Z^0, of dim n - rank d^0
             is_solvable=rep.is_solvable,
             is_nilpotent=rep.is_nilpotent,
             der_dim=h1.dim_Z,

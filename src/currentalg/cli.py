@@ -15,7 +15,8 @@ import sys
 from dataclasses import asdict
 
 from . import scalars
-from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, IdentityError, check_identities
+from .algebra import (ASSOC_COMM, LIE, Algebra, AlgebraError, IdentityError, check_identities,
+                      complexify)
 from .catalog import (
     UnknownAlgebraError,
     catalog_entry,
@@ -112,10 +113,6 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _dims_dict(dims) -> dict:
-    return {"dim_Z": dims.dim_Z, "dim_B": dims.dim_B, "dim_H": dims.dim_H}
-
-
 def _render_value(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -200,14 +197,14 @@ def _load(args, kind: str) -> Algebra:
 def _cmd_cohomology(args) -> tuple:
     alg = _load(args, LIE)
     dims = chevalley_dims(alg, args.degree)
-    data = {"name": alg.name, "degree": args.degree, **_dims_dict(dims)}
+    data = {"name": alg.name, "degree": args.degree, **asdict(dims)}
     return EXIT_OK, {"command": "cohomology", "ok": True, "data": data}
 
 
 def _cmd_harrison(args) -> tuple:
     alg = _load(args, ASSOC_COMM)
     dims = harrison_h2(alg)
-    data = {"name": alg.name, **_dims_dict(dims)}
+    data = {"name": alg.name, **asdict(dims)}
     return EXIT_OK, {"command": "harrison", "ok": True, "data": data}
 
 
@@ -262,7 +259,7 @@ def _cmd_rigidity(args) -> tuple:
         "name": alg.name,
         "H2": cert.h2_dims.dim_H,
         "verdict": cert.verdict,
-        "h2": _dims_dict(cert.h2_dims),
+        "h2": asdict(cert.h2_dims),
         "orbit_dim": cert.orbit_dim,
     }
     return EXIT_OK, {"command": "rigidity", "ok": True, "data": data}
@@ -277,8 +274,8 @@ def _cmd_rigid_pq(args) -> tuple:
     data = {
         "g": g.name, "A": A.name,
         "verdict": cert.verdict,
-        "h2_lie": _dims_dict(cert.h2_lie),
-        "h2_harrison": _dims_dict(cert.h2_harrison),
+        "h2_lie": asdict(cert.h2_lie),
+        "h2_harrison": asdict(cert.h2_harrison),
     }
     return EXIT_OK, {"command": "rigid-pq", "ok": True, "data": data}
 
@@ -325,8 +322,6 @@ def _cmd_catalog(args) -> tuple:
             raise UsageError(f"parameter {key!r} must be an integer")
     alg = make(args.name, **params)
     if args.field == scalars.QI:
-        from .algebra import complexify
-
         alg = complexify(alg)
     write_algebra_file(alg, args.output)
     return EXIT_OK, None

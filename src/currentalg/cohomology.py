@@ -23,8 +23,8 @@ from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from . import scalars
-from .algebra import (ASSOC_COMM, LIE, Algebra, AlgebraError, _jacobi, _leibniz_rows, _tensor,
-                      require_identities)
+from .algebra import (ASSOC_COMM, LIE, Algebra, AlgebraError, _jacobi, _leibniz_rows, _pairs,
+                      _tensor, require_identities)
 from .current import _current_tensor, current_algebra, flat_index
 from .linalg import (
     Matrix,
@@ -38,7 +38,7 @@ from .linalg import (
     vec_scale,
     vec_zero,
 )
-from .structure import center, subspace_product
+from .structure import subspace_product
 
 
 def increasing_tuples(n: int, k: int) -> list:
@@ -162,6 +162,11 @@ class SymmetricCochain:
 
     def is_zero(self) -> bool:
         return not self.data
+
+    def __eq__(self, other):
+        if not isinstance(other, SymmetricCochain):
+            return NotImplemented
+        return (self.dim, self.data) == (other.dim, other.data)
 
     def __repr__(self):
         return f"SymmetricCochain(dim {self.dim}, {len(self.data)} entries)"
@@ -292,13 +297,14 @@ def _chevalley_dims(g: Algebra, high: int) -> tuple[list, list]:
              for d, r, b in zip(ds[1:], ranks[2:], ranks[1:])], ds)
 
 
-def _leibniz_is_minus_d1(leibniz: Matrix, d1: Matrix, n: int) -> None:
+def _leibniz_is_minus_d1(g: Algebra, d1: Matrix) -> None:
     """The Leibniz system of a Lie algebra is -d^1 with the column of f[r][c]
     at (r-1)n + (c-1) there and at (c-1)n + (r-1) in d^1.  The two come from
     different assemblers and are compared entry by entry; any difference is
     a bug in one of them and raises."""
-    if leibniz.sparse_rows != tuple({k % n * n + k // n: -x for k, x in row.items()}
-                                    for row in d1.sparse_rows):
+    n = g.dim
+    if _leibniz_rows(g).sparse_rows != tuple({k % n * n + k // n: -x for k, x in row.items()}
+                                             for row in d1.sparse_rows):
         raise AssertionError(
             "Leibniz system and d^1 disagree; this is a bug in an assembler")
 
@@ -322,14 +328,22 @@ def derivation_space(alg: Algebra) -> Subspace:
     return Subspace(alg.dim ** 2, kernel_basis(_leibniz_rows(alg)))
 
 
+def _left_mult_span(alg: Algebra) -> Subspace:
+    """span{L_{e_i}} in the flattened-operator coordinates, read off the tensor
+    in one pass: c_ij^k is entry (k, j) of L_{e_i}, column (k-1)n + j-1 of row i."""
+    n = alg.dim
+    rows = [{} for _ in range(n)]
+    for (i, j), terms in alg.tensor.items():
+        for k, c in terms:
+            rows[i - 1][(k - 1) * n + j - 1] = c
+    return Subspace._of(n * n, rows)
+
+
 def inner_derivations(g: Algebra) -> Subspace:
     """span{ad e_i} in the same flattened-operator coordinates."""
     if g.kind != LIE:
         raise AlgebraError("inner_derivations needs a Lie algebra")
-    return Subspace(
-        g.dim ** 2,
-        [g.ad_matrix(g.basis_vector(i)).flatten() for i in range(1, g.dim + 1)],
-    )
+    return _left_mult_span(g)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +361,7 @@ def hochschild_delta1(A: Algebra, f: Matrix) -> SymmetricCochain:
     flat = scalars.coerce_vector(A.field, _leibniz_rows(A).apply(f.flatten()))
     return SymmetricCochain(n, {
         pair: tuple(-x for x in flat[pos * n:(pos + 1) * n])
-        for pos, pair in enumerate(combinations_with_diag(n))})
+        for pos, pair in enumerate(_pairs(ASSOC_COMM, n))})
 
 
 def hochschild_delta2(A: Algebra, psi: SymmetricCochain) -> dict:
@@ -372,7 +386,7 @@ def _hochschild_rows(A: Algebra) -> Matrix:
     lexicographic order; column (a <= b, s) is coordinate s of psi(e_a, e_b).
     """
     n, tensor = A.dim, A.tensor
-    pairs = combinations_with_diag(n)
+    pairs = _pairs(ASSOC_COMM, n)
     col = {}
     for pos, (a, b) in enumerate(pairs):
         col[a, b] = col[b, a] = pos * n
@@ -395,13 +409,9 @@ def _hochschild_rows(A: Algebra) -> Matrix:
 
 def symmetric_to_flat(c: SymmetricCochain) -> tuple:
     coords = []
-    for i, j in combinations_with_diag(c.dim):
+    for i, j in _pairs(ASSOC_COMM, c.dim):
         coords.extend(c.value(i, j))
     return tuple(coords)
-
-
-def combinations_with_diag(n: int) -> list:
-    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
 def harrison_h2(A: Algebra) -> CohomologyDims:
@@ -540,21 +550,17 @@ def h1_current_formula(g: Algebra, A: Algebra) -> H1CurrentFormula:
     flat = current_algebra(g, A)
     lhs = chevalley_dims(flat, 1).dim_H
 
-    h1_g = chevalley_dims(g, 1).dim_H
-    s1 = h1_g * A.dim
+    h1_g = chevalley_dims(g, 1)
+    s1 = h1_g.dim_H * A.dim
 
     der_a = derivation_space(A)
     s2 = g.dim ** 2 * der_a.dim
 
     derived_dim = subspace_product(g, Subspace.full(g.dim),
                                    Subspace.full(g.dim)).dim
-    hom_quot_center = (g.dim - derived_dim) * center(g).dim
-    lmults = Subspace(
-        A.dim ** 2,
-        [A.left_mult_matrix(A.basis_vector(a)).flatten()
-         for a in range(1, A.dim + 1)],
-    )
-    end_quot = A.dim ** 2 - (lmults + der_a).dim
+    # Z(g) = Z^0 = ker d^0, so dim Z(g) = dim g - rank d^0 = dim g - dim B^1
+    hom_quot_center = (g.dim - derived_dim) * (g.dim - h1_g.dim_B)
+    end_quot = A.dim ** 2 - (_left_mult_span(A) + der_a).dim
     s3 = hom_quot_center * end_quot
 
     return H1CurrentFormula(lhs_dim=lhs, summand_dims=(s1, s2, s3),

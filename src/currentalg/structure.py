@@ -47,6 +47,7 @@ from .linalg import (
     poly_monic,
     poly_mul,
     poly_trim,
+    rank,
     solve,
     vec_add,
     vec_is_zero,
@@ -195,12 +196,20 @@ def some_nonzero_idempotent(A: Algebra) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Trace radical
+# Trace form
 # ---------------------------------------------------------------------------
 
 def _trace_form(A: Algebra) -> list:
     """Gram rows of T(x, y) = tr L_{xy}, read off the structure tensor:
-    tau_k = tr L_{e_k} = sum_j c_kj^j once, then T(e_i, e_j) = sum_k c_ij^k tau_k."""
+    tau_k = tr L_{e_k} = sum_j c_kj^j once, then T(e_i, e_j) = sum_k c_ij^k tau_k.
+
+    The radical of T is the nilradical N of A, so dim A / N = rank T.  In
+    characteristic 0 this holds for every finite-dimensional commutative
+    associative A, unital or not.  If x is nilpotent, so is each xy, hence
+    L_{xy} is nilpotent and T(x, y) = 0.  If x is in the radical, then
+    tr L_x^k = T(x, x^(k-1)) = 0 for all k >= 2: the squares of the
+    eigenvalues of L_x have every power sum 0, so by Newton's identities
+    they are all 0, L_x is nilpotent and x^(m+1) = L_x^m x = 0."""
     zero = scalars.zero(A.field)
     tau = [zero] * (A.dim + 1)
     for (k, j), terms in A.tensor.items():
@@ -209,19 +218,6 @@ def _trace_form(A: Algebra) -> list:
                 tau[k] += c
     return [[sum((c * tau[k] for k, c in A.tensor.get((i, j), ())), zero)
              for j in range(1, A.dim + 1)] for i in range(1, A.dim + 1)]
-
-
-def _trace_radical(A: Algebra) -> Subspace:
-    """Radical of the trace form T: the nilradical of A.
-
-    In characteristic 0 this holds for every finite-dimensional commutative
-    associative A, unital or not.  If x is nilpotent, so is each xy, hence
-    L_{xy} is nilpotent and T(x, y) = 0.  If x is in the radical, then
-    tr L_x^k = T(x, x^(k-1)) = 0 for all k >= 2: the squares of the
-    eigenvalues of L_x have every power sum 0, so by Newton's identities
-    they are all 0, L_x is nilpotent and x^(m+1) = L_x^m x = 0.
-    """
-    return Subspace(A.dim, kernel_basis(Matrix(_trace_form(A))))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +474,7 @@ def _primitive_idempotents(A: Algebra) -> list:
     the exact power of f in u the CRT idempotents for f^k are the idempotents
     of A that are 1 on one orbit and 0 elsewhere: the primitive ones.
     """
-    d = A.dim - _trace_radical(A).dim
+    d = rank(Matrix(_trace_form(A)))
     if d == 0:
         return []
     powers, p, s = _generator(A, d)

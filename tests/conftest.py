@@ -593,6 +593,14 @@ def derivation_oracle(alg, f):
     return True
 
 
+def left_mult_span_oracle(alg):
+    """span{L_{e_i}} from n dense left-multiplication matrices, each flattened
+    row-major (entry (k, j) at (k-1)n + j-1)."""
+    n = alg.dim
+    return ca.Subspace(n * n, [alg.left_mult_matrix(alg.basis_vector(i)).flatten()
+                               for i in range(1, n + 1)])
+
+
 def nilpotent_ops_oracle(ops, n):
     """Do the n x n ``ops`` generate a nilpotent associative algebra?  Exactly
     when every product of n of them vanishes."""

@@ -4,9 +4,11 @@
     python3 tests/smoke_no_sympy.py                  # against an installed package
 
 Runs the benchmark warm-up, a Pierce decomposition over Q(i), sl2 (x) M1^2
-and M1^3 in a unimodular basis (rigidity certificate, the way back to the
-canonical basis, the idempotent split) and ``currentalg analyze`` on an
-associative commutative file, then checks that no sympy module was loaded.
+and M1^3 in a unimodular basis (rigidity certificate, fingerprint, the way
+back to the canonical basis, the idempotent split), the H^1 formula for
+heisenberg3 (x) M1^2, the inner derivations of sl2 and ``currentalg analyze``
+on an associative commutative file, then checks that no sympy module was
+loaded.
 Exits nonzero on any failure.  The tier-1 suite runs it in a child process;
 CI also runs it against a plain ``pip install .``.
 """
@@ -39,8 +41,11 @@ f = unimodular(g.dim)
 twisted = ca.change_basis(g, f)
 assert twisted != g
 assert ca.rigidity_certificate(twisted).verdict == ca.RIGID_BY_H2_ZERO
+assert ca.fingerprint(twisted).center_dim == 0
 assert ca.change_basis(twisted, ca.inverse(f)) == g
 assert len(ca.orthogonal_decomposition(ca.change_basis(ca.m1(3), unimodular(3))).idempotents) == 3
+assert ca.h1_current_formula(ca.heisenberg(3), ca.m1(2)).matches
+assert ca.inner_derivations(ca.sl2()).dim == 3
 fixture = Path(__file__).resolve().parent.parent / "fixtures" / "real_rigid_3_1.json"
 assert run_command(["analyze", str(fixture)]) == 0
 loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "sympy" and mod is not None)

@@ -10,6 +10,7 @@ from currentalg import (
     Matrix,
     Subspace,
     UnknownAlgebraError,
+    center,
     change_basis,
     check_identities,
     chevalley_dims,
@@ -26,7 +27,9 @@ from currentalg import (
     torus_generators,
 )
 
-from conftest import oracle_corpus, real_rigid_split_columns
+from currentalg.io import parse_algebra_file
+
+from conftest import FIXTURES, oracle_corpus, real_rigid_split_columns
 
 F = Fraction
 
@@ -57,6 +60,24 @@ def test_make_errors():
         make("abelian")
     with pytest.raises(UnknownAlgebraError):
         make("r2", n=2)
+
+
+@pytest.mark.parametrize("fixture, name, params", [
+    ("r2", "r2", {}),
+    ("abelian2", "abelian", {"n": 2}),
+    ("heisenberg3", "heisenberg", {"n": 3}),
+    ("sl2", "sl2", {}),
+    ("m1_1", "M1", {"q": 1}),
+    ("m1_2", "M1", {"q": 2}),
+    ("m1_3", "M1", {"q": 3}),
+    ("null1", "null", {"n": 1}),
+    ("null2", "null", {"n": 2}),
+    ("real_rigid_2_1", "realRigid", {"n": 2, "s": 1}),
+    ("real_rigid_3_1", "realRigid", {"n": 3, "s": 1}),
+    ("t2_a2_s1", "t_oplus_a", {"n": 2, "s": 1}),
+])
+def test_catalog_tables_match_fixture_files(fixture, name, params):
+    assert parse_algebra_file(FIXTURES / f"{fixture}.json") == make(name, **params)
 
 
 def test_real_rigid_zero_blocks_is_m1():
@@ -199,6 +220,7 @@ def test_fingerprint_matches_separate_invariants():
             if kind == ca.LIE:
                 assert (fp.h1_dim, fp.h2_dim) == (chevalley_dims(alg, 1).dim_H,
                                                   chevalley_dims(alg, 2).dim_H)
+                assert fp.center_dim == center(alg).dim
             else:
                 assert fp.h2_dim == harrison_h2(alg).dim_H
 

@@ -28,7 +28,7 @@ from currentalg import (
     inner_derivations,
     multiplication_cochain,
 )
-from currentalg.cohomology import cochain_from_flat, cochain_to_flat
+from currentalg.cohomology import _left_mult_span, cochain_from_flat, cochain_to_flat
 from currentalg.io import parse_algebra_file
 
 from conftest import (
@@ -40,12 +40,15 @@ from conftest import (
     chevalley_columns_oracle,
     decomposable_delta_oracle,
     hochschild_columns_oracle,
+    lawful_algebras,
+    left_mult_span_oracle,
     multiply_oracle,
     oracle_corpus,
     rand_chevalley,
     rand_chevalley2,
     rand_matrix,
     rand_symmetric,
+    random_algebras,
     rank_mod_p,
     scaled_corpus,
     unimodular_twist,
@@ -95,6 +98,23 @@ def test_cochains_check_their_index_rules():
             SymmetricCochain(*args)
     assert SymmetricCochain(2, {(2, 1): (0, 1), (2, 2): (1, 0), (1, 1): (0, 0)}).data == \
         {(1, 2): (0, 1), (2, 2): (1, 0)}
+
+
+def test_symmetric_cochains_compare_by_value():
+    a = SymmetricCochain(2, {(1, 2): (0, 1), (2, 2): (1, 0)})
+    assert a == SymmetricCochain(2, {(2, 1): (0, 1), (2, 2): (1, 0), (1, 1): (0, 0)})
+    assert a == SymmetricCochain(2, [((2, 2), (F(1), F(0))), ((1, 2), (0, 1))])
+    assert a != SymmetricCochain(2, {(1, 2): (0, 1), (2, 2): (1, 1)})
+    assert a != SymmetricCochain(2, {(1, 1): (0, 1), (2, 2): (1, 0)})
+    assert SymmetricCochain(2) != SymmetricCochain(3)
+    assert SymmetricCochain(2) == SymmetricCochain.zero(2)
+    assert a != ChevalleyCochain(2, 2, {(1, 2): (0, 1)})
+    A = ca.m1(2)
+    assert multiplication_cochain(A) == multiplication_cochain(ca.m1(2))
+    assert multiplication_cochain(A) != multiplication_cochain(ca.null_algebra(2))
+    f = rand_matrix(random.Random(3), 2)
+    assert hochschild_delta1(A, f) == hochschild_delta1(A, f)
+    assert hochschild_delta1(A, f) != hochschild_delta1(A, Matrix.identity(2) - f)
 
 
 def test_delta_on_abelian_vanishes():
@@ -224,6 +244,18 @@ def test_inner_derivations_dims():
     assert inner_derivations(ca.heisenberg(3)).dim == 2
     for g in catalog_lie_algebras():
         assert inner_derivations(g).dim == g.dim - ca.center(g).dim
+
+
+@settings(max_examples=40)
+@given(data=st.data(), field=st.sampled_from([ca.Q, ca.QI]))
+def test_left_mult_span_matches_dense_oracle(data, field):
+    # the span read off the tensor in one pass against n dense flattened L_{e_i}
+    for kind in (ca.LIE, ca.ASSOC_COMM):
+        alg = data.draw(st.one_of(lawful_algebras(kind, field), random_algebras(kind, field)))
+        span = left_mult_span_oracle(alg)
+        assert _left_mult_span(alg) == span
+        if kind == ca.LIE:
+            assert inner_derivations(alg) == span
 
 
 def test_inner_derivations_are_derivations():

@@ -7,7 +7,9 @@ their leading columns by integral row operations, so no ``Fraction`` or
 ``GaussianRational`` is built while eliminating.  A row is divided by its
 content only when it lands as a pivot and once more after back-substitution;
 :func:`rank` runs only the forward phase, and :func:`_rank` stops it once a
-proven bound on the rank is reached.  Entries may be ``int``, ``Fraction`` or
+proven bound on the rank is reached.  A row lands through one loop,
+:func:`_land`, which :func:`_krylov` shares to read a first dependence off
+integral vectors.  Entries may be ``int``, ``Fraction`` or
 ``GaussianRational``.  An operator assembled from an integral table over Q
 has only ``int`` entries; its rows enter as they are, with no denominators to
 clear.  Gaussian rows enter as integer triples
@@ -29,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from math import gcd, inf, lcm
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .scalars import GaussianRational, Scalar, ScalarError, _gauss, _parts
 
@@ -275,27 +277,34 @@ def _eliminate(row: dict, c: int, pivot: dict) -> dict:
     return row
 
 
+def _land(echelon: dict, row: dict, stop=inf) -> Optional[dict]:
+    """Reduce an integral row on its leading column against the pivots while
+    that column is below ``stop``: a row that reaches a longer pivot takes
+    its place and the old pivot is reduced further, and a row is divided by
+    its content when it lands.  None once a row has landed, else the row
+    left, which has nothing below ``stop``."""
+    while row and (c := min(row)) < stop:
+        pivot = echelon.get(c)
+        if pivot is None:
+            echelon[c] = _primitive(row)
+            return None
+        if len(row) < len(pivot):
+            echelon[c], row = _primitive(row), pivot
+        row = _eliminate(row, c, echelon[c])
+    return row
+
+
 def _echelon(rows: list, ceiling: Optional[int] = None) -> dict:
     """Forward phase on integral rows: pivot column -> the primitive row
-    leading there.  Rows are fed sparsest first (a stable sort), a row that
-    reaches a longer pivot takes its place and the old pivot is reduced
-    further, and a row is divided by its content when it lands; the span,
-    and so the reduced form, is that of the given order.  Once ``ceiling``
-    pivots are held, a proven bound on the rank, every other row lies in
-    their span and is skipped."""
+    leading there, each row fed to :func:`_land` sparsest first (a stable
+    sort); the span, and so the reduced form, is that of the given order.
+    Once ``ceiling`` pivots are held, a proven bound on the rank, every other
+    row lies in their span and is skipped."""
     echelon = {}
     for row in sorted(rows, key=len):
         if len(echelon) == ceiling:
             break
-        while row:
-            c = min(row)
-            pivot = echelon.get(c)
-            if pivot is None:
-                echelon[c] = _primitive(row)
-                break
-            if len(row) < len(pivot):
-                echelon[c], row = _primitive(row), pivot
-            row = _eliminate(row, c, echelon[c])
+        _land(echelon, row)
     return echelon
 
 
@@ -489,21 +498,6 @@ def poly_trim(p: Sequence) -> tuple:
     return tuple(p)
 
 
-def poly_degree(p) -> int:
-    return len(poly_trim(p)) - 1
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [_ZERO] * (n - len(p))
-    q = list(q) + [_ZERO] * (n - len(q))
-    return poly_trim([a + b for a, b in zip(p, q)])
-
-
-def poly_scale(c, p):
-    return poly_trim([c * a for a in p])
-
-
 def poly_mul(p, q):
     p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
@@ -517,74 +511,28 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_divmod(p, q):
-    p, q = list(poly_trim(p)), poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [_ZERO] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    while len(p) >= len(q):
-        c = p[-1] / lead
-        d = len(p) - len(q)
-        quot[d] = c
-        for i, b in enumerate(q):
-            p[d + i] = p[d + i] - c * b
-        p = list(poly_trim(p))
-        if not p:
-            break
-    return poly_trim(quot), poly_trim(p)
-
-
-def poly_monic(p):
-    p = poly_trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(a / lead for a in p)
-
-
-def poly_gcd(p, q):
-    """Monic gcd.  Each remainder is made monic, which keeps the Fractions of
-    the remainder sequence from compounding their leading coefficients."""
-    a, b = poly_trim(p), poly_monic(q)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, poly_monic(r)
-    return poly_monic(a)
-
-
-def poly_ext_gcd(p, q):
-    """(g, s, t) with s*p + t*q = g, g monic."""
-    r0, r1 = poly_trim(p), poly_trim(q)
-    s0, s1 = (_ONE,), ()
-    t0, t1 = (), (_ONE,)
-    while r1:
-        qt, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(s0, poly_scale(-1, poly_mul(qt, s1)))
-        t0, t1 = t1, poly_add(t0, poly_scale(-1, poly_mul(qt, t1)))
-    if not r0:
-        return (), s0, t0
-    lead = r0[-1]
-    inv = 1 / lead
-    return poly_monic(r0), poly_scale(inv, s0), poly_scale(inv, t0)
-
-
-def poly_derivative(p):
-    p = poly_trim(p)
-    return poly_trim([i * a for i, a in enumerate(p)][1:])
-
-
 def min_poly(M: Matrix) -> tuple:
     """Monic minimal polynomial, ascending coefficients, via Krylov on vectors.
 
     It is the lcm of the minimal polynomials of M on e_1, ..., e_n.  With mu
-    the lcm so far and w = mu(M) e_j, lcm(mu, mu_{e_j}) = mu * mu_w, so each
-    step runs one Krylov sequence w, Mw, ... until it becomes dependent.
+    the lcm so far and w = mu(M) e_j, lcm(mu, mu_{e_j}) = mu * mu_w; mu_w is
+    D^-m p(D t) for the :func:`_krylov` relation p of D M (D the lcm of M's
+    denominators) on w with its denominators cleared.  Its coefficients are
+    Gaussian when a Krylov vector has a Gaussian entry, else ``Fraction``.
     """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("minimal polynomial needs a square matrix")
+    parts = [{c: _parts(x) for c, x in row.items()} for row in M.sparse_rows]
+    den = lcm(*(d for row in parts for _, _, d in row.values()))
+    pairs = any(y for row in parts for _, y, _ in row.values())
+    rows = [_scaled(row, den) for row in parts]
+    gaussian_entries = any(type(x) is GaussianRational for row in M.sparse_rows for x in row.values())
+
+    def step(v):
+        return {r: z for r, row in enumerate(rows)
+                if (z := sum(x * v[c] for c, x in row.items() if c in v))}
+
     mu = (_ONE,)
     for j in range(n):
         if len(mu) > n:
@@ -594,21 +542,57 @@ def min_poly(M: Matrix) -> tuple:
         for c in reversed(mu):
             w = vec_add(M.apply(w), vec_scale(c, e))
         if not vec_is_zero(w):
-            mu = poly_mul(mu, _krylov(M, w)[1])
+            wparts = {k: _parts(x) for k, x in enumerate(w) if x}
+            p = _krylov(step, _scaled(wparts, lcm(*(d for _, _, d in wparts.values()))), n, pairs)[1]
+            m = len(p) - 1  # M w = 0 exactly when p = t
+            gaussian = (any(type(x) is GaussianRational for x in w if x)
+                        or gaussian_entries and p != [0, 1])
+            mu = poly_mul(mu, tuple(
+                (_gauss(*_parts(c)[:2], den ** (m - k)) if gaussian else Fraction(c, den ** (m - k)))
+                if c else _ZERO for k, c in enumerate(p[:-1])) + (_ONE,))
     return mu
 
 
-def _krylov(M, w: tuple) -> tuple[list, tuple]:
-    """(w, Mw, ..., M^(m-1) w, mu_w) for a nonzero w: the Krylov vectors up to
-    the first dependence and the monic mu_w of least degree m with
-    mu_w(M) w = 0."""
-    krylov = [w]
+def _scaled(parts: dict, m: int) -> dict:
+    """``{k: (x, y, d)}`` triples times a common multiple m of their d: ints,
+    and Gaussian integers (x, y, 1) where y != 0."""
+    return {k: _gauss(x * (m // d), y * (m // d), 1) if y else x * (m // d)
+            for k, (x, y, d) in parts.items()}
+
+
+def _krylov(step: Callable, w: dict, n: int, pairs: bool = False) -> tuple[list, list]:
+    """(w, step(w), ..., step^(m-1)(w), p) for a nonzero integral ``{k: x}``
+    (k < n) and a linear ``step`` with an integral matrix: the vectors up to
+    the first dependence and the least monic p with sum_j p_j step^j(w) = 0,
+    which divides the characteristic polynomial and so is integral (Gauss).
+
+    One incremental fraction-free elimination: vector j enters as an integer
+    row with a 1 in the tracking column c + j (c = n) and goes to
+    :func:`_land`; the first row that vanishes on the coordinates holds q
+    with sum_j q_j step^j(w) = 0 in its tracking part, and p = q / q_m.
+    With ``pairs`` (Gaussian entries) vector j enters realified as in
+    :func:`_integral`, as v (tracking column c + 2j, c = 2n) and i v; the span
+    is closed under i, so v vanishes first, with q_j = x_j + y_j i read at
+    c + 2j and c + 2j + 1.
+    """
+    cols = 2 * n if pairs else n
+    echelon, vectors = {}, []
     while True:
-        nxt = M.apply(krylov[-1])
-        coeffs = solve(Matrix.from_columns(krylov), nxt)
-        if coeffs is not None:
-            return krylov, tuple(-c for c in coeffs) + (_ONE,)
-        krylov.append(nxt)
+        j = len(vectors)
+        if pairs:
+            row = {c: z for k, x in w.items() for c, z in zip((2 * k, 2 * k + 1), _parts(x)) if z}
+            row[cols + 2 * j] = 1
+            rows = (row, {c ^ 1: -z if c & 1 else z for c, z in row.items()})
+        else:
+            rows = ({**{k: x for k, x in w.items() if x}, cols + j: 1},)
+        for row in rows:
+            if (row := _land(echelon, row, cols)) is not None:
+                lead = row[cols + (j << pairs)]
+                return vectors, [_gauss(row.get(cols + 2 * k, 0) // lead,
+                                        row.get(cols + 2 * k + 1, 0) // lead, 1) if pairs
+                                 else row.get(cols + k, 0) // lead for k in range(j + 1)]
+        vectors.append(w)
+        w = step(w)
 
 
 @dataclass(frozen=True)
@@ -626,6 +610,9 @@ def operator_analysis(M: Matrix) -> OperatorReport:
     """
     p = min_poly(M)
     nilpotent = all(c == 0 for c in p[:-1])
-    g = poly_gcd(p, poly_derivative(p))
-    semisimple = poly_degree(g) == 0
+    # squarefree iff gcd(p, p') = 1 iff their Sylvester matrix is nonsingular
+    dp, m = [k * c for k, c in enumerate(p)][1:], len(p) - 1
+    sylvester = [{i + k: c for k, c in enumerate(q) if c}
+                 for q, copies in ((p, m - 1), (dp, m)) for i in range(copies)]
+    semisimple = m == 0 or rank(Matrix._of(sylvester, 2 * m - 1)) == 2 * m - 1
     return OperatorReport(min_poly=p, is_nilpotent=nilpotent, is_semisimple=semisimple)

@@ -1,11 +1,13 @@
 """Structural analysis: center, series, idempotents, Pierce decompositions.
 
-Every idempotent is read off one element's Krylov relation in A itself.  For
-a in A, the powers a, a^2, ..., a^m come from the sparse L_a up to the first
-dependence, which gives the least monic p with p(0) = 0 and p(a) = 0; write
+Every idempotent is read off one element's Krylov relation in A itself, in
+integers.  For a in A with integral coordinates and D the lcm of the table's
+denominators, the powers b, b^2, ..., b^m of b = D a are products on D times
+the tensor up to the first dependence, which gives the least monic p with
+p(0) = 0 and p(b) = 0, in Z[t] (Z[i][t] over Q(i)) by Gauss's lemma; write
 p = t^s u with u(0) != 0.  For a factor f of u coprime to p / f, the CRT
 polynomial e = 1 mod f, 0 mod p / f has e(0) = 0 and e^2 - e divisible by p,
-so e(a) is an exact idempotent of A; one multiplication checks it.
+so e(b) is an exact idempotent of A; one multiplication checks it.
 
 * ``some_nonzero_idempotent`` needs no factorization at all: it takes the
   first basis element that is not nilpotent and f = u.
@@ -18,13 +20,12 @@ so e(a) is an exact idempotent of A; one multiplication checks it.
   factorization of u give the primitive idempotents.  Over Q the factors
   come from a Zassenhaus factorization over Z (Cantor-Zassenhaus modulo a
   prime, Hensel lifting, recombination); over Q(i) they come from a
-  factorization over Q of a norm (Trager's method).
+  factorization over Z of an integral norm (Trager's method).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
 from math import comb, gcd, isqrt, lcm
@@ -37,22 +38,15 @@ from .linalg import (
     Matrix,
     Subspace,
     _krylov,
+    _scaled,
     kernel_basis,
-    poly_add,
-    poly_degree,
-    poly_derivative,
-    poly_divmod,
-    poly_ext_gcd,
-    poly_gcd,
-    poly_monic,
-    poly_mul,
     poly_trim,
     rank,
     solve,
     vec_add,
     vec_is_zero,
-    vec_scale,
 )
+from .scalars import _parts, _reduced
 
 
 def _require_kind(alg: Algebra, kind: str, op: str) -> None:
@@ -153,32 +147,71 @@ def is_idempotent(A: Algebra, e: Sequence) -> bool:
     return A.multiply(e, e) == e
 
 
+def _integral_tensor(A: Algebra) -> tuple[int, dict, bool]:
+    """(D, D times the tensor, whether a constant has an imaginary part): D is
+    the lcm of the denominators, and each scaled constant an int or a Gaussian
+    integer (x, y, 1).  On an integral table over Q, ``A.tensor`` itself."""
+    if A.field == scalars.Q and all(type(c) is int for terms in A.tensor.values() for _, c in terms):
+        return 1, A.tensor, False
+    parts = {key: {k: _parts(c) for k, c in terms} for key, terms in A.tensor.items()}
+    den = lcm(*(d for terms in parts.values() for _, _, d in terms.values()))
+    pairs = any(y for terms in parts.values() for _, y, _ in terms.values())
+    return den, {key: tuple(_scaled(terms, den).items()) for key, terms in parts.items()}, pairs
+
+
+def _int(z):
+    """An integral scalar as an int, or as (x, y, 1) when it has an imaginary part."""
+    x, y, _ = _parts(z)
+    return _reduced(x, y, 1) if y else x
+
+
 def _relation(A: Algebra, a: tuple) -> tuple[list, tuple, int]:
-    """(powers, p, s) for a nonzero a: the powers a, a^2, ..., a^m taken from
-    the sparse L_a up to the first dependence, the least monic p (ascending,
-    degree m + 1) with p(0) = 0 and p(a) = 0, and s with p = t^s u, u(0) != 0."""
-    powers, mu = _krylov(A.left_mult_matrix(a), a)  # mu(L_a) a = 0: p = t mu
-    s = 1 + next(d for d, c in enumerate(mu) if c != 0)
-    return powers, (scalars.zero(A.field),) + mu, s
+    """(powers, p, s) for b = D a, a nonzero with integral coordinates and D
+    from :func:`_integral_tensor`: b, b^2 = a * b, ..., b^m on D times the
+    tensor, as integral sparse vectors up to the first dependence, the least
+    monic p (degree m + 1) with p(0) = 0 and p(b) = 0, and s with p = t^s u,
+    u(0) != 0.  L_b is integral, so p lies in Z[t] (Z[i][t] over Q(i)) by
+    Gauss's lemma, and b has the same idempotents e(b) as a."""
+    den, tensor, pairs = _integral_tensor(A)
+    theta = {i: _int(x) for i, x in enumerate(a, start=1) if x}
+    powers, mu = _krylov(lambda v: _product(tensor, theta, v),
+                         {i: den * x for i, x in theta.items()}, A.dim + 1, pairs)
+    s = 1 + next(d for d, c in enumerate(mu) if c)
+    return powers, (0, *mu), s
 
 
-def _crt_idempotent(A: Algebra, powers: list, p: tuple, f: tuple) -> tuple:
-    """e(a) for the e = 1 mod f, 0 mod p / f, from the powers of a with p(a) = 0.
-
-    f must divide u = p / t^s and be coprime to p / f.  Then t^s | e, so
-    e(0) = 0, and p | e^2 - e, so e(a) is exact in A: one multiplication
-    checks it, and a failure raises rather than iterating.
-    """
-    cofactor, rem = poly_divmod(p, f)
-    gcd, _s, inv = poly_ext_gcd(f, poly_divmod(cofactor, f)[1])  # 1 / cofactor mod f
-    if rem or poly_degree(gcd) != 0:
-        raise AssertionError("a CRT factor must divide p and be coprime to its cofactor")
-    eps = poly_mul(inv, cofactor)  # 1 mod f, 0 mod cofactor, degree < deg p
-    e = reduce(vec_add, (vec_scale(c, x) for c, x in zip(eps[1:], powers)),
-               (scalars.zero(A.field),) * A.dim)
-    if vec_is_zero(e) or A.multiply(e, e) != e:
-        raise AssertionError("the CRT element is not a nonzero idempotent of A")
-    return e
+def _crt_idempotents(A: Algebra, powers: list, p: tuple, factors: list) -> list:
+    """e(b) for each monic factor f of u = p / t^s coprime to c = p / f and
+    e = 1 mod f, 0 mod c, from the powers of b with p(b) = 0: t^s | e and
+    p | e^2 - e, so e(b) is exact.  c comes by exact monic division; the one
+    rational step is h = c^-1 mod f, one small ``solve`` on t^i c mod f, read
+    as H / delta.  The numerators w = (c H)(b) are integral, e = w / delta,
+    and e e = e is checked as w * w = D delta w on D times the tensor.  A
+    failure raises rather than iterating."""
+    (den, tensor, _), one, out = _integral_tensor(A), scalars.one(A.field), []
+    for f in factors:
+        cofactor = _exact_quotient(p, f)
+        if cofactor is None:
+            raise AssertionError("a CRT factor must divide p")
+        r, cols, x = len(f) - 1, [], _rem_monic(cofactor, f)
+        for _ in range(r):
+            cols.append(x)
+            x = _rem_monic([0] + x, f)
+        h = solve(Matrix._of([{i: c[k] for i, c in enumerate(cols) if c[k]} for k in range(r)], r),
+                  [1] + [0] * (r - 1))
+        if h is None:
+            raise AssertionError("a CRT factor must be coprime to its cofactor")
+        delta = lcm(*(_parts(c)[2] for c in h))
+        w = {}
+        for c, v in zip(_mul(cofactor, [_int(c * delta) for c in h])[1:], powers):
+            for k, z in v.items():
+                w[k] = w.get(k, 0) + c * z
+        w = {k: z for k, z in w.items() if z}
+        if not w or {k: z for k, z in _product(tensor, w, w).items() if z} != {
+                k: den * delta * z for k, z in w.items()}:
+            raise AssertionError("the CRT element is not a nonzero idempotent of A")
+        out.append(tuple(one * w.get(k, 0) / delta for k in range(1, A.dim + 1)))
+    return out
 
 
 def some_nonzero_idempotent(A: Algebra) -> Optional[tuple]:
@@ -190,8 +223,8 @@ def some_nonzero_idempotent(A: Algebra) -> Optional[tuple]:
     _require_kind(A, ASSOC_COMM, "some_nonzero_idempotent")
     for i in range(1, A.dim + 1):
         powers, p, s = _relation(A, A.basis_vector(i))
-        if poly_degree(p) > s:  # else a is nilpotent; try the next basis element
-            return _crt_idempotent(A, powers, p, p[s:])
+        if len(p) - 1 > s:  # else a is nilpotent; try the next basis element
+            return _crt_idempotents(A, powers, p, [p[s:]])[0]
     return None
 
 
@@ -239,7 +272,8 @@ def _sub_mod(a, b, m):
                                                list(b) + [0] * (n - len(b)))])
 
 
-def _mul_mod(a, b, m):
+def _mul(a, b):
+    """a b over Z or Z[i]."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -247,7 +281,11 @@ def _mul_mod(a, b, m):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _trim([c % m for c in out])
+    return out
+
+
+def _mul_mod(a, b, m):
+    return _trim([c % m for c in _mul(a, b)])
 
 
 def _divmod_mod(a, b, p):
@@ -319,15 +357,61 @@ def _split_mod(f, p, rng) -> list:
 
 
 def _exact_quotient(a, b):
-    """a / b in Z[t], or None when b does not divide a."""
+    """a / b in Z[t], or in Z[i][t] for a monic b; None when b does not divide a."""
     a, quot = list(a), [0] * (len(a) - len(b) + 1)
     for d in reversed(range(len(quot))):
-        quot[d], r = divmod(a[d + len(b) - 1], b[-1])
-        if r:
-            return None
+        q = a[d + len(b) - 1]
+        if b[-1] != 1:
+            q, r = divmod(q, b[-1])
+            if r:
+                return None
+        quot[d] = q
         for i, y in enumerate(b):
-            a[d + i] -= quot[d] * y
+            a[d + i] -= q * y
     return None if any(a) else quot
+
+
+def _rem_monic(a, f):
+    """a mod a monic f over Z or Z[i], as deg f coefficients."""
+    n = len(f) - 1
+    a = list(a) + [0] * (n - len(a))
+    for d in reversed(range(len(a) - n)):
+        for i in range(n):
+            a[d + i] -= a[d + n] * f[i]
+    return a[:n]
+
+
+def _gcd(a, b):
+    """gcd(a, b) for a, b != 0 over Z or Z[i] by a primitive remainder
+    sequence (see :func:`_content_free`): the primitive gcd over Z, and the
+    monic one when a is monic, which is integral by Gauss's lemma."""
+    a, b = _content_free(a), _content_free(b)
+    while b:
+        r, n = list(a), len(b) - 1
+        while len(r) > n:  # r <- b[-1] r - r[-1] t^k b, dropping the top term
+            top = r.pop()
+            r = [b[-1] * x for x in r]
+            for i, y in enumerate(b[:-1]):
+                r[len(r) - n + i] -= top * y
+            _trim(r)
+        a, b = b, _content_free(r)
+    return a
+
+
+def _content_free(r):
+    """r without trailing zeros, times the conjugate of a Gaussian leading
+    coefficient, divided by the gcd of its integer parts, leading positive."""
+    r = _trim(list(r))
+    if r and _parts(r[-1])[1]:
+        r = [c * r[-1].conjugate() for c in r]
+    parts = [_parts(c) for c in r]
+    g = gcd(*(z for x, y, _ in parts for z in (x, y))) * (-1 if r and parts[-1][0] < 0 else 1)
+    return [_reduced(x // g, y // g, 1) if y else x // g for x, y, _ in parts]
+
+
+def _squarefree(f):
+    """f / gcd(f, f') for a primitive f over Z with f[-1] > 0, or a monic f over Z[i]."""
+    return _exact_quotient(f, _gcd(f, [k * c for k, c in enumerate(f)][1:]))
 
 
 def _zassenhaus(f: list) -> list:
@@ -391,39 +475,36 @@ def _zassenhaus(f: list) -> list:
     return out + [rest]
 
 
-def _factor_poly(field: str, coeffs) -> list:
-    """Irreducible monic factors (ascending coeffs) with multiplicities.
-
-    Both fields take the monic input's squarefree part s = f / gcd(f, f').
-    Over Q, s with denominators cleared is factored over Z by
-    ``_zassenhaus``.  Over Q(i) it is Trager's norm method, which needs only
-    a factorization over Q: take the least j >= 0 with N(t) = s(t - j i)
-    conj(s)(t + j i) squarefree in Q[t]; each irreducible factor h of N
-    gives the irreducible factor gcd(s(t - j i), h)(t + j i).  Multiplicities
-    come from trial division of f.  The factors are listed by (degree,
-    multiplicity, descending primitive integer coefficients) over Q and by
-    the (degree, coefficients) of h over Q(i), the order of the test oracle.
+def _factor_poly(field: str, f: list, sqf: list, scale: int) -> list:
+    """Irreducible factors, with multiplicities by exact division, of an f
+    primitive with f[-1] > 0 over Z or monic over Z[i], from its squarefree
+    part sqf; monic when f is.  Over Z, ``_zassenhaus``; over Z[i], Trager's
+    norm method: for the least j >= 0 with N(t) = sqf(t - j c i) conj(sqf)(t
+    + j c i) squarefree (c = ``scale``), each irreducible factor h of N over
+    Z gives gcd(sqf(t - j c i), h) shifted back.  The order is that of the
+    factors of F(t) = f(c t), as when f is u of D theta and F the u of theta:
+    (degree, multiplicity, descending primitive integer coefficients) over Q,
+    and over Q(i) that of the factors of F's own norm at the shift j i.
     """
-    f = poly_monic(scalars.coerce_vector(field, coeffs))
-    sqf = poly_divmod(f, poly_gcd(f, poly_derivative(f)))[0]
+    if field == scalars.QI:
+        facs = _trager(sqf, scale)
+    else:
+        facs = sorted(_zassenhaus(sqf), key=lambda h: _order(h, scale))
     out = []
-    for fac in (_factor_gaussian(sqf) if field == scalars.QI else _factor_rational(sqf)):
-        mult = 1
-        if len(sqf) < len(f):  # repeated factors: count them by trial division
-            mult, rest = 0, f
-            while not (div := poly_divmod(rest, fac))[1]:
-                mult, rest = mult + 1, div[0]
+    for fac in facs:
+        mult, rest = 1, f
+        if len(sqf) < len(f):  # repeated factors: count them by exact division
+            mult = 0
+            while (rest := _exact_quotient(rest, fac)) is not None:
+                mult += 1
         out.append((fac, mult))
     return out if field == scalars.QI else sorted(out, key=lambda fk: (len(fk[0]), fk[1]))
 
 
-def _factor_rational(sqf) -> list:
-    """Monic irreducible factors of a monic squarefree sqf in Q[t], sorted by
-    (degree, descending coefficients) of their primitive integer forms."""
-    den = lcm(*(c.denominator for c in sqf))
-    ints = [c.numerator * (den // c.denominator) for c in sqf]
-    facs = sorted(_zassenhaus([c // gcd(*ints) for c in ints]), key=lambda h: (len(h), h[::-1]))
-    return [tuple(Fraction(c, h[-1]) for c in h) for h in facs]
+def _order(h, scale):
+    """(degree, descending coefficients) of the primitive integer form of h(scale t)."""
+    g = [c * scale ** k for k, c in enumerate(h)]
+    return len(h), [c // gcd(*g) for c in reversed(g)]
 
 
 def _poly_shift(p, c):
@@ -434,24 +515,27 @@ def _poly_shift(p, c):
     return tuple(out)
 
 
-def _factor_gaussian(sqf) -> list:
-    for s in count():
-        shift = scalars.GaussianRational(0, s)
-        g = scalars.coerce_vector(scalars.QI, _poly_shift(sqf, -shift))
-        re, im = [c.re for c in g], [c.im for c in g]
-        norm = poly_add(poly_mul(re, re), poly_mul(im, im))  # g * conj(g)
-        if poly_degree(poly_gcd(norm, poly_derivative(norm))) == 0:
+def _trager(sqf, scale):
+    """The monic irreducible factors over Q(i) of a monic squarefree sqf over Z[i]."""
+    for j in count(all(not _parts(c)[1] for c in sqf)):  # a real sqf has norm sqf^2 at j = 0
+        shift = _reduced(0, j * scale, 1)
+        g = _poly_shift(sqf, -shift)
+        parts = [_parts(c) for c in g]
+        re, im = [x for x, _, _ in parts], [y for _, y, _ in parts]
+        norm = [x + y for x, y in zip(_mul(re, re), _mul(im, im))]  # g conj(g), in Z[t]
+        if len(_gcd(norm, [k * c for k, c in enumerate(norm)][1:])) == 1:
             break
-    return [scalars.coerce_vector(scalars.QI, _poly_shift(poly_gcd(g, h), shift))
-            for h in _factor_rational(norm)]
+    return [list(map(_int, _poly_shift(_gcd(g, h), shift)))
+            for h in sorted(_zassenhaus(norm), key=lambda h: _order(h, scale))]
 
 
-def _generator(A: Algebra, d: int) -> tuple[list, tuple, int]:
+def _generator(A: Algebra, d: int) -> tuple[list, tuple, int, list]:
     """``_relation`` of the first theta on the moment curve x(t) = sum_k t^(k-1) b_k,
-    t = 2 .. C(d+1, 2)(n-1) + 2, whose u has a squarefree part of degree d.
+    t = 2 .. C(d+1, 2)(n-1) + 2, whose u has a squarefree part of degree d,
+    and that squarefree part.
 
     The roots of u are the nonzero values of the d characters of A / N at
-    theta, so the degree is d iff those values are nonzero and pairwise
+    D theta, so the degree is d iff those values are nonzero and pairwise
     distinct.  Each character is a polynomial in t of degree < n, so a
     character vanishes, or two agree, for at most C(d+1, 2)(n-1) values of t.
     The curve starts at t = 2: x(0) = b_1 and x(1) = sum b_k are the unit or a
@@ -460,9 +544,8 @@ def _generator(A: Algebra, d: int) -> tuple[list, tuple, int]:
     n = A.dim
     for t in range(2, comb(d + 1, 2) * (n - 1) + 3):
         powers, p, s = _relation(A, tuple(scalars.coerce(A.field, t ** k) for k in range(n)))
-        u = p[s:]
-        if poly_degree(u) - poly_degree(poly_gcd(u, poly_derivative(u))) == d:
-            return powers, p, s
+        if len(p) - 1 - s >= d and len(sqf := _squarefree(p[s:])) - 1 == d:
+            return powers, p, s, sqf
     raise AssertionError("the moment curve must separate the characters of A / rad A")
 
 
@@ -477,9 +560,9 @@ def _primitive_idempotents(A: Algebra) -> list:
     d = rank(Matrix(_trace_form(A)))
     if d == 0:
         return []
-    powers, p, s = _generator(A, d)
-    return [_crt_idempotent(A, powers, p, reduce(poly_mul, [f] * k))
-            for f, k in _factor_poly(A.field, p[s:])]
+    powers, p, s, sqf = _generator(A, d)
+    factors = _factor_poly(A.field, p[s:], sqf, _integral_tensor(A)[0])
+    return _crt_idempotents(A, powers, p, [reduce(_mul, [f] * k) for f, k in factors])
 
 
 # ---------------------------------------------------------------------------

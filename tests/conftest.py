@@ -8,7 +8,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, count, product
 from math import comb, gcd, lcm
 from pathlib import Path
 
@@ -18,8 +18,7 @@ from hypothesis import settings, strategies as st
 import currentalg as ca
 from currentalg import scalars
 from currentalg.io import parse_algebra_file
-from currentalg.linalg import (poly_degree, poly_divmod, poly_ext_gcd, poly_mul, poly_trim,
-                               vec_add, vec_scale, vec_sub)
+from currentalg.linalg import poly_mul, poly_trim, vec_add, vec_scale, vec_sub
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -1178,3 +1177,192 @@ def recursive_decomposition_oracle(A):
             idems.append(p)
         work = a00
     return idems, comps, nil
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over the field (ascending coefficients), which src/ no longer needs
+# ---------------------------------------------------------------------------
+
+def poly_degree(p) -> int:
+    return len(poly_trim(p)) - 1
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    p = list(p) + [Fraction(0)] * (n - len(p))
+    q = list(q) + [Fraction(0)] * (n - len(q))
+    return poly_trim([a + b for a, b in zip(p, q)])
+
+
+def poly_scale(c, p):
+    return poly_trim([c * a for a in p])
+
+
+def poly_divmod(p, q):
+    p, q = list(poly_trim(p)), poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    lead = q[-1]
+    while len(p) >= len(q):
+        c = p[-1] / lead
+        d = len(p) - len(q)
+        quot[d] = c
+        for i, b in enumerate(q):
+            p[d + i] = p[d + i] - c * b
+        p = list(poly_trim(p))
+        if not p:
+            break
+    return poly_trim(quot), poly_trim(p)
+
+
+def poly_monic(p):
+    p = poly_trim(p)
+    if not p:
+        return p
+    lead = p[-1]
+    return tuple(a / lead for a in p)
+
+
+def poly_gcd(p, q):
+    """Monic gcd.  Each remainder is made monic, which keeps the Fractions of
+    the remainder sequence from compounding their leading coefficients."""
+    a, b = poly_trim(p), poly_monic(q)
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, poly_monic(r)
+    return poly_monic(a)
+
+
+def poly_ext_gcd(p, q):
+    """(g, s, t) with s*p + t*q = g, g monic."""
+    r0, r1 = poly_trim(p), poly_trim(q)
+    s0, s1 = (Fraction(1),), ()
+    t0, t1 = (), (Fraction(1),)
+    while r1:
+        qt, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_add(s0, poly_scale(-1, poly_mul(qt, s1)))
+        t0, t1 = t1, poly_add(t0, poly_scale(-1, poly_mul(qt, t1)))
+    if not r0:
+        return (), s0, t0
+    lead = r0[-1]
+    inv = 1 / lead
+    return poly_monic(r0), poly_scale(inv, s0), poly_scale(inv, t0)
+
+
+def poly_derivative(p):
+    p = poly_trim(p)
+    return poly_trim([i * a for i, a in enumerate(p)][1:])
+
+
+# ---------------------------------------------------------------------------
+# The idempotent split in field scalars, before it ran on integers
+# ---------------------------------------------------------------------------
+
+def krylov_oracle(M, w):
+    """(w, Mw, ..., M^(m-1) w, mu_w): the Krylov vectors up to the first
+    dependence, each new power tested by one ``solve``, and the monic mu_w of
+    least degree m with mu_w(M) w = 0."""
+    krylov = [w]
+    while True:
+        nxt = M.apply(krylov[-1])
+        coeffs = ca.solve(ca.Matrix.from_columns(krylov), nxt)
+        if coeffs is not None:
+            return krylov, tuple(-c for c in coeffs) + (Fraction(1),)
+        krylov.append(nxt)
+
+
+def _relation_oracle(A, a):
+    """(powers of a, the least monic p with p(0) = 0 and p(a) = 0, s with p = t^s u)."""
+    powers, mu = krylov_oracle(A.left_mult_matrix(a), a)
+    s = 1 + next(d for d, c in enumerate(mu) if c != 0)
+    return powers, (scalars.zero(A.field),) + mu, s
+
+
+def _squarefree_oracle(f):
+    """f / gcd(f, f') over the field, monic."""
+    f = poly_monic(f)
+    return poly_divmod(f, poly_gcd(f, poly_derivative(f)))[0]
+
+
+def _crt_idempotent_oracle(A, powers, p, f):
+    """e(a) for e = 1 mod f, 0 mod p / f, by the extended Euclid over the field."""
+    cofactor, rem = poly_divmod(p, f)
+    g, _s, inv = poly_ext_gcd(f, poly_divmod(cofactor, f)[1])
+    assert not rem and poly_degree(g) == 0
+    eps = poly_mul(inv, cofactor)
+    e = reduce(vec_add, (vec_scale(c, x) for c, x in zip(eps[1:], powers)),
+               (scalars.zero(A.field),) * A.dim)
+    assert any(e) and A.multiply(e, e) == e
+    return e
+
+
+def _factor_rational_oracle(sqf):
+    den = lcm(*(c.denominator for c in sqf))
+    ints = [c.numerator * (den // c.denominator) for c in sqf]
+    facs = sorted(ca.structure._zassenhaus([c // gcd(*ints) for c in ints]),
+                  key=lambda h: (len(h), h[::-1]))
+    return [tuple(Fraction(c, h[-1]) for c in h) for h in facs]
+
+
+def _factor_gaussian_oracle(sqf):
+    shift_poly = ca.structure._poly_shift
+    for s in count():
+        shift = ca.GaussianRational(0, s)
+        g = scalars.coerce_vector(ca.QI, shift_poly(sqf, -shift))
+        re, im = [c.re for c in g], [c.im for c in g]
+        norm = poly_add(poly_mul(re, re), poly_mul(im, im))
+        if poly_degree(poly_gcd(norm, poly_derivative(norm))) == 0:
+            break
+    return [scalars.coerce_vector(ca.QI, shift_poly(poly_gcd(g, h), shift))
+            for h in _factor_rational_oracle(norm)]
+
+
+def factor_poly_oracle(field, u):
+    """Monic irreducible factors of u with multiplicities, in ``_factor_poly``'s order,
+    by the Euclid over Q or Q(i) and a factorization over Z of the squarefree
+    part (over Q(i), of its norm: Trager's method)."""
+    f = poly_monic(scalars.coerce_vector(field, u))
+    sqf = _squarefree_oracle(f)
+    out = []
+    for fac in (_factor_gaussian_oracle(sqf) if field == ca.QI else _factor_rational_oracle(sqf)):
+        mult, rest = 0, f
+        while not (div := poly_divmod(rest, fac))[1]:
+            mult, rest = mult + 1, div[0]
+        out.append((fac, mult))
+    return out if field == ca.QI else sorted(out, key=lambda fk: (len(fk[0]), fk[1]))
+
+
+def factor_poly(field, coeffs):
+    """``structure._factor_poly`` on field scalars: the monic F = coeffs / lc is
+    made integral, f = c F (primitive) over Q and f = c^deg F(t / c) (monic)
+    over Q(i) with c the lcm of F's denominators, factored with scale 1 and c,
+    and its factors are read back as the monic factors of F."""
+    f = scalars.coerce_vector(field, coeffs)
+    f = [x / f[-1] for x in f]
+    c = lcm(*(scalars._parts(x)[2] for x in f))
+    if field == ca.Q:
+        f, c = [(x * c).numerator for x in f], 1
+    else:
+        f = [ca.structure._int(x * c ** (len(f) - 1 - k)) for k, x in enumerate(f)]
+    one = scalars.one(field)
+    return [(tuple(one * x / (h[-1] * c ** (len(h) - 1 - k)) for k, x in enumerate(h)), m)
+            for h, m in ca.structure._factor_poly(field, f, ca.structure._squarefree(f), c)]
+
+
+def primitive_idempotents_oracle(A) -> list:
+    """The primitive idempotents of A by the same theta, relation and CRT as
+    ``structure._primitive_idempotents``, all in field scalars."""
+    d = ca.rank(ca.Matrix(ca.structure._trace_form(A)))
+    if d == 0:
+        return []
+    n = A.dim
+    for t in range(2, comb(d + 1, 2) * (n - 1) + 3):
+        powers, p, s = _relation_oracle(A, tuple(scalars.coerce(A.field, t ** k) for k in range(n)))
+        if poly_degree(_squarefree_oracle(p[s:])) == d:
+            break
+    else:
+        raise AssertionError("no separating point on the moment curve")
+    return [_crt_idempotent_oracle(A, powers, p, reduce(poly_mul, [f] * k))
+            for f, k in factor_poly_oracle(A.field, p[s:])]

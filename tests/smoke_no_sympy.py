@@ -5,7 +5,8 @@
 
 Runs the benchmark warm-up, a Pierce decomposition over Q(i), sl2 (x) M1^2
 and M1^3 in a unimodular basis (rigidity certificate, fingerprint, the way
-back to the canonical basis, the idempotent split), the H^1 formula for
+back to the canonical basis, the idempotent split), the idempotents of M1^3
+in a dense rational basis and over Q(i) in a complex basis, the H^1 formula for
 heisenberg3 (x) M1^2, the inner derivations of sl2 and ``currentalg analyze``
 on an associative commutative file, then checks that no sympy module was
 loaded.
@@ -44,6 +45,12 @@ assert ca.rigidity_certificate(twisted).verdict == ca.RIGID_BY_H2_ZERO
 assert ca.fingerprint(twisted).center_dim == 0
 assert ca.change_basis(twisted, ca.inverse(f)) == g
 assert len(ca.orthogonal_decomposition(ca.change_basis(ca.m1(3), unimodular(3))).idempotents) == 3
+# a dense rational basis (the table has denominators) and a basis with complex constants
+half, i = ca.scalars.coerce(ca.Q, "1/2"), ca.GaussianRational(0, 1)
+dense = ca.Matrix([[1, half, -2], [half, 3, 1], [-1, ca.scalars.coerce(ca.Q, "2/3"), 1]])
+assert len(ca.find_idempotents(ca.change_basis(ca.m1(3), dense))) == 7
+complex_basis = ca.Matrix([[1, i, 0], [0, 1, 1 + i], [0, 0, 1]])
+assert len(ca.find_idempotents(ca.change_basis(ca.complexify(ca.m1(3)), complex_basis))) == 7
 assert ca.h1_current_formula(ca.heisenberg(3), ca.m1(2)).matches
 assert ca.inner_derivations(ca.sl2()).dim == 3
 fixture = Path(__file__).resolve().parent.parent / "fixtures" / "real_rigid_3_1.json"

@@ -25,15 +25,13 @@ from currentalg.linalg import (
     _echelon,
     _integral,
     _rank,
-    poly_degree,
-    poly_ext_gcd,
-    poly_gcd,
     poly_mul,
     rref,
 )
 
-from conftest import (P998, dense_rref, given_order_kernel, min_poly_oracle, quotient_algebra,
-                      rand_matrix, rank_mod_p, scaled_corpus, subspace_coordinates)
+from conftest import (P998, dense_rref, given_order_kernel, min_poly_oracle, poly_degree, poly_ext_gcd,
+                      poly_gcd, quotient_algebra, rand_matrix, rank_mod_p, scaled_corpus,
+                      subspace_coordinates)
 
 F = Fraction
 

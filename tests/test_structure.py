@@ -30,12 +30,8 @@ from currentalg import (
 )
 
 from currentalg import structure
-from currentalg.linalg import poly_monic, poly_mul, rank
-from currentalg.structure import (
-    _factor_poly,
-    _poly_shift,
-    _trace_form,
-)
+from currentalg.linalg import poly_mul, rank
+from currentalg.structure import _poly_shift, _trace_form
 
 from conftest import (
     bases,
@@ -43,9 +39,12 @@ from conftest import (
     catalog_assoc_algebras,
     catalog_lie_algebras,
     dense_rref,
+    factor_poly,
     multiply_oracle,
     nilpotent_ops_oracle,
     oracle_corpus,
+    poly_monic,
+    primitive_idempotents_oracle,
     q_factor_oracle,
     qi_factor_oracle,
     rand_vector,
@@ -461,8 +460,17 @@ def test_generator_skips_a_point_with_a_zero_character(monkeypatch):
     got = find_idempotents(a)
     assert seen == [(F(1), F(2)), (F(1), F(3))]
     assert set(got) == {f_inv.apply(e) for e in find_idempotents(ca.m1(2))}
-    powers, p, s = structure._generator(a, 2)
-    assert s == 1 and p[s:] == (F(-4), F(-3), F(1))  # x(3) = -e1 + 4 e2: (t + 1)(t - 4)
+    # x(3) = -e1 + 4 e2 has u = (t + 1)(t - 4); the table's denominators are 3,
+    # so the relation is that of 3 x(3), with the roots scaled by 3
+    assert structure._integral_tensor(a)[0] == 3
+    powers, p, s, sqf = structure._generator(a, 2)
+    assert s == 1 and p[s:] == (-36, -9, 1) and sqf == [-36, -9, 1]  # (t + 3)(t - 12)
+
+
+def _complex_basis_m1_3():
+    """M1^3 over Q(i) in a basis with genuinely complex structure constants."""
+    i = GaussianRational(0, 1)
+    return ca.change_basis(complexify(ca.m1(3)), Matrix([[1, i, 0], [0, 1, 1 + i], [0, 0, 1]]))
 
 
 def test_a_factor_that_does_not_divide_raises_at_once(monkeypatch):
@@ -471,12 +479,12 @@ def test_a_factor_that_does_not_divide_raises_at_once(monkeypatch):
     # at once, never iterate on them.
     factor = structure._factor_poly
 
-    def unshifted(field, coeffs):
+    def unshifted(field, coeffs, *squarefree_and_scale):
         shift = GaussianRational(0, -1) if field == ca.QI else F(1)
-        return [(_poly_shift(f, shift), k) for f, k in factor(field, coeffs)]
+        return [(_poly_shift(f, shift), k) for f, k in factor(field, coeffs, *squarefree_and_scale)]
     monkeypatch.setattr(structure, "_factor_poly", unshifted)
     for a in (ca.m1(3), _quartic_double_split(), complexify(ca.real_rigid(4, 2)),
-              ca.change_basis(complexify(ca.m1(4)), _unit_first(4, 4))):
+              ca.change_basis(complexify(ca.m1(4)), _unit_first(4, 4)), _complex_basis_m1_3()):
         start = time.perf_counter()
         with pytest.raises(AssertionError):
             find_idempotents(a)
@@ -495,8 +503,8 @@ def test_equal_degree_split_gives_up_after_bounded_draws(monkeypatch):
             return 0
     monkeypatch.setattr(structure, "Random", ZeroDraws)
     calls = (lambda: find_idempotents(ca.m1(3)),
-             lambda: _factor_poly(ca.Q, (-6, 11, -6, 1)),  # three roots mod 3
-             lambda: _factor_poly(ca.QI, (1, 0, 1)))  # its norm splits mod 5
+             lambda: factor_poly(ca.Q, (-6, 11, -6, 1)),  # three roots mod 3
+             lambda: factor_poly(ca.QI, (1, 0, 1)))  # its norm splits mod 5
     for call in calls:
         start = time.perf_counter()
         with pytest.raises(AssertionError):
@@ -606,7 +614,7 @@ def _q_products(draw):
 
 
 def _assert_q_factors_match(poly):
-    got = _factor_poly(ca.Q, poly)
+    got = factor_poly(ca.Q, poly)
     assert got == q_factor_oracle(poly), poly  # factors, multiplicities and order
     product = reduce(poly_mul, [fac for fac, mult in got for _ in range(mult)], (F(1),))
     assert product == poly_monic([F(c) for c in poly]), poly
@@ -631,10 +639,10 @@ _Q_FIXED = (
 def test_factor_poly_q_fixed_cases():
     for poly, nfactors in _Q_FIXED:
         _assert_q_factors_match(poly)
-        assert len(_factor_poly(ca.Q, poly)) == nfactors, poly
-    assert _factor_poly(ca.Q, _Q_FIXED[6][0]) == [((F(-1), F(1)), 2), ((F(1), F(0), F(1)), 3)]
+        assert len(factor_poly(ca.Q, poly)) == nfactors, poly
+    assert factor_poly(ca.Q, _Q_FIXED[6][0]) == [((F(-1), F(1)), 2), ((F(1), F(0), F(1)), 3)]
     # ties go by descending integer coefficients: [1, 3] before [2, 1]
-    assert _factor_poly(ca.Q, _Q_FIXED[-1][0]) == [((F(3), F(1)), 1), ((F(1, 2), F(1)), 1)]
+    assert factor_poly(ca.Q, _Q_FIXED[-1][0]) == [((F(3), F(1)), 1), ((F(1, 2), F(1)), 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -672,7 +680,7 @@ _QI_FIXED = ((2, -2, 1), (1, 0, 1), (1, 0, 0, 0, 1), _M14, poly_mul(_M14, (-17, 
 
 
 def _assert_qi_factors_match(poly):
-    got = _factor_poly(ca.QI, poly)
+    got = factor_poly(ca.QI, poly)
     assert Counter(got) == Counter(qi_factor_oracle(poly)), poly
     product = reduce(poly_mul, [fac for fac, mult in got for _ in range(mult)])
     assert product == poly_monic(ca.scalars.coerce_vector(ca.QI, poly)), poly
@@ -681,7 +689,7 @@ def _assert_qi_factors_match(poly):
 def test_factor_poly_qi_fixed_cases():
     # the M1(5) unit-first generator search really meets the quintic
     a = ca.change_basis(ca.m1(5), _unit_first(5, 5))
-    _powers, p, s = structure._generator(a, 5)
+    _powers, p, s, _sqf = structure._generator(a, 5)
     assert p[s:] == _QI_FIXED[-1]
     for poly in _QI_FIXED:
         _assert_qi_factors_match(poly)
@@ -725,6 +733,71 @@ def test_idempotents_invariant_under_change_of_basis(data):
     dec_a, dec_b = orthogonal_decomposition(a), orthogonal_decomposition(b)
     assert sorted(c.dim for c in dec_b.components) == sorted(c.dim for c in dec_a.components)
     assert dec_b.nil_residual.dim == dec_a.nil_residual.dim
+
+
+@st.composite
+def _dense_basis(draw, n, field):
+    """L U with L unit lower triangular and U upper triangular with a nonzero
+    diagonal, entries rational (Gaussian over Q(i)) with denominators 2 and 3,
+    so that the new table has denominators."""
+    part = st.builds(F, st.integers(-3, 3), st.sampled_from((2, 3)))
+    entry = part if field == ca.Q else st.builds(GaussianRational, part, part)
+    nonzero = entry.filter(bool)
+
+    def triangular(lower):
+        return Matrix([[(1 if lower else draw(nonzero)) if i == j
+                        else draw(entry) if (i > j) == lower else 0
+                        for j in range(n)] for i in range(n)])
+    return triangular(True) @ triangular(False)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_primitive_idempotents_match_the_field_scalar_route(data):
+    # The integral route (D theta, monic integer relations, one denominator per
+    # idempotent) against the field-scalar route it replaced: the same
+    # idempotents with the same scalar types, in the same order.  Dense
+    # rational bases give tables with denominators, so D > 1.
+    a = data.draw(st.sampled_from(_BASIS_FAMILY))
+    kind = data.draw(st.sampled_from(("unimodular", "dense", "gaussian")))
+    if kind == "unimodular":
+        f = data.draw(_unimodular(a.dim))
+    else:
+        f = data.draw(_dense_basis(a.dim, ca.QI if kind == "gaussian" and a.field == ca.QI else ca.Q))
+    b = ca.change_basis(a, f)
+    assert repr(structure._primitive_idempotents(b)) == repr(primitive_idempotents_oracle(b))
+
+
+def test_primitive_idempotents_keep_the_order_of_the_unscaled_relation():
+    # D theta has the roots of theta times D = 3 and 6 here; the factors keep
+    # the order of theta's own relation, which these bases would reverse
+    for a, f in ((ca.m1(2), [[4, 0], [F(1, 3), 2]]),
+                 (ca.m1(3), [[3, -1, 0], [0, 2, F(-3, 2)], [F(-3, 2), 0, 5]])):
+        b = ca.change_basis(a, Matrix(f))
+        assert repr(structure._primitive_idempotents(b)) == repr(primitive_idempotents_oracle(b))
+
+
+def test_relation_is_integral():
+    # Gauss's lemma: L_(D theta) is integral, so the relation p of D theta is
+    # monic over Z, over Z[i] for Q(i): ints over Q, and over Q(i) ints or
+    # Gaussian triples with d = 1, which have imaginary parts only when the
+    # table does.  Dense bases have denominators; D clears them.
+    rng = random.Random(17)
+    complex_parts = 0
+    for a in _BASIS_FAMILY + [_complex_basis_m1_3()]:
+        dense = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) + int(i == j) * 5
+                         for j in range(a.dim)] for i in range(a.dim)])
+        for b in (a, ca.change_basis(a, unimodular_twist(a.dim, 3)), ca.change_basis(a, dense)):
+            one = ca.scalars.one(b.field)
+            _powers, p, _s = structure._relation(b, tuple(one * 2 ** k for k in range(b.dim)))
+            assert p[-1] == 1, b
+            if b.field == ca.Q:
+                assert all(type(c) is int for c in p), (b, p)
+            else:
+                assert all(type(c) in (int, GaussianRational) and ca.scalars._parts(c)[2] == 1
+                           for c in p), (b, p)
+                complex_parts += any(ca.scalars._parts(c)[1] for c in p)
+    assert complex_parts >= 1
 
 
 def test_find_idempotents_rejects_a_candidate_missing_from_the_lattice(monkeypatch):

@@ -232,6 +232,18 @@ def _pairs(kind: str, n: int) -> list:
         range(1, n + 1), 2))
 
 
+def _left_mult_rows(alg: Algebra) -> Matrix:
+    """The left multiplications L_{e_i} as flattened operators, read off the
+    tensor in one pass: c_ij^k is entry (k, j) of L_{e_i}, column
+    (k-1)n + j-1 of row i."""
+    n = alg.dim
+    rows = [{} for _ in range(n)]
+    for (i, j), terms in alg.tensor.items():
+        for k, c in terms:
+            rows[i - 1][(k - 1) * n + j - 1] = c
+    return Matrix._of(rows, n * n)
+
+
 def _leibniz_rows(alg: Algebra) -> Matrix:
     """The operator f -> f(e_i e_j) - f(e_i) e_j - e_i f(e_j).
 

@@ -23,8 +23,8 @@ from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from . import scalars
-from .algebra import (ASSOC_COMM, LIE, Algebra, AlgebraError, _jacobi, _leibniz_rows, _pairs,
-                      _tensor, require_identities)
+from .algebra import (ASSOC_COMM, LIE, Algebra, AlgebraError, _jacobi, _left_mult_rows,
+                      _leibniz_rows, _pairs, _tensor, require_identities)
 from .current import _current_tensor, current_algebra, flat_index
 from .linalg import (
     Matrix,
@@ -329,14 +329,8 @@ def derivation_space(alg: Algebra) -> Subspace:
 
 
 def _left_mult_span(alg: Algebra) -> Subspace:
-    """span{L_{e_i}} in the flattened-operator coordinates, read off the tensor
-    in one pass: c_ij^k is entry (k, j) of L_{e_i}, column (k-1)n + j-1 of row i."""
-    n = alg.dim
-    rows = [{} for _ in range(n)]
-    for (i, j), terms in alg.tensor.items():
-        for k, c in terms:
-            rows[i - 1][(k - 1) * n + j - 1] = c
-    return Subspace._of(n * n, rows)
+    """span{L_{e_i}} in the flattened-operator coordinates."""
+    return Subspace._of(alg.dim ** 2, _left_mult_rows(alg).sparse_rows)
 
 
 def inner_derivations(g: Algebra) -> Subspace:

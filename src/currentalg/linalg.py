@@ -491,73 +491,46 @@ class Subspace:
 # Polynomials (dense, ascending coefficients) and operator analysis
 # ---------------------------------------------------------------------------
 
-def poly_trim(p: Sequence) -> tuple:
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return tuple(p)
-
-
-def poly_mul(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return ()
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return poly_trim(out)
-
-
 def min_poly(M: Matrix) -> tuple:
-    """Monic minimal polynomial, ascending coefficients, via Krylov on vectors.
+    """Monic minimal polynomial, ascending coefficients: the first dependence
+    of I, D M, (D M)^2, ... (D the lcm of M's denominators), read by one
+    :func:`_krylov` run on the row-major flattened powers with the step
+    X -> X (D M), gives p in Z[t] (Z[i][t]), and mu(t) = D^-m p(D t).
 
-    It is the lcm of the minimal polynomials of M on e_1, ..., e_n.  With mu
-    the lcm so far and w = mu(M) e_j, lcm(mu, mu_{e_j}) = mu * mu_w; mu_w is
-    D^-m p(D t) for the :func:`_krylov` relation p of D M (D the lcm of M's
-    denominators) on w with its denominators cleared.  Its coefficients are
-    Gaussian when a Krylov vector has a Gaussian entry, else ``Fraction``.
+    Every nonzero coefficient below the leading ``Fraction(1)`` is a
+    ``GaussianRational`` when M has a Gaussian entry, else a ``Fraction``;
+    zeros are ``Fraction(0)``.
     """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("minimal polynomial needs a square matrix")
-    parts = [{c: _parts(x) for c, x in row.items()} for row in M.sparse_rows]
-    den = lcm(*(d for row in parts for _, _, d in row.values()))
-    pairs = any(y for row in parts for _, y, _ in row.values())
-    rows = [_scaled(row, den) for row in parts]
-    gaussian_entries = any(type(x) is GaussianRational for row in M.sparse_rows for x in row.values())
+    den, rows, pairs = _common(M.sparse_rows)
 
     def step(v):
-        return {r: z for r, row in enumerate(rows)
-                if (z := sum(x * v[c] for c, x in row.items() if c in v))}
+        out = {}
+        for k, x in v.items():
+            r, c = divmod(k, n)
+            for j, y in rows[c].items():
+                out[r * n + j] = out.get(r * n + j, 0) + x * y
+        return out
 
-    mu = (_ONE,)
-    for j in range(n):
-        if len(mu) > n:
-            break
-        e = tuple(_ONE if i == j else _ZERO for i in range(n))
-        w = vec_zero(n)
-        for c in reversed(mu):
-            w = vec_add(M.apply(w), vec_scale(c, e))
-        if not vec_is_zero(w):
-            wparts = {k: _parts(x) for k, x in enumerate(w) if x}
-            p = _krylov(step, _scaled(wparts, lcm(*(d for _, _, d in wparts.values()))), n, pairs)[1]
-            m = len(p) - 1  # M w = 0 exactly when p = t
-            gaussian = (any(type(x) is GaussianRational for x in w if x)
-                        or gaussian_entries and p != [0, 1])
-            mu = poly_mul(mu, tuple(
-                (_gauss(*_parts(c)[:2], den ** (m - k)) if gaussian else Fraction(c, den ** (m - k)))
-                if c else _ZERO for k, c in enumerate(p[:-1])) + (_ONE,))
-    return mu
+    p = _krylov(step, {i * (n + 1): 1 for i in range(n)}, n * n, pairs)[1]
+    m = len(p) - 1
+    gaussian = any(type(x) is GaussianRational for row in M.sparse_rows for x in row.values())
+    return tuple((_gauss(*_parts(c)[:2], den ** (m - k)) if gaussian
+                  else Fraction(c, den ** (m - k))) if c else _ZERO
+                 for k, c in enumerate(p[:-1])) + (_ONE,)
 
 
-def _scaled(parts: dict, m: int) -> dict:
-    """``{k: (x, y, d)}`` triples times a common multiple m of their d: ints,
-    and Gaussian integers (x, y, 1) where y != 0."""
-    return {k: _gauss(x * (m // d), y * (m // d), 1) if y else x * (m // d)
-            for k, (x, y, d) in parts.items()}
+def _common(rows) -> tuple[int, list, bool]:
+    """(D, D times each ``{k: x}`` row, whether an entry has an imaginary
+    part): D is the lcm of every entry's denominator, and each scaled entry an
+    int, or a Gaussian integer (x, y, 1) where y != 0."""
+    parts = [{k: _parts(x) for k, x in row.items()} for row in rows]
+    den = lcm(*(d for row in parts for _, _, d in row.values()))
+    pairs = any(y for row in parts for _, y, _ in row.values())
+    return den, [{k: _gauss(x * (den // d), y * (den // d), 1) if y else x * (den // d)
+                  for k, (x, y, d) in row.items()} for row in parts], pairs
 
 
 def _krylov(step: Callable, w: dict, n: int, pairs: bool = False) -> tuple[list, list]:

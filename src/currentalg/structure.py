@@ -33,19 +33,9 @@ from random import Random
 from typing import Callable, Optional, Sequence
 
 from . import scalars
-from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, _product, _sparse
-from .linalg import (
-    Matrix,
-    Subspace,
-    _krylov,
-    _scaled,
-    kernel_basis,
-    poly_trim,
-    rank,
-    solve,
-    vec_add,
-    vec_is_zero,
-)
+from .algebra import ASSOC_COMM, LIE, Algebra, AlgebraError, _left_mult_rows, _product, _sparse
+from .linalg import (Matrix, Subspace, _common, _krylov, kernel_basis, rank, solve, vec_add,
+                     vec_is_zero)
 from .scalars import _parts, _reduced
 
 
@@ -58,18 +48,12 @@ def _require_kind(alg: Algebra, kind: str, op: str) -> None:
 # Center and series
 # ---------------------------------------------------------------------------
 
-def _right_mult_system(alg: Algebra) -> Matrix:
-    """x -> (x e_1, ..., x e_n) stacked: row (j-1) n + k-1, column i holds c_ij^k."""
-    n = alg.dim
-    return Matrix.from_entries({((j - 1) * n + k - 1, i - 1): c
-                                for (i, j), terms in alg.tensor.items() for k, c in terms},
-                               n * n, n)
-
-
 def center(g: Algebra) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}, as the kernel of the stacked maps."""
+    """{x : [x, e_j] = 0 for all j}, as the kernel of x -> (x e_1, ..., x e_n),
+    the transpose of the left multiplications: row (k-1) n + j-1, column i
+    holds c_ij^k."""
     _require_kind(g, LIE, "center")
-    return Subspace(g.dim, kernel_basis(_right_mult_system(g)))
+    return Subspace(g.dim, kernel_basis(_left_mult_rows(g).transpose()))
 
 
 def subspace_product(alg: Algebra, u: Subspace, v: Subspace) -> Subspace:
@@ -136,10 +120,12 @@ def is_nilalgebra(A: Algebra) -> bool:
 # ---------------------------------------------------------------------------
 
 def find_unit(A: Algebra) -> Optional[tuple]:
-    """The unique u with u*e_j = e_j for all j, or None."""
+    """The unique u with u*e_j = e_j for all j, or None: the stacked system of
+    :func:`center`, whose right-hand side, the flattened identity, reads the
+    same in (k, j) and (j, k) order."""
     _require_kind(A, ASSOC_COMM, "find_unit")
     rhs = [x for j in range(1, A.dim + 1) for x in A.basis_vector(j)]
-    return solve(_right_mult_system(A), rhs)
+    return solve(_left_mult_rows(A).transpose(), rhs)
 
 
 def is_idempotent(A: Algebra, e: Sequence) -> bool:
@@ -153,10 +139,8 @@ def _integral_tensor(A: Algebra) -> tuple[int, dict, bool]:
     integer (x, y, 1).  On an integral table over Q, ``A.tensor`` itself."""
     if A.field == scalars.Q and all(type(c) is int for terms in A.tensor.values() for _, c in terms):
         return 1, A.tensor, False
-    parts = {key: {k: _parts(c) for k, c in terms} for key, terms in A.tensor.items()}
-    den = lcm(*(d for terms in parts.values() for _, _, d in terms.values()))
-    pairs = any(y for terms in parts.values() for _, y, _ in terms.values())
-    return den, {key: tuple(_scaled(terms, den).items()) for key, terms in parts.items()}, pairs
+    den, rows, pairs = _common(map(dict, A.tensor.values()))
+    return den, {key: tuple(row.items()) for key, row in zip(A.tensor, rows)}, pairs
 
 
 def _int(z):
@@ -193,10 +177,10 @@ def _crt_idempotents(A: Algebra, powers: list, p: tuple, factors: list) -> list:
         cofactor = _exact_quotient(p, f)
         if cofactor is None:
             raise AssertionError("a CRT factor must divide p")
-        r, cols, x = len(f) - 1, [], _rem_monic(cofactor, f)
+        r, cols, x = len(f) - 1, [], _divmod_monic(cofactor, f)[1]
         for _ in range(r):
             cols.append(x)
-            x = _rem_monic([0] + x, f)
+            x = _divmod_monic([0] + x, f)[1]
         h = solve(Matrix._of([{i: c[k] for i, c in enumerate(cols) if c[k]} for k in range(r)], r),
                   [1] + [0] * (r - 1))
         if h is None:
@@ -356,29 +340,23 @@ def _split_mod(f, p, rng) -> list:
     return out + [f] if len(f) > 1 else out
 
 
-def _exact_quotient(a, b):
-    """a / b in Z[t], or in Z[i][t] for a monic b; None when b does not divide a."""
-    a, quot = list(a), [0] * (len(a) - len(b) + 1)
-    for d in reversed(range(len(quot))):
-        q = a[d + len(b) - 1]
-        if b[-1] != 1:
-            q, r = divmod(q, b[-1])
-            if r:
-                return None
-        quot[d] = q
-        for i, y in enumerate(b):
-            a[d + i] -= q * y
-    return None if any(a) else quot
-
-
-def _rem_monic(a, f):
-    """a mod a monic f over Z or Z[i], as deg f coefficients."""
+def _divmod_monic(a, f):
+    """(quotient, remainder) of a by a monic f over Z or Z[i]; the remainder
+    has deg f coefficients."""
     n = len(f) - 1
     a = list(a) + [0] * (n - len(a))
-    for d in reversed(range(len(a) - n)):
+    quot = [0] * (len(a) - n)
+    for d in reversed(range(len(quot))):
+        q = quot[d] = a[d + n]
         for i in range(n):
-            a[d + i] -= a[d + n] * f[i]
-    return a[:n]
+            a[d + i] -= q * f[i]
+    return quot, a[:n]
+
+
+def _exact_quotient(a, f):
+    """a / f for a monic f over Z or Z[i]; None when f does not divide a."""
+    quot, rem = _divmod_monic(a, f)
+    return None if any(rem) else quot
 
 
 def _gcd(a, b):
@@ -410,43 +388,42 @@ def _content_free(r):
 
 
 def _squarefree(f):
-    """f / gcd(f, f') for a primitive f over Z with f[-1] > 0, or a monic f over Z[i]."""
+    """f / gcd(f, f') for a monic f over Z or Z[i]; the gcd is monic too."""
     return _exact_quotient(f, _gcd(f, [k * c for k, c in enumerate(f)][1:]))
 
 
 def _zassenhaus(f: list) -> list:
-    """Irreducible factors in Z[t] of a primitive squarefree f with f[-1] > 0.
+    """Monic irreducible factors in Z[t] of a monic squarefree f.
 
-    p is the least odd prime with p not dividing lc(f) and f mod p
-    squarefree; the search ends because f is squarefree over Q, so its
-    discriminant is nonzero and only the finitely many primes dividing
-    lc(f) disc(f) are skipped.  The factors mod p are lifted together by
-    linear Hensel steps until q = p^k > 2 lc(f) 2^n |f|_2, a bound on the
-    coefficients of lc(f) g / lc(g) for every factor g of f.  Subsets of
-    increasing size are then recombined: the symmetric residue of lc times
-    their product mod q, made primitive, is a factor iff it divides f
-    exactly.  Recombination stays exponential in the number of modular
-    factors in the worst case (Swinnerton-Dyer polynomials), as in every
-    Zassenhaus factorization without lattice reduction.
+    p is the least odd prime with f mod p squarefree; the search ends because
+    f is squarefree over Q, so its discriminant is nonzero and only the
+    finitely many primes dividing it are skipped.  The factors mod p are
+    lifted together by linear Hensel steps until q = p^k with
+    q^2 > 4 4^n |f|_2^2, that is q > 2 2^n |f|_2, a bound on the
+    coefficients of every monic factor of f.  Subsets of increasing size are
+    then recombined: the symmetric residue of their product mod q is a
+    factor iff it divides f exactly.  Recombination stays exponential in the
+    number of modular factors in the worst case (Swinnerton-Dyer
+    polynomials), as in every Zassenhaus factorization without lattice
+    reduction.
     """
-    n, lc = len(f) - 1, f[-1]
+    n = len(f) - 1
     if n <= 1:
         return [f] if n == 1 else []
     odd_primes = (p for p in count(3, 2) if all(p % k for k in range(3, isqrt(p) + 1, 2)))
-    p = next(p for p in odd_primes if lc % p and len(_gcd_mod(
+    p = next(p for p in odd_primes if len(_gcd_mod(
         [c % p for c in f], _trim([i * c % p for i, c in enumerate(f)][1:]), p)) == 1)
-    inv_lc = pow(lc, -1, p)
-    g0s = _split_mod([c * inv_lc % p for c in f], p, Random(p))
+    g0s = _split_mod([c % p for c in f], p, Random(p))
     if len(g0s) == 1:
         return [f]
     # a_i = (prod_{l != i} g_l)^-1 mod g_i, so sum_i a_i prod_{l != i} g_l = 1 mod p;
     # g_i is irreducible, so the inverse is the power p^deg(g_i) - 2 (Fermat)
     cof = [_pow_mod(reduce(lambda x, h: _mul_rem(x, h, g, p), g0s[:i] + g0s[i + 1:], [1]),
                     p ** (len(g) - 1) - 2, g, p) for i, g in enumerate(g0s)]
-    gs, q, bound2 = g0s, p, 4 * lc * lc * 4 ** n * sum(c * c for c in f)
-    while q * q <= bound2:  # f = lc prod g_i mod q; make it hold mod q p
-        e = _sub_mod(f, reduce(lambda x, g: _mul_mod(x, g, q * p), gs, [lc]), q * p)
-        e = [c // q * inv_lc % p for c in e]  # the next p-adic digit of the error, over lc
+    gs, q, bound2 = g0s, p, 4 * 4 ** n * sum(c * c for c in f)
+    while q * q <= bound2:  # f = prod g_i mod q; make it hold mod q p
+        e = _sub_mod(f, reduce(lambda x, g: _mul_mod(x, g, q * p), gs, [1]), q * p)
+        e = [c // q % p for c in e]  # the next p-adic digit of the error
         # a lifted g_i is g0_i mod p, so the step's arithmetic mod p uses the small g0_i
         deltas = (_mul_rem(_divmod_mod(e, g, p)[1], a, g, p) for g, a in zip(g0s, cof))
         gs = [[x + q * y for x, y in zip(g, delta + [0] * len(g))] for g, delta in zip(gs, deltas)]
@@ -459,12 +436,10 @@ def _zassenhaus(f: list) -> list:
     out, rest, size = [], f, 1
     while 2 * size <= len(gs):
         for pick in combinations(range(len(gs)), size):
-            lead = rest[-1]
-            c0 = symmetric(reduce(lambda x, i: x * gs[i][0] % q, pick, lead))
-            if c0 and lead * rest[0] % c0:
+            c0 = symmetric(reduce(lambda x, i: x * gs[i][0] % q, pick, 1))
+            if c0 and rest[0] % c0:
                 continue  # the constant term already rules this subset out
-            g = [symmetric(c) for c in reduce(lambda x, i: _mul_mod(x, gs[i], q), pick, [lead])]
-            g = [c // gcd(*g) for c in g]
+            g = [symmetric(c) for c in reduce(lambda x, i: _mul_mod(x, gs[i], q), pick, [1])]
             quot = _exact_quotient(rest, g)
             if quot is not None:
                 out.append(g)
@@ -476,9 +451,9 @@ def _zassenhaus(f: list) -> list:
 
 
 def _factor_poly(field: str, f: list, sqf: list, scale: int) -> list:
-    """Irreducible factors, with multiplicities by exact division, of an f
-    primitive with f[-1] > 0 over Z or monic over Z[i], from its squarefree
-    part sqf; monic when f is.  Over Z, ``_zassenhaus``; over Z[i], Trager's
+    """Monic irreducible factors, with multiplicities by exact division, of
+    a monic f over Z or Z[i], from its squarefree part sqf, which is monic
+    too.  Over Z, ``_zassenhaus``; over Z[i], Trager's
     norm method: for the least j >= 0 with N(t) = sqf(t - j c i) conj(sqf)(t
     + j c i) squarefree (c = ``scale``), each irreducible factor h of N over
     Z gives gcd(sqf(t - j c i), h) shifted back.  The order is that of the
@@ -510,7 +485,7 @@ def _order(h, scale):
 def _poly_shift(p, c):
     """p(t + c), by Horner's rule: out <- out * (t + c) + a."""
     out = []
-    for a in reversed(poly_trim(p)):
+    for a in reversed(_trim(list(p))):
         out = [x + c * y for x, y in zip([a] + out, out + [0])] if c else [a] + out
     return tuple(out)
 
@@ -633,9 +608,12 @@ def find_idempotents(A: Algebra, candidates: Sequence = ()) -> list:
 
     Every idempotent of a finite-dimensional commutative algebra is the sum
     of a subset of the primitive orthogonal idempotents, so the enumeration
-    is exhaustive.  User-supplied candidates are verified by multiplication
-    and must already appear in the computed set; one that does not is a
-    completeness bug and raises ``AssertionError``.
+    is exhaustive.  The system is checked with q(q+1)/2 products, e e = e
+    for each primitive and e f = 0 for each pair, which makes every subset
+    sum idempotent: (sum_S e_i)^2 = sum e_i^2 + 2 sum e_i e_j.
+    User-supplied candidates are verified by multiplication and must already
+    appear in the computed set; one that does not is a completeness bug and
+    raises ``AssertionError``.
     """
     _require_kind(A, ASSOC_COMM, "find_idempotents")
     checked = []
@@ -652,8 +630,8 @@ def find_idempotents(A: Algebra, candidates: Sequence = ()) -> list:
     for cand in checked:
         if cand not in found:
             raise AssertionError(f"idempotent {cand} is missing from the primitive lattice")
-    for e in found:
-        if not is_idempotent(A, e):
+    for i, e in enumerate(prims):
+        if A.multiply(e, e) != e or not all(vec_is_zero(A.multiply(e, f)) for f in prims[i + 1:]):
             raise AssertionError("find_idempotents produced a non-idempotent")
     return found
 

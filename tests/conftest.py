@@ -18,7 +18,7 @@ from hypothesis import settings, strategies as st
 import currentalg as ca
 from currentalg import scalars
 from currentalg.io import parse_algebra_file
-from currentalg.linalg import poly_mul, poly_trim, vec_add, vec_scale, vec_sub
+from currentalg.linalg import vec_add, vec_scale, vec_sub
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -1183,6 +1183,26 @@ def recursive_decomposition_oracle(A):
 # Polynomials over the field (ascending coefficients), which src/ no longer needs
 # ---------------------------------------------------------------------------
 
+def poly_trim(p) -> tuple:
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
+def poly_mul(p, q):
+    p, q = poly_trim(p), poly_trim(q)
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return poly_trim(out)
+
+
 def poly_degree(p) -> int:
     return len(poly_trim(p)) - 1
 
@@ -1298,12 +1318,26 @@ def _crt_idempotent_oracle(A, powers, p, f):
     return e
 
 
+def _monic_integral(f):
+    """(c^n F(t / c), c) for a monic F of degree n over Q or Q(i), with c the
+    lcm of its denominators: a monic polynomial over Z (Z[i]), whose monic
+    factors h give the monic factors h(c t) / c^deg h of F."""
+    c, n = lcm(*(scalars._parts(x)[2] for x in f)), len(f) - 1
+    return [ca.structure._int(x * c ** (n - k)) for k, x in enumerate(f)], c
+
+
+def _primitive_key(h):
+    """(degree, descending coefficients) of the primitive integer form of h over Q."""
+    den = lcm(*(c.denominator for c in h))
+    ints = [int(x * den) for x in h]
+    return len(h), [x // gcd(*ints) for x in reversed(ints)]
+
+
 def _factor_rational_oracle(sqf):
-    den = lcm(*(c.denominator for c in sqf))
-    ints = [c.numerator * (den // c.denominator) for c in sqf]
-    facs = sorted(ca.structure._zassenhaus([c // gcd(*ints) for c in ints]),
-                  key=lambda h: (len(h), h[::-1]))
-    return [tuple(Fraction(c, h[-1]) for c in h) for h in facs]
+    f, c = _monic_integral(sqf)
+    facs = [tuple(Fraction(x, c ** (len(h) - 1 - k)) for k, x in enumerate(h))
+            for h in ca.structure._zassenhaus(f)]
+    return sorted(facs, key=_primitive_key)
 
 
 def _factor_gaussian_oracle(sqf):
@@ -1335,19 +1369,14 @@ def factor_poly_oracle(field, u):
 
 
 def factor_poly(field, coeffs):
-    """``structure._factor_poly`` on field scalars: the monic F = coeffs / lc is
-    made integral, f = c F (primitive) over Q and f = c^deg F(t / c) (monic)
-    over Q(i) with c the lcm of F's denominators, factored with scale 1 and c,
-    and its factors are read back as the monic factors of F."""
+    """``structure._factor_poly`` on field scalars: the monic F = coeffs / lc
+    is made monic over Z (Z[i]) as f = c^deg F(t / c), with c the lcm of F's
+    denominators, factored with scale c, and its factors are read back as the
+    monic factors of F."""
     f = scalars.coerce_vector(field, coeffs)
-    f = [x / f[-1] for x in f]
-    c = lcm(*(scalars._parts(x)[2] for x in f))
-    if field == ca.Q:
-        f, c = [(x * c).numerator for x in f], 1
-    else:
-        f = [ca.structure._int(x * c ** (len(f) - 1 - k)) for k, x in enumerate(f)]
+    f, c = _monic_integral([x / f[-1] for x in f])
     one = scalars.one(field)
-    return [(tuple(one * x / (h[-1] * c ** (len(h) - 1 - k)) for k, x in enumerate(h)), m)
+    return [(tuple(one * x / c ** (len(h) - 1 - k) for k, x in enumerate(h)), m)
             for h, m in ca.structure._factor_poly(field, f, ca.structure._squarefree(f), c)]
 
 

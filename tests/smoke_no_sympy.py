@@ -6,10 +6,11 @@
 Runs the benchmark warm-up, a Pierce decomposition over Q(i), sl2 (x) M1^2
 and M1^3 in a unimodular basis (rigidity certificate, fingerprint, the way
 back to the canonical basis, the idempotent split), the idempotents of M1^3
-in a dense rational basis and over Q(i) in a complex basis, the H^1 formula for
-heisenberg3 (x) M1^2, the inner derivations of sl2 and ``currentalg analyze``
-on an associative commutative file, then checks that no sympy module was
-loaded.
+in a dense rational basis and over Q(i) in a complex basis, the minimal
+polynomials of a rational rotation and of a Q(i) matrix with denominators,
+the H^1 formula for heisenberg3 (x) M1^2, the inner derivations of sl2 and
+``currentalg analyze`` on an associative commutative file, then checks that
+no sympy module was loaded.
 Exits nonzero on any failure.  The tier-1 suite runs it in a child process;
 CI also runs it against a plain ``pip install .``.
 """
@@ -51,6 +52,14 @@ dense = ca.Matrix([[1, half, -2], [half, 3, 1], [-1, ca.scalars.coerce(ca.Q, "2/
 assert len(ca.find_idempotents(ca.change_basis(ca.m1(3), dense))) == 7
 complex_basis = ca.Matrix([[1, i, 0], [0, 1, 1 + i], [0, 0, 1]])
 assert len(ca.find_idempotents(ca.change_basis(ca.complexify(ca.m1(3)), complex_basis))) == 7
+# min_poly is the first dependence of I, D M, (D M)^2, ...: a rational
+# rotation, and a Q(i) matrix with denominators, (t - i/2)^2
+five = ca.scalars.coerce(ca.Q, "1/5")
+rotation = ca.Matrix([[3 * five, -4 * five], [4 * five, 3 * five]])
+assert ca.min_poly(rotation) == (1, -6 * five, 1)
+jordan = ca.min_poly(ca.Matrix([[i / 2, 1], [0, i / 2]]))
+assert jordan == (ca.scalars.coerce(ca.Q, "-1/4"), -i, 1)
+assert [type(c) for c in jordan] == [ca.GaussianRational, ca.GaussianRational, type(five)]
 assert ca.h1_current_formula(ca.heisenberg(3), ca.m1(2)).matches
 assert ca.inner_derivations(ca.sl2()).dim == 3
 fixture = Path(__file__).resolve().parent.parent / "fixtures" / "real_rigid_3_1.json"

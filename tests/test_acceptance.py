@@ -49,9 +49,9 @@ from currentalg import (
     rigidity_certificate,
     truncated_deformation_check,
 )
+from currentalg.algebra import _left_mult_rows
 from currentalg.cohomology import _hochschild_rows, _leibniz_rows
 from currentalg.io import emit_algebra, parse_algebra_file
-from currentalg.structure import _right_mult_system
 
 from conftest import (
     FIXTURES,
@@ -154,7 +154,7 @@ def test_criterion_03_products_rigid_with_oracle():
     # sparse operator the kernel receives against the oracle on its dense view
     operators = 0
     for alg in with_variants(fixture_algebras()):
-        ops = [_leibniz_rows(alg), _right_mult_system(alg)]
+        ops = [_leibniz_rows(alg), _left_mult_rows(alg).transpose()]
         if alg.kind == ca.LIE:
             ops += [chevalley_delta_matrix(alg, k) for k in (0, 1, 2)]
         else:

@@ -25,12 +25,11 @@ from currentalg.linalg import (
     _echelon,
     _integral,
     _rank,
-    poly_mul,
     rref,
 )
 
 from conftest import (P998, dense_rref, given_order_kernel, min_poly_oracle, poly_degree, poly_ext_gcd,
-                      poly_gcd, quotient_algebra, rand_matrix, rank_mod_p, scaled_corpus,
+                      poly_gcd, poly_mul, quotient_algebra, rand_matrix, rank_mod_p, scaled_corpus,
                       subspace_coordinates)
 
 F = Fraction
@@ -118,6 +117,29 @@ def test_min_poly_gaussian_entries():
     i = GaussianRational(0, 1)
     m = Matrix([[i]])
     assert min_poly(m) == (GaussianRational(0, -1), Fraction(1))  # t - i
+
+
+def test_min_poly_type_rule():
+    # Every nonzero coefficient below the leading Fraction(1) is Gaussian when
+    # M has a Gaussian entry, else a Fraction; zeros are Fraction(0).  The
+    # matrices have denominators, so mu(t) = D^-m p(D t) with D = 2, 4 or 5.
+    i, half = GaussianRational(0, 1), F(1, 2)
+    cases = [
+        ([[half, 1], [0, half]], (F(1, 4), F(-1), F(1))),  # (t - 1/2)^2
+        ([[0, 1], [F(-1, 4), 0]], (F(1, 4), F(0), F(1))),  # t^2 + 1/4
+        ([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]], (F(1), F(-6, 5), F(1))),  # a rotation
+        ([[i / 2, 1], [0, i / 2]], (F(-1, 4), -i, F(1))),  # (t - i/2)^2
+        ([[0, i / 2], [i / 2, 0]], (F(1, 4), F(0), F(1))),  # t^2 + 1/4
+        ([[GaussianRational(half), 1], [0, GaussianRational(half)]], (F(1, 4), F(-1), F(1))),
+    ]
+    for rows, want in cases:
+        got = min_poly(Matrix(rows))
+        assert got == want, rows
+        gaussian = any(type(x) is GaussianRational for row in rows for x in row)
+        assert [type(c) for c in got] == [
+            Fraction if c == 0 else GaussianRational if gaussian else Fraction for c in got[:-1]
+        ] + [Fraction], (rows, got)
+        assert got[-1] == 1
 
 
 _SMALL = {

@@ -3,6 +3,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -30,7 +31,7 @@ from currentalg import (
 )
 
 from currentalg import structure
-from currentalg.linalg import poly_mul, rank
+from currentalg.linalg import rank, vec_add
 from currentalg.structure import _poly_shift, _trace_form
 
 from conftest import (
@@ -40,10 +41,12 @@ from conftest import (
     catalog_lie_algebras,
     dense_rref,
     factor_poly,
+    factor_poly_oracle,
     multiply_oracle,
     nilpotent_ops_oracle,
     oracle_corpus,
     poly_monic,
+    poly_mul,
     primitive_idempotents_oracle,
     q_factor_oracle,
     qi_factor_oracle,
@@ -807,3 +810,110 @@ def test_find_idempotents_rejects_a_candidate_missing_from_the_lattice(monkeypat
     assert len(find_idempotents(a)) == 3  # the truncated lattice alone is not caught
     with pytest.raises(AssertionError):
         find_idempotents(a, candidates=[full[0]])
+
+
+def _is_monic_integral(poly):
+    """Monic, with every coefficient an int or a Gaussian integer."""
+    return poly[-1] == 1 and all(type(c) is int or (type(c) is GaussianRational
+                                                    and ca.scalars._parts(c)[2] == 1) for c in poly)
+
+
+def test_generator_relations_and_squarefree_parts_are_monic():
+    # The factorizer takes monic input only: p[s:] and its squarefree part are
+    # monic over Z (Z[i]) in the canonical, a unimodular, a dense rational and,
+    # over Q(i), a dense Gaussian basis, where D clears the denominators.
+    rng = random.Random(29)
+
+    def dense(n, gaussian):
+        def entry():
+            x = F(rng.randint(-3, 3), rng.randint(1, 3))
+            return GaussianRational(x, F(rng.randint(-3, 3), rng.randint(1, 2))) if gaussian else x
+        return Matrix([[entry() + int(i == j) * 5 for j in range(n)] for i in range(n)])
+
+    checked = 0
+    for a in _BASIS_FAMILY:
+        bases = [unimodular_twist(a.dim, 5), dense(a.dim, False)]
+        bases += [dense(a.dim, True)] if a.field == ca.QI else []
+        d = rank(Matrix(_trace_form(a)))
+        for b in [a] + [ca.change_basis(a, f) for f in bases]:
+            _powers, p, s, sqf = structure._generator(b, d)
+            assert _is_monic_integral(p[s:]) and _is_monic_integral(sqf), (b, p, sqf)
+            assert len(sqf) - 1 == d
+            checked += 1
+    assert checked > 3 * len(_BASIS_FAMILY)
+
+
+def test_factorizer_inputs_are_monic(monkeypatch):
+    # _zassenhaus, _squarefree and _factor_poly have no leading-coefficient
+    # code.  Every caller, the test adapters included, must hand them a monic
+    # polynomial over Z (Z[i]): non-monic and rational inputs reach them
+    # through c^n F(t / c).
+    seen = Counter()
+
+    def monic_only(name, *positions):
+        fn = getattr(structure, name)
+
+        def checked(*args):
+            assert all(_is_monic_integral(args[k]) for k in positions), (name, args)
+            seen[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(structure, name, checked)
+    monic_only("_zassenhaus", 0)
+    monic_only("_squarefree", 0)
+    monic_only("_factor_poly", 1, 2)  # f and its squarefree part
+    i = GaussianRational(0, 1)
+    for poly in [p for p, _ in _Q_FIXED] + [(F(1, 2), 3, F(2, 3)), (F(-5, 6), 0, F(9, 4))]:
+        assert factor_poly(ca.Q, poly) == factor_poly_oracle(ca.Q, poly), poly
+    for poly in _QI_FIXED + (poly_mul((i / 2, 3), (F(2, 3), 0, F(1, 3))),):
+        assert Counter(factor_poly(ca.QI, poly)) == Counter(factor_poly_oracle(ca.QI, poly)), poly
+    for a in (ca.m1(3), _quartic_double_split(), _complex_basis_m1_3(),
+              ca.change_basis(ca.m1(3), Matrix([[3, -1, 0], [0, 2, F(-3, 2)], [F(-3, 2), 0, 5]]))):
+        assert repr(structure._primitive_idempotents(a)) == repr(primitive_idempotents_oracle(a))
+    assert min(seen.values()) >= 10 and len(seen) == 3, seen
+
+
+_ZI = st.one_of(st.integers(-9, 9), st.builds(GaussianRational, st.integers(-9, 9), st.integers(-9, 9)))
+
+
+@given(st.lists(_ZI, max_size=8), st.lists(_ZI, max_size=4))
+def test_divmod_monic(a, f):
+    # a = quot f + rem over Z and Z[i], rem with deg f coefficients; the exact
+    # quotient is its reading with rem = 0
+    f = f + [1]
+    n = len(f) - 1
+    quot, rem = structure._divmod_monic(a, f)
+    assert len(rem) == n and len(quot) == max(len(a) - n, 0)
+    prod = structure._mul(quot, f)
+    width = max(len(a), n)
+    assert [(prod[k] if k < len(prod) else 0) + (rem[k] if k < n else 0) for k in range(width)] == (
+        list(a) + [0] * (width - len(a)))
+    assert (structure._exact_quotient(a, f) is None) == any(rem)
+    if a:
+        assert structure._exact_quotient(structure._mul(a, f), f) == a
+
+
+def _patched_primitives(monkeypatch, prims):
+    monkeypatch.setattr(structure, "_primitive_idempotents", lambda alg: prims)
+
+
+def test_find_idempotents_checks_every_primitive_and_pair(monkeypatch):
+    # q + q(q-1)/2 products replace the 2^q - 1 subset checks; a system that
+    # fails one square or one orthogonality must still be refused
+    a2 = ca.m1(2)
+    e1, e2 = a2.basis_vector(1), a2.basis_vector(2)
+    _patched_primitives(monkeypatch, (e1, vec_add(e1, e2)))
+    with pytest.raises(AssertionError):
+        find_idempotents(a2)
+    a = ca.m1(3)
+    es = [a.basis_vector(k) for k in (1, 2, 3)]
+    _patched_primitives(monkeypatch, tuple(es))
+    assert len(find_idempotents(a)) == 7
+    for k in range(3):  # one primitive that is not idempotent
+        _patched_primitives(monkeypatch, tuple(vec_add(e, e) if j == k else e for j, e in enumerate(es)))
+        with pytest.raises(AssertionError):
+            find_idempotents(a)
+    for j, k in combinations(range(3), 2):  # e_j (e_j + e_k) = e_j: only this pair fails
+        _patched_primitives(monkeypatch, tuple(vec_add(e, es[j]) if m == k else e
+                                               for m, e in enumerate(es)))
+        with pytest.raises(AssertionError):
+            find_idempotents(a)

@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for current Lie algebras.
 
 Structure-constant algebras over Q and Q(i); current algebras g (x) A;
-Chevalley and Harrison cohomology in low degrees; rigidity certificates;
+Chevalley cohomology in every degree and Harrison H^2; rigidity certificates;
 Pierce decompositions; deformation checks.  Everything is exact: no
 floating point, no tolerances.
 """

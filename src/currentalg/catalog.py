@@ -245,14 +245,14 @@ def fingerprint(alg: Algebra) -> Fingerprint:
     require_identities(alg)
     if alg.kind == LIE:
         rep = series(alg)
-        (h1, h2), ds = _chevalley_dims(alg, 2)
+        (h0, h1, h2), ds = _chevalley_dims(alg, 2)
         # Der is the kernel of the Leibniz system and Z^1 that of d^1: two
         # assemblers of one operator up to sign and column order.
         _leibniz_is_minus_d1(alg, ds[1])
         return Fingerprint(
             dim=alg.dim,
             kind=alg.kind,
-            center_dim=alg.dim - h1.dim_B,  # Z(g) = Z^0, of dim n - rank d^0
+            center_dim=h0.dim_H,  # H^0 = Z(g)
             is_solvable=rep.is_solvable,
             is_nilpotent=rep.is_nilpotent,
             der_dim=h1.dim_Z,

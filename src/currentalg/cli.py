@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
 
     p = sub.add_parser("cohomology", help="Chevalley cohomology dimensions")
-    p.add_argument("--degree", type=int, choices=(1, 2), required=True)
+    p.add_argument("--degree", type=int, required=True, help="k in 0..dim + 1")
     p.add_argument("file")
 
     p = sub.add_parser("harrison", help="Harrison H^2 of a commutative algebra")

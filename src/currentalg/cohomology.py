@@ -1,4 +1,4 @@
-"""Chevalley-Eilenberg and Hochschild/Harrison cohomology in low degrees.
+"""Chevalley-Eilenberg cohomology in every degree; Hochschild/Harrison H^2.
 
 Sign convention for the Chevalley coboundary with adjoint coefficients:
 
@@ -9,7 +9,7 @@ which satisfies d.d = 0 and makes Z^1 exactly the derivation algebra.
 Cochain bases are ordered lexicographically on index tuples with the value
 coordinate innermost, so coboundary matrices have reproducible shapes.
 
-Each operator (Chevalley d^0..d^2, Hochschild d^2; the Leibniz system lives in
+Each operator (Chevalley d^k for every k, Hochschild d^2; the Leibniz system lives in
 ``algebra``) is assembled row by row from its formula and ``Algebra.tensor``;
 Hochschild d^1 is minus the Leibniz system.  The Jacobiator route in ``rigidity``
 and the decomposable evaluators below stay independent of these rows.
@@ -74,7 +74,7 @@ def _cochain_data(dim: int, data, key) -> dict:
 
 
 class ChevalleyCochain:
-    """Alternating k-cochain (k <= 3) with coefficients in the algebra.
+    """Alternating k-cochain (k >= 0) with coefficients in the algebra.
 
     Values are stored on strictly increasing index tuples only; evaluation
     on any other tuple applies the permutation sign, and repeated indices
@@ -85,8 +85,8 @@ class ChevalleyCochain:
     __slots__ = ("degree", "dim", "data")
 
     def __init__(self, degree: int, dim: int, data: Mapping = ()):
-        if degree not in (0, 1, 2, 3):
-            raise AlgebraError("supported cochain degrees are 0..3")
+        if not isinstance(degree, int) or degree < 0:
+            raise AlgebraError(f"cochain degree {degree!r} is not an integer >= 0")
         self.degree = degree
         self.dim = dim
         self.data = _cochain_data(dim, data, self._key)
@@ -95,7 +95,7 @@ class ChevalleyCochain:
         tup = tuple(tup)
         if len(tup) != self.degree:
             raise AlgebraError(f"tuple {tup} has wrong arity for degree {self.degree}")
-        if any(not 1 <= i <= self.dim for i in tup):
+        if any(not isinstance(i, int) or not 1 <= i <= self.dim for i in tup):
             raise AlgebraError(f"tuple {tup} out of range 1..{self.dim}")
         if list(tup) != sorted(set(tup)):
             raise AlgebraError(f"tuple {tup} must be strictly increasing")
@@ -138,7 +138,7 @@ class SymmetricCochain:
 
     def _key(self, pair) -> tuple:
         i, j = pair
-        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
+        if any(not isinstance(x, int) or not 1 <= x <= self.dim for x in (i, j)):
             raise AlgebraError(f"pair {(i, j)} out of range 1..{self.dim}")
         return (min(i, j), max(i, j))
 
@@ -190,7 +190,7 @@ def multiplication_cochain(A: Algebra) -> SymmetricCochain:
 # ---------------------------------------------------------------------------
 
 def chevalley_delta_matrix(g: Algebra, k: int) -> Matrix:
-    """Matrix of the degree-k coboundary d: C^k -> C^(k+1), read off the
+    """Matrix of the degree-k coboundary d: C^k -> C^(k+1), k >= 0, read off the
     formula; a map into the zero space has no rows and keeps its column count.
 
     Row (T, t) is coordinate t of (d phi)(e_T) on an increasing tuple T;
@@ -198,8 +198,8 @@ def chevalley_delta_matrix(g: Algebra, k: int) -> Matrix:
     """
     if g.kind != LIE:
         raise AlgebraError("the Chevalley coboundary needs a Lie algebra")
-    if k not in (0, 1, 2):
-        raise AlgebraError("coboundary implemented for degrees 0..2 only")
+    if not isinstance(k, int) or k < 0:
+        raise AlgebraError(f"cochain degree {k!r} is not an integer >= 0")
     n, tensor = g.dim, g.tensor
     sources, targets = increasing_tuples(n, k), increasing_tuples(n, k + 1)
     col = {tup: pos * n for pos, tup in enumerate(sources)}
@@ -227,7 +227,7 @@ def chevalley_delta_matrix(g: Algebra, k: int) -> Matrix:
 
 
 def chevalley_delta(g: Algebra, c: ChevalleyCochain) -> ChevalleyCochain:
-    """Adjoint-coefficient coboundary, degrees 0 -> 1 -> 2 -> 3."""
+    """Adjoint-coefficient coboundary of a k-cochain, a (k+1)-cochain."""
     if c.dim != g.dim:
         raise AlgebraError("cochain dimension does not match the algebra")
     flat = scalars.coerce_vector(g.field, cochain_to_flat(c))
@@ -270,31 +270,31 @@ class CohomologyDims:
 
 
 def chevalley_dims(g: Algebra, k: int) -> CohomologyDims:
-    """dim Z^k, dim B^k, dim H^k for k in {1, 2}, by exact rank.  Raises
-    ``IdentityError`` when g fails Jacobi."""
-    if k not in (1, 2):
-        raise AlgebraError("chevalley_dims supports k in {1, 2}")
-    return _chevalley_dims(g, k)[0][k - 1]
+    """dim Z^k, dim B^k, dim H^k by exact rank, 0 <= k <= dim g + 1 checked before
+    any assembly; H^0 is the center.  Raises ``IdentityError`` if g fails Jacobi."""
+    if not isinstance(k, int) or not 0 <= k <= g.dim + 1:
+        raise AlgebraError(f"chevalley_dims takes k in 0..{g.dim + 1}, not {k!r}")
+    return _chevalley_dims(g, k)[0][k]
 
 
-def _complex_ranks(ds: list) -> list:
-    """0, then the rank of each d^k of a complex whose identities have passed:
-    d^k d^(k-1) = 0 gives rank d^k <= ncols(d^k) - rank d^(k-1) for k > 0, and
-    the elimination of d^k stops at that ceiling, met exactly when H^k = 0."""
-    ranks = [0, rank(ds[0])]
-    for d in ds[1:]:
-        ranks.append(_rank(d, d.ncols - ranks[-1]))
-    return ranks
+def _complex_dims(ds: list) -> list:
+    """Z, B, H at each d^k of a complex whose identities have passed, the first
+    with B = 0: d^k d^(k-1) = 0 gives rank d^k <= ncols(d^k) - rank d^(k-1), and
+    the elimination stops at that ceiling, met exactly when H^k = 0."""
+    dims, b = [], 0
+    for d in ds:
+        r = _rank(d, d.ncols - b) if dims else rank(d)
+        dims.append(CohomologyDims(dim_Z=d.ncols - r, dim_B=b, dim_H=d.ncols - r - b))
+        b = r
+    return dims
 
 
 def _chevalley_dims(g: Algebra, high: int) -> tuple[list, list]:
-    """(dimensions for k = 1 .. high, operators d^0 .. d^high), each operator
+    """(dimensions for k = 0 .. high, operators d^0 .. d^high), each operator
     assembled and ranked once."""
     ds = [chevalley_delta_matrix(g, k) for k in range(high + 1)]
     require_identities(g)
-    ranks = _complex_ranks(ds)
-    return ([CohomologyDims(dim_Z=d.ncols - r, dim_B=b, dim_H=d.ncols - r - b)
-             for d, r, b in zip(ds[1:], ranks[2:], ranks[1:])], ds)
+    return _complex_dims(ds), ds
 
 
 def _leibniz_is_minus_d1(g: Algebra, d1: Matrix) -> None:
@@ -414,15 +414,13 @@ def harrison_h2(A: Algebra) -> CohomologyDims:
     Coboundaries of 1-cochains are automatically symmetric over a
     commutative algebra, so no intersection step is needed.  B^2 is the
     image of d^1, which is minus the Leibniz system and has the same rank;
-    the two are ranked as a complex (:func:`_complex_ranks`).  Raises
+    the two are ranked as a complex (:func:`_complex_dims`).  Raises
     ``IdentityError`` when A fails associativity.
     """
     if A.kind != ASSOC_COMM:
         raise AlgebraError("harrison_h2 needs an assoc-comm algebra")
     require_identities(A)
-    d2 = _hochschild_rows(A)
-    _, b, r = _complex_ranks([_leibniz_rows(A), d2])
-    return CohomologyDims(dim_Z=d2.ncols - r, dim_B=b, dim_H=d2.ncols - r - b)
+    return _complex_dims([_leibniz_rows(A), _hochschild_rows(A)])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +542,7 @@ def h1_current_formula(g: Algebra, A: Algebra) -> H1CurrentFormula:
     flat = current_algebra(g, A)
     lhs = chevalley_dims(flat, 1).dim_H
 
-    h1_g = chevalley_dims(g, 1)
+    h0_g, h1_g = _chevalley_dims(g, 1)[0]
     s1 = h1_g.dim_H * A.dim
 
     der_a = derivation_space(A)
@@ -552,8 +550,7 @@ def h1_current_formula(g: Algebra, A: Algebra) -> H1CurrentFormula:
 
     derived_dim = subspace_product(g, Subspace.full(g.dim),
                                    Subspace.full(g.dim)).dim
-    # Z(g) = Z^0 = ker d^0, so dim Z(g) = dim g - rank d^0 = dim g - dim B^1
-    hom_quot_center = (g.dim - derived_dim) * (g.dim - h1_g.dim_B)
+    hom_quot_center = (g.dim - derived_dim) * h0_g.dim_H  # H^0 = Z(g)
     end_quot = A.dim ** 2 - (_left_mult_span(A) + der_a).dim
     s3 = hom_quot_center * end_quot
 

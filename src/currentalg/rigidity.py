@@ -53,7 +53,7 @@ def rigidity_certificate(g: Algebra) -> RigidityCertificate:
     """
     if g.kind != LIE:
         raise AlgebraError("rigidity_certificate needs a Lie algebra")
-    (_, h2), ds = _chevalley_dims(g, 2)
+    (_, _, h2), ds = _chevalley_dims(g, 2)
     _leibniz_is_minus_d1(g, ds[1])
     verdict = RIGID_BY_H2_ZERO if h2.dim_H == 0 else INCONCLUSIVE
     return RigidityCertificate(verdict=verdict, h2_dims=h2, orbit_dim=h2.dim_B)

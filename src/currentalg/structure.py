@@ -149,22 +149,22 @@ def _int(z):
     return _reduced(x, y, 1) if y else x
 
 
-def _relation(A: Algebra, a: tuple) -> tuple[list, tuple, int]:
-    """(powers, p, s) for b = D a, a nonzero with integral coordinates and D
-    from :func:`_integral_tensor`: b, b^2 = a * b, ..., b^m on D times the
-    tensor, as integral sparse vectors up to the first dependence, the least
-    monic p (degree m + 1) with p(0) = 0 and p(b) = 0, and s with p = t^s u,
-    u(0) != 0.  L_b is integral, so p lies in Z[t] (Z[i][t] over Q(i)) by
-    Gauss's lemma, and b has the same idempotents e(b) as a."""
-    den, tensor, pairs = _integral_tensor(A)
+def _relation(integral: tuple, a: tuple) -> tuple[list, tuple, int]:
+    """(powers, p, s) for b = D a, a nonzero with integral coordinates and
+    ``integral`` = (D, D times the tensor, _) from :func:`_integral_tensor`:
+    b, b^2 = a * b, ..., b^m on D times the tensor, as integral sparse vectors
+    up to the first dependence, the least monic p (degree m + 1) with p(0) = 0
+    and p(b) = 0, and s with p = t^s u, u(0) != 0.  L_b is integral, so p lies
+    in Z[t] (Z[i][t] over Q(i)) by Gauss's lemma; b and a share idempotents."""
+    den, tensor, pairs = integral
     theta = {i: _int(x) for i, x in enumerate(a, start=1) if x}
     powers, mu = _krylov(lambda v: _product(tensor, theta, v),
-                         {i: den * x for i, x in theta.items()}, A.dim + 1, pairs)
+                         {i: den * x for i, x in theta.items()}, len(a) + 1, pairs)
     s = 1 + next(d for d, c in enumerate(mu) if c)
     return powers, (0, *mu), s
 
 
-def _crt_idempotents(A: Algebra, powers: list, p: tuple, factors: list) -> list:
+def _crt_idempotents(A: Algebra, integral: tuple, powers: list, p: tuple, factors: list) -> list:
     """e(b) for each monic factor f of u = p / t^s coprime to c = p / f and
     e = 1 mod f, 0 mod c, from the powers of b with p(b) = 0: t^s | e and
     p | e^2 - e, so e(b) is exact.  c comes by exact monic division; the one
@@ -172,7 +172,7 @@ def _crt_idempotents(A: Algebra, powers: list, p: tuple, factors: list) -> list:
     as H / delta.  The numerators w = (c H)(b) are integral, e = w / delta,
     and e e = e is checked as w * w = D delta w on D times the tensor.  A
     failure raises rather than iterating."""
-    (den, tensor, _), one, out = _integral_tensor(A), scalars.one(A.field), []
+    (den, tensor, _), one, out = integral, scalars.one(A.field), []
     for f in factors:
         cofactor = _exact_quotient(p, f)
         if cofactor is None:
@@ -205,10 +205,11 @@ def some_nonzero_idempotent(A: Algebra) -> Optional[tuple]:
     basis element a with p = t^s u, deg u > 0, gives e = 1 mod u, 0 mod t^s.
     """
     _require_kind(A, ASSOC_COMM, "some_nonzero_idempotent")
+    integral = _integral_tensor(A)
     for i in range(1, A.dim + 1):
-        powers, p, s = _relation(A, A.basis_vector(i))
+        powers, p, s = _relation(integral, A.basis_vector(i))
         if len(p) - 1 > s:  # else a is nilpotent; try the next basis element
-            return _crt_idempotents(A, powers, p, [p[s:]])[0]
+            return _crt_idempotents(A, integral, powers, p, [p[s:]])[0]
     return None
 
 
@@ -504,7 +505,7 @@ def _trager(sqf, scale):
             for h in sorted(_zassenhaus(norm), key=lambda h: _order(h, scale))]
 
 
-def _generator(A: Algebra, d: int) -> tuple[list, tuple, int, list]:
+def _generator(A: Algebra, integral: tuple, d: int) -> tuple[list, tuple, int, list]:
     """``_relation`` of the first theta on the moment curve x(t) = sum_k t^(k-1) b_k,
     t = 2 .. C(d+1, 2)(n-1) + 2, whose u has a squarefree part of degree d,
     and that squarefree part.
@@ -518,7 +519,7 @@ def _generator(A: Algebra, d: int) -> tuple[list, tuple, int, list]:
     """
     n = A.dim
     for t in range(2, comb(d + 1, 2) * (n - 1) + 3):
-        powers, p, s = _relation(A, tuple(scalars.coerce(A.field, t ** k) for k in range(n)))
+        powers, p, s = _relation(integral, tuple(scalars.coerce(A.field, t ** k) for k in range(n)))
         if len(p) - 1 - s >= d and len(sqf := _squarefree(p[s:])) - 1 == d:
             return powers, p, s, sqf
     raise AssertionError("the moment curve must separate the characters of A / rad A")
@@ -535,9 +536,10 @@ def _primitive_idempotents(A: Algebra) -> list:
     d = rank(Matrix(_trace_form(A)))
     if d == 0:
         return []
-    powers, p, s, sqf = _generator(A, d)
-    factors = _factor_poly(A.field, p[s:], sqf, _integral_tensor(A)[0])
-    return _crt_idempotents(A, powers, p, [reduce(_mul, [f] * k) for f, k in factors])
+    integral = _integral_tensor(A)
+    powers, p, s, sqf = _generator(A, integral, d)
+    factors = _factor_poly(A.field, p[s:], sqf, integral[0])
+    return _crt_idempotents(A, integral, powers, p, [reduce(_mul, [f] * k) for f, k in factors])
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_fingerprint_matches_separate_invariants():
             if kind == ca.LIE:
                 assert (fp.h1_dim, fp.h2_dim) == (chevalley_dims(alg, 1).dim_H,
                                                   chevalley_dims(alg, 2).dim_H)
-                assert fp.center_dim == center(alg).dim
+                assert fp.center_dim == center(alg).dim == chevalley_dims(alg, 0).dim_H
             else:
                 assert fp.h2_dim == harrison_h2(alg).dim_H
 

@@ -28,7 +28,8 @@ from currentalg import (
     inner_derivations,
     multiplication_cochain,
 )
-from currentalg.cohomology import _left_mult_span, cochain_from_flat, cochain_to_flat
+from currentalg.cohomology import (_chevalley_dims, _left_mult_span, cochain_from_flat,
+                                   cochain_to_flat)
 from currentalg.io import parse_algebra_file
 
 from conftest import (
@@ -88,11 +89,14 @@ def test_cochains_check_their_index_rules():
     for args, needle in (((2, 3, {(1,): (0, 0, 1)}), "wrong arity"),
                          ((2, 3, {(1, 4): (0, 0, 1)}), r"tuple \(1, 4\) out of range 1\.\.3"),
                          ((2, 3, {(2, 2): (0, 0, 1)}), "strictly increasing"),
-                         ((2, 3, {(1, 2): (0, 1)}), "algebra dimension")):
+                         ((2, 3, {(1, 2): (0, 1)}), "algebra dimension"),
+                         ((2, 3, {(1.5, 2): (1, 0, 0)}), r"tuple \(1\.5, 2\) out of range"),
+                         ((-1, 3, {}), "degree -1 is not an integer >= 0")):
         with pytest.raises(AlgebraError, match=needle):
             ChevalleyCochain(*args)
     for args, needle in (((2, {(1, 3): (0, 1)}), r"pair \(1, 3\) out of range 1\.\.2"),
                          ((2, {(0, 1): (0, 1)}), r"pair \(0, 1\) out of range"),
+                         ((2, {(1.5, 2): (1, 0)}), r"pair \(1\.5, 2\) out of range"),
                          ((2, {(1, 2): (0, 1, 0)}), "algebra dimension")):
         with pytest.raises(AlgebraError, match=needle):
             SymmetricCochain(*args)
@@ -139,7 +143,7 @@ def test_delta_squared_zero_random():
     rng = random.Random(31)
     algebras = [g for g in catalog_lie_algebras() if g.dim <= 6]
     for g in algebras:
-        for degree in (0, 1):
+        for degree in range(max(2, g.dim - 1)):
             for _ in range(4):
                 c = rand_chevalley(rng, g.dim, degree)
                 assert chevalley_delta(g, chevalley_delta(g, c)).is_zero()
@@ -152,6 +156,38 @@ def test_chevalley_dims_examples():
     assert chevalley_dims(ca.sl2(), 1).dim_H == 0
     with pytest.raises(AlgebraError):
         chevalley_dims(ca.m1(2), 2)
+
+
+def test_chevalley_dims_in_every_degree_examples():
+    # h^0 .. h^n, then 0 at k = n + 1; h^0 is the center
+    cases = [(ca.heisenberg(3), (1, 4, 5, 2)),
+             (ca.heisenberg(5), (1, 11, 20, 21, 15, 4)),
+             (ca.current_algebra(ca.r2(), ca.null_algebra(2)), (4, 16, 24, 16, 4)),
+             (ca.current_algebra(ca.sl2(), ca.null_algebra(1)), (3, 9, 9, 3)),
+             (ca.current_algebra(ca.heisenberg(3), ca.null_algebra(1)), (3, 9, 9, 3)),
+             (ca.abelian(2), (2, 4, 2)),
+             (ca.abelian(1), (1, 1))]
+    cases += [(g, (0,) * (g.dim + 1)) for g in (
+        ca.r2(), ca.sl2(), ca.t_oplus_a(2, 1), ca.current_algebra(ca.r2(), ca.m1(2)))]
+    for g, want in cases:
+        assert tuple(chevalley_dims(g, k).dim_H for k in range(g.dim + 2)) == want + (0,), g
+        assert chevalley_dims(g, g.dim + 1) == ca.CohomologyDims(0, 0, 0)
+    for k in (-1, 5, 2.5):
+        with pytest.raises(AlgebraError, match=r"chevalley_dims takes k in 0\.\.4, not "):
+            chevalley_dims(ca.sl2(), k)
+    with pytest.raises(AlgebraError, match="degree -1 is not an integer >= 0"):
+        chevalley_delta_matrix(ca.sl2(), -1)
+
+
+def test_chevalley_dims_in_every_degree_have_euler_characteristic_zero():
+    # sum_k (-1)^k h^k = sum_k (-1)^k dim C^k = n (1 - 1)^n = 0; the complex
+    # ranked once gives each degree as chevalley_dims gives it alone
+    for g in scaled_corpus(ca.LIE):
+        if not ca.check_identities(g).passed:
+            continue
+        dims = _chevalley_dims(g, g.dim)[0]
+        assert sum((-1) ** k * d.dim_H for k, d in enumerate(dims)) == 0, g
+        assert dims == [chevalley_dims(g, k) for k in range(g.dim + 1)], g
 
 
 def test_derivations_examples():
@@ -552,13 +588,14 @@ def test_chevalley_delta_matrix_matches_formula_oracle():
 
 
 def test_chevalley_delta_matrices_compose_to_zero():
-    # d^(k+1) d^k = 0 as a product of Matrix objects, also at the top of the
-    # complex, where a map into or out of the zero space keeps its other side.
+    # d^(k+1) d^k = 0 as a product of Matrix objects in every degree, also at
+    # and past the top of the complex, where a map into or out of the zero
+    # space keeps its other side.
     lie = [g for g in oracle_corpus(ca.LIE) if ca.check_identities(g).passed]
     assert ca.abelian(1) in lie
     for g in lie:
         n = g.dim
-        for k in (0, 1):
+        for k in range(n + 1):
             d = chevalley_delta_matrix(g, k + 1) @ chevalley_delta_matrix(g, k)
             assert d.shape == (comb(n, k + 2) * n, comb(n, k) * n), (g, k)
             assert d.is_zero(), (g, k)

@@ -172,6 +172,30 @@ def test_cli_cohomology_and_harrison(fixture_dir, capsys):
     assert json.loads(out)["data"]["dim_H"] == 1
 
 
+def test_cli_cohomology_in_every_degree(fixture_dir, capsys, monkeypatch):
+    # heisenberg(3) has h^0..h^3 = 1, 4, 5, 2: degree 0 is the center, and
+    # C^4 = 0 is the first zero space
+    heis = str(fixture_dir / "heisenberg3.json")
+    for degree, dims in ((0, (1, 0, 1)), (3, (3, 1, 2)), (4, (0, 0, 0))):
+        code, out, _ = _run(capsys, "--json", "cohomology", "--degree", str(degree), heis)
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert (data["degree"], data["dim_Z"], data["dim_B"], data["dim_H"]) == (degree, *dims)
+    code, out, _ = _run(capsys, "cohomology", "--degree", "3", heis)
+    assert code == 0 and "dim_H: 2" in out
+    # out of range: the library refuses the degree before any operator is
+    # assembled, with its own message and no traceback
+    def assemble(*args):
+        raise AssertionError("an operator was assembled")
+    monkeypatch.setattr(ca.cohomology, "chevalley_delta_matrix", assemble)
+    for degree in ("-1", "5"):
+        for argv in (("cohomology", "--degree", degree, heis),
+                     ("--json", "cohomology", "--degree", degree, heis)):
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: chevalley_dims takes k in 0..4, not {degree}\n", argv
+
+
 def test_cli_cohomology_and_harrison_require_identities(fixture_dir, tmp_path, capsys):
     # Tables that fail their identities exit 1 before any rank is taken: a
     # non-Lie table whose H^2 would read 0, and two corrupt fixtures whose
@@ -181,7 +205,7 @@ def test_cli_cohomology_and_harrison_require_identities(fixture_dir, tmp_path, c
         (1, 2): (-1, 1, 0), (1, 3): (1, 1, 1), (2, 3): (-1, -1, 1)}), bad)
     cases = [("cohomology", "--degree", "2", str(bad))]
     cases += [("cohomology", "--degree", d, str(fixture_dir / "r2_corrupt3.json"))
-              for d in ("1", "2")]
+              for d in ("0", "1", "2", "3")]
     cases += [("harrison", str(fixture_dir / "m1_2_corrupt.json"))]
     for argv in cases:
         code, out, err = _run(capsys, *argv)
@@ -407,7 +431,9 @@ def test_cli_json_reports_validate_against_schema(fixture_dir, capsys):
         ("--json", "validate", str(fixture_dir / "r2.json")),
         ("--json", "validate", str(fixture_dir / "r2_corrupt3.json")),
         ("--json", "analyze", str(fixture_dir / "sl2.json")),
+        ("--json", "cohomology", "--degree", "0", str(fixture_dir / "heisenberg3.json")),
         ("--json", "cohomology", "--degree", "1", str(fixture_dir / "r2.json")),
+        ("--json", "cohomology", "--degree", "3", str(fixture_dir / "heisenberg3.json")),
         ("--json", "harrison", str(fixture_dir / "m1_2.json")),
         ("--json", "pierce", str(fixture_dir / "m1_2.json"),
          "--idempotent", "1,0"),

@@ -433,9 +433,9 @@ def _count_relations(monkeypatch, fail=False):
     one of them reports the relation t^2 of a nilpotent element."""
     seen, relation = [], structure._relation
 
-    def recorded(A, a):
+    def recorded(integral, a):
         seen.append(a)
-        return ([a], (F(0), F(0), F(1)), 2) if fail else relation(A, a)
+        return ([a], (F(0), F(0), F(1)), 2) if fail else relation(integral, a)
     monkeypatch.setattr(structure, "_relation", recorded)
     return seen
 
@@ -465,9 +465,23 @@ def test_generator_skips_a_point_with_a_zero_character(monkeypatch):
     assert set(got) == {f_inv.apply(e) for e in find_idempotents(ca.m1(2))}
     # x(3) = -e1 + 4 e2 has u = (t + 1)(t - 4); the table's denominators are 3,
     # so the relation is that of 3 x(3), with the roots scaled by 3
-    assert structure._integral_tensor(a)[0] == 3
-    powers, p, s, sqf = structure._generator(a, 2)
+    integral = structure._integral_tensor(a)
+    assert integral[0] == 3
+    powers, p, s, sqf = structure._generator(a, integral, 2)
     assert s == 1 and p[s:] == (-36, -9, 1) and sqf == [-36, -9, 1]  # (t + 3)(t - 12)
+
+
+def test_integral_tensor_is_built_once_per_split(monkeypatch):
+    # the split hands one integral tensor to the generator search, every
+    # relation and the CRT step; a dense rational basis has denominators
+    built, integral = [], structure._integral_tensor
+    monkeypatch.setattr(structure, "_integral_tensor", lambda A: built.append(A) or integral(A))
+    dense = Matrix([[5, F(1, 2), 0], [F(-1, 3), 6, 1], [0, F(2, 3), 4]])
+    for a in (ca.m1(3), ca.change_basis(ca.m1(3), dense), _m1_null(2, 1)):
+        for split in (find_idempotents, ca.orthogonal_decomposition, ca.some_nonzero_idempotent):
+            built.clear()
+            split(a)
+            assert built == [a], (a, split)
 
 
 def _complex_basis_m1_3():
@@ -692,7 +706,7 @@ def _assert_qi_factors_match(poly):
 def test_factor_poly_qi_fixed_cases():
     # the M1(5) unit-first generator search really meets the quintic
     a = ca.change_basis(ca.m1(5), _unit_first(5, 5))
-    _powers, p, s, _sqf = structure._generator(a, 5)
+    _powers, p, s, _sqf = structure._generator(a, structure._integral_tensor(a), 5)
     assert p[s:] == _QI_FIXED[-1]
     for poly in _QI_FIXED:
         _assert_qi_factors_match(poly)
@@ -792,7 +806,8 @@ def test_relation_is_integral():
                          for j in range(a.dim)] for i in range(a.dim)])
         for b in (a, ca.change_basis(a, unimodular_twist(a.dim, 3)), ca.change_basis(a, dense)):
             one = ca.scalars.one(b.field)
-            _powers, p, _s = structure._relation(b, tuple(one * 2 ** k for k in range(b.dim)))
+            _powers, p, _s = structure._relation(structure._integral_tensor(b),
+                                                 tuple(one * 2 ** k for k in range(b.dim)))
             assert p[-1] == 1, b
             if b.field == ca.Q:
                 assert all(type(c) is int for c in p), (b, p)
@@ -836,7 +851,7 @@ def test_generator_relations_and_squarefree_parts_are_monic():
         bases += [dense(a.dim, True)] if a.field == ca.QI else []
         d = rank(Matrix(_trace_form(a)))
         for b in [a] + [ca.change_basis(a, f) for f in bases]:
-            _powers, p, s, sqf = structure._generator(b, d)
+            _powers, p, s, sqf = structure._generator(b, structure._integral_tensor(b), d)
             assert _is_monic_integral(p[s:]) and _is_monic_integral(sqf), (b, p, sqf)
             assert len(sqf) - 1 == d
             checked += 1
